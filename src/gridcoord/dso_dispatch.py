@@ -330,8 +330,10 @@ def _solve_stage(mm, stage):
     wall_ms = 1e3 * (time.perf_counter() - t0)
     if sol.status == milp.INFEASIBLE:
         raise InfeasibleStage(f"{stage}: no feasible mode/setting assignment")
-    if sol.status not in (milp.OPTIMAL,):
-        raise GridcoordError(f"{stage}: solver returned {sol.status}")
+    if sol.status != milp.OPTIMAL:
+        raise GridcoordError(f"{stage}: solver returned {sol.status} after "
+                             f"{sol.node_count} nodes (best bound {sol.best_bound:.6g}, "
+                             f"gap {sol.gap:.3g})")
     stats = {"status": sol.status, "nodes": sol.node_count,
              "simplex_iterations": sol.simplex_iterations, "wall_ms": wall_ms}
     return sol, stats

@@ -1,11 +1,48 @@
 """Linear / mixed-integer linear model container and embedded solver.
 
-The solver is a dense bounded-variable primal simplex (phase 1 via
-artificial columns, Dantzig pricing with a Bland anti-cycling fallback)
-plus a best-first branch-and-bound that branches on the most fractional
-binary or splits SOS1 sets at their weighted midpoint.  A brute-force
-enumerator over binary assignments and SOS1 active-member choices
-serves as the test oracle.
+The LP engine is a dense bounded-variable tableau simplex over the
+structural columns and one slack column per row.  A cold solve starts
+from the slack basis: phase 1 drives artificial columns out, phase 2
+optimizes, both with Devex-weighted Dantzig pricing and a Bland
+anti-cycling fallback.  ``solve_lp``, ``brute_force`` and the root node
+of ``solve_milp`` are cold solves.
+
+Branch and bound is best-first and warm-started.  Branching only
+tightens bounds, so a parent's optimal basis stays dual feasible in its
+children; each child re-optimizes from it with a bounded dual simplex
+that pivots only on the rows the branch made primal infeasible.
+
+- **What a node stores.**  Its bounds, plus its parent's optimal basis
+  (int32, one entry per row) and column statuses (int8, one per
+  column).  Siblings share those two arrays.  No node stores a tableau.
+- **One working tableau.**  A node whose parent was the last node
+  solved re-optimizes in that tableau in place.  Any other node rebuilds
+  it from the stored basis.  A cold solve's tableau becomes the working
+  one; when its node branches, it drops the artificial columns (a basic
+  artificial gives way to its row's slack), so every stored basis
+  indexes structurals and slacks only.
+- **Refactor.**  Slack and artificial columns are signed unit columns,
+  so B^-1 needs only an LU of the block of basic structural columns on
+  the rows no basic unit column covers (at most n_struct square).  The
+  refactor rebuilds T = B^-1 A in place, a few columns at a time.  It
+  runs when a node is loaded from its stored basis and after every
+  ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike.
+- **Verdicts.**  A node is optimal only after a primal pricing pass on
+  the dual simplex's end point finds nothing to improve.  It is pruned
+  as infeasible only when a Farkas check recomputed from the original
+  rows (row r of B^-1, read from the tableau's slack block, applied to
+  A and b) proves the bounds infeasible.  An unconfirmed verdict, a
+  singular refactor or a dual stall (more than max(64, rows) pivots)
+  falls back to a cold solve of that node.
+- **Memory.**  The search holds one tableau, never a copy per node.  A
+  cold fallback first releases it, dropping artificials reuses its
+  buffer, and the refactor works in blocks of columns, so the warm path
+  adds only the refactor's LU and a few blocks to a cold solve.  The
+  slack identity is never stored: ``_Arrays.A`` holds structural
+  columns only.
+
+A brute-force enumerator over binary assignments and SOS1 active-member
+choices, made of cold LP solves, serves as the test oracle.
 
 Scale notes: models in this package stay below roughly two thousand
 rows, so the tableau is kept dense and no presolve is attempted beyond
@@ -15,25 +52,21 @@ skipping empty rows.
 from __future__ import annotations
 
 import heapq
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-try:  # in-place rank-1 tableau updates without temporaries
-    from scipy.linalg.blas import dger as _dger
-except ImportError:  # pragma: no cover
-    _dger = None
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.blas import dger as _dger
 
 from .errors import TooLarge, UnknownVariable
 
 
 def _rank1_update(T, col, row):
-    """T -= outer(col, row), in place when BLAS is available."""
-    if _dger is not None and T.flags.c_contiguous:
-        # operate on the F-contiguous transpose view so no copy is made
-        _dger(-1.0, row, col, a=T.T, overwrite_a=1)
-    else:
-        T -= np.outer(col, row)
+    """T -= outer(col, row) in place; T must be C-contiguous."""
+    # operate on the F-contiguous transpose view so no copy is made
+    _dger(-1.0, row, col, a=T.T, overwrite_a=1)
+
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -43,7 +76,8 @@ LE, GE, EQ = "<=", ">=", "=="
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
-ITER_LIMIT = "IterLimit"
+ITER_LIMIT = "IterLimit"     # a node LP hit the simplex iteration cap
+NODE_LIMIT = "NodeLimit"     # branch and bound stopped at MilpOptions.node_limit
 
 MIN, MAX = "min", "max"
 
@@ -181,6 +215,11 @@ class MilpSolution:
     x: np.ndarray | None
     node_count: int = 0
     simplex_iterations: int = 0
+    # best_bound: the best objective any solution can reach, as far as the
+    # search proved it (objective sense).  gap: |objective - best_bound|,
+    # inf without an incumbent.
+    best_bound: float = np.nan
+    gap: float = np.inf
 
     def value(self, vid: int) -> float:
         return float(self.x[vid])
@@ -197,22 +236,28 @@ class MilpSolution:
 
 
 # ---------------------------------------------------------------------------
-# dense bounded-variable primal simplex
+# dense bounded-variable simplex
 # ---------------------------------------------------------------------------
 
 _AT_LO, _AT_HI, _BASIC, _FREE = 0, 1, 2, 3
 _PIV_TOL = 1e-9
 _D_TOL = 1e-9
+_REFACTOR_PERIOD = 500   # pivots between two refactors of a tableau
+_REFACTOR_BLOCK = 64     # tableau columns (or rows) gathered at a time
+_FARKAS_TOL = 1e-6       # infeasibility margin a Farkas row must show
 
 
 class _Arrays:
-    """Standardized arrays: A x = b with bounded x (structurals then slacks)."""
+    """Standardized arrays: A x + s = b with bounded structurals x and
+    slacks s.  ``A`` holds the structural columns only; the slack block
+    is the identity and stays implicit, as do lo, hi and c of the
+    columns after A's (the slacks)."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
         rows = [c for c in model.constraints if c.coeffs]
         m = len(rows)
-        A = np.zeros((m, n + m))
+        A = np.zeros((m, n))
         b = np.zeros(m)
         lo = np.empty(n + m)
         hi = np.empty(n + m)
@@ -221,7 +266,6 @@ class _Arrays:
         for i, con in enumerate(rows):
             for vid, coef in con.coeffs:
                 A[i, vid] += coef
-            A[i, n + i] = 1.0
             b[i] = con.rhs
             if con.sense == LE:
                 lo[n + i], hi[n + i] = 0.0, np.inf
@@ -242,6 +286,15 @@ class _Arrays:
         self.n_struct, self.m = n, m
         self.obj_sign, self.obj_const = sign, model.objective_const
 
+    def solution(self, status, objective, x, bound, nodes=0, iterations=0):
+        """A MilpSolution in the model's sense from internal (min-sense) values."""
+        gap = np.inf
+        if objective is not None:
+            gap = abs(objective - bound)
+            objective = self.obj_sign * objective + self.obj_const
+        return MilpSolution(status, objective, x, nodes, iterations,
+                            self.obj_sign * bound + self.obj_const, gap)
+
 
 class _SimplexResult:
     __slots__ = ("status", "x", "objective", "iterations")
@@ -251,15 +304,18 @@ class _SimplexResult:
 
 
 class _Simplex:
-    """One simplex run.  Columns: structurals, slacks, then artificials."""
+    """One tableau T = B^-1 [A | art].  Columns: structurals, slacks, then
+    artificials; ``drop_artificials`` narrows it to the first two."""
 
     def __init__(self, A, b, lo, hi, c, iter_cap, feas_tol):
-        self.m, self.n_tot = A.shape
+        self.m, n = A.shape
+        self.n_tot = n + self.m
         self.A, self.b = A, b
         self.c_user = c
         self.iter_cap = iter_cap
         self.feas_tol = feas_tol
         self.iters = 0
+        self.since_refactor = 0
 
         m, n_tot = self.m, self.n_tot
         xval = np.zeros(n_tot)
@@ -271,9 +327,8 @@ class _Simplex:
         status[only_hi] = _AT_HI
         xval[only_hi] = hi[only_hi]
 
-        basis = np.arange(n_tot - m, n_tot)
-        struct = np.arange(n_tot - m)
-        resid = b - A[:, struct] @ xval[struct]
+        basis = np.arange(n, n_tot)
+        resid = b - A @ xval[:n]
         status[basis] = _BASIC
 
         sl_lo, sl_hi = lo[basis], hi[basis]
@@ -286,7 +341,8 @@ class _Simplex:
 
         N = n_tot + n_art
         T = np.zeros((m, N))
-        T[:, :n_tot] = A
+        T[:, :n] = A
+        T[np.arange(m), basis] = 1.0
         self.lo = np.concatenate([lo, np.zeros(n_art)])
         self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
         self.xval = np.concatenate([xval, np.zeros(n_art)])
@@ -315,42 +371,198 @@ class _Simplex:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _full_A(self):
-        Afull = np.zeros((self.m, self.N))
-        Afull[:, :self.n_tot] = self.A
-        for k, r in enumerate(self.art_rows):
-            Afull[r, self.n_tot + k] = self.art_signs[k]
-        return Afull
+    def refactor(self):
+        """Rebuild T and x_B in place from A, b and the basis.
 
-    def _refresh(self, cost):
-        Afull = self._full_A()
-        B = Afull[:, self.basis]
-        try:
-            T = np.linalg.solve(B, Afull)
-            nb = np.where(self.status != _BASIC)[0]
-            xB = np.linalg.solve(B, self.b - Afull[:, nb] @ self.xval[nb])
-        except np.linalg.LinAlgError:
-            return cost - cost[self.basis] @ self.T  # keep the running tableau
-        self.T, self.xB = T, xB
-        return cost - cost[self.basis] @ self.T
+        With S the basic structurals and R the rows that no basic unit
+        (slack or artificial) column covers, B^-1 M needs only an LU of
+        A[R, S]: the S rows solve against it, and each unit row then
+        follows by substitution.  Basic columns are set to unit columns
+        and the nonbasic ones are rebuilt a block at a time.  Returns
+        False, leaving T and x_B as they were, when A[R, S] is singular.
+        """
+        self.since_refactor = 0
+        m, n = self.m, self.n_tot - self.m
+        basis = self.basis
+        pos_s = np.flatnonzero(basis < n)
+        pos_u = np.flatnonzero(basis >= n)
+        # column n + i is slack i and column n + m + k artificial k: a signed
+        # unit column on row unit_rows[i] (or [m + k])
+        unit_rows = np.concatenate([np.arange(m), self.art_rows])
+        unit_signs = np.concatenate([np.ones(m), self.art_signs])
+        u_rows = unit_rows[basis[pos_u] - n]
+        u_sign = unit_signs[basis[pos_u] - n][:, None]
+        uncovered = np.ones(m, dtype=bool)
+        uncovered[u_rows] = False
+        rows_r = np.flatnonzero(uncovered)
+        if rows_r.size != pos_s.size:
+            return False   # two unit columns on one row
+        cols_s = basis[pos_s]
+        lu = None
+        if pos_s.size:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu = lu_factor(self.A[np.ix_(rows_r, cols_s)], overwrite_a=True,
+                                check_finite=False)
+            diag = np.abs(np.diag(lu[0]))
+            if not diag.min() > 1e-11 * diag.max():
+                return False
+        a_us = self.A[np.ix_(u_rows, cols_s)]
+
+        def binv(rhs):
+            out = np.empty_like(rhs)
+            y_s = rhs[rows_r]
+            if lu is not None:
+                y_s = lu_solve(lu, y_s, check_finite=False)
+            out[pos_s] = y_s
+            out[pos_u] = u_sign * (rhs[u_rows] - a_us @ y_s)
+            return out
+
+        # basic columns are unit columns; only the nonbasic ones need B^-1
+        self.T.fill(0.0)
+        self.T[np.arange(m), basis] = 1.0
+        nonbasic = np.flatnonzero(self.status != _BASIC)
+        for c0 in range(0, nonbasic.size, _REFACTOR_BLOCK):
+            cols = nonbasic[c0:c0 + _REFACTOR_BLOCK]
+            block = np.zeros((m, cols.size))
+            struct = cols < n
+            block[:, struct] = self.A[:, cols[struct]]
+            k = cols[~struct] - n
+            block[unit_rows[k], np.flatnonzero(~struct)] = unit_signs[k]
+            self.T[:, cols] = binv(block)
+        x_nb = np.where(self.status != _BASIC, self.xval, 0.0)
+        self.xB = binv((self.b - self.A @ x_nb[:n] - x_nb[n:self.n_tot])[:, None])[:, 0]
+        return True
+
+    def drop_artificials(self):
+        """Narrow to structural and slack columns, reusing T's buffer;
+        T must then be refactored.
+
+        A basic artificial is replaced by its row's slack: the two span
+        the same unit column, so the basis stays nonsingular and x_B and
+        the reduced costs do not change.
+        """
+        n_tot = self.n_tot
+        art = self.basis >= n_tot
+        self.basis[art] = n_tot - self.m + self.art_rows[self.basis[art] - n_tot]
+        self.status = self.status[:n_tot].copy()
+        self.status[self.basis] = _BASIC
+        self.lo, self.hi = self.lo[:n_tot].copy(), self.hi[:n_tot].copy()
+        self.xval, self.fixed = self.xval[:n_tot].copy(), self.fixed[:n_tot].copy()
+        self.T = self.T.reshape(-1)[:self.m * n_tot].reshape(self.m, n_tot)
+        self.N, self.n_art = n_tot, 0
+        self.art_rows, self.art_signs = self.art_rows[:0], self.art_signs[:0]
+
+    def _place_nonbasic(self):
+        """Put every nonbasic column at the bound its status names, or at
+        the finite one when that bound is gone (0 when both are)."""
+        st, lo, hi = self.status, self.lo, self.hi
+        nb = st != _BASIC
+        lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
+        to_hi = nb & hi_f & ((st == _AT_HI) | ~lo_f)
+        to_lo = nb & lo_f & ~to_hi
+        to_free = nb & ~to_hi & ~to_lo
+        st[to_hi], st[to_lo], st[to_free] = _AT_HI, _AT_LO, _FREE
+        self.xval[to_hi] = hi[to_hi]
+        self.xval[to_lo] = lo[to_lo]
+        self.xval[to_free] = 0.0
+
+    def _set_struct_bounds(self, lo_s, hi_s):
+        n = self.n_tot - self.m
+        self.lo[:n], self.hi[:n] = lo_s, hi_s
+        self.fixed = self.hi - self.lo <= 0.0
+
+    def set_bounds(self, lo_s, hi_s):
+        """New structural bounds on the same basis; x_B follows the moved
+        nonbasic columns."""
+        self._set_struct_bounds(lo_s, hi_s)
+        old = self.xval.copy()
+        self._place_nonbasic()
+        delta = self.xval - old
+        moved = np.flatnonzero(delta)
+        if moved.size:
+            self.xB -= self.T[:, moved] @ delta[moved]
+
+    def load(self, basis, status, lo_s, hi_s):
+        """Adopt a stored basis under new structural bounds; refactors."""
+        if self.n_art:
+            self.drop_artificials()
+        self.basis[:] = basis
+        self.status[:] = status
+        self._set_struct_bounds(lo_s, hi_s)
+        self._place_nonbasic()
+        return self.refactor()
 
     def solution_x(self):
         x = self.xval[:self.n_tot].copy()
-        for i in range(self.m):
-            if self.basis[i] < self.n_tot:
-                x[self.basis[i]] = self.xB[i]
+        real = self.basis < self.n_tot
+        x[self.basis[real]] = self.xB[real]
         return x
 
-    # -- core loop ---------------------------------------------------------------
+    def _optimal(self):
+        n_tot = self.n_tot
+        x = self.solution_x()
+        np.clip(x, np.where(np.isfinite(self.lo[:n_tot]), self.lo[:n_tot], -np.inf),
+                np.where(np.isfinite(self.hi[:n_tot]), self.hi[:n_tot], np.inf), out=x)
+        return _SimplexResult(OPTIMAL, x, float(self.c_user @ x), self.iters)
+
+    def _pivot(self, r, q, step, leave_status):
+        """Basis change: column q enters at row r after moving by ``step``;
+        the leaving column goes to the bound ``leave_status`` names."""
+        T, basis = self.T, self.basis
+        leave = basis[r]
+        enter_val = self.xval[q] + step
+        self.xB -= step * T[:, q]
+        self.status[leave] = leave_status
+        self.xval[leave] = self.hi[leave] if leave_status == _AT_HI else self.lo[leave]
+        basis[r] = q
+        self.status[q] = _BASIC
+        piv = T[r, q]
+        Trow = T[r] / piv
+        colv = T[:, q].copy()
+        colv[r] = 0.0
+        T[r] = Trow
+        _rank1_update(T, colv, Trow)
+        self.xB[r] = enter_val
+        self.iters += 1
+        self.since_refactor += 1
+        return Trow, piv
+
+    def _binv_row_norms(self, rows):
+        """|row i of B^-1|^2 for each given row, read from the slack block
+        a few rows at a time."""
+        out = np.empty(rows.size)
+        slack = slice(self.n_tot - self.m, self.n_tot)
+        for c0 in range(0, rows.size, _REFACTOR_BLOCK):
+            b_inv = self.T[rows[c0:c0 + _REFACTOR_BLOCK], slack]
+            out[c0:c0 + _REFACTOR_BLOCK] = np.einsum("ij,ij->i", b_inv, b_inv)
+        return out
+
+    def _farkas(self, r):
+        """Whether row r of B^-1, applied to the original A and b, proves
+        the current bounds infeasible.  B^-1 is the tableau's slack block."""
+        n_tot = self.n_tot
+        rho = self.T[r, n_tot - self.m:n_tot]
+        alpha = np.concatenate([rho @ self.A, rho])
+        beta = float(rho @ self.b)
+        lo, hi = self.lo[:n_tot], self.hi[:n_tot]
+        # round-off on a column with an infinite bound would void the proof
+        alpha[(np.abs(alpha) < 1e-11) & ~(np.isfinite(lo) & np.isfinite(hi))] = 0.0
+        with np.errstate(invalid="ignore"):
+            low = np.sum(np.where(alpha > 0, alpha * lo, np.where(alpha < 0, alpha * hi, 0.0)))
+            high = np.sum(np.where(alpha > 0, alpha * hi, np.where(alpha < 0, alpha * lo, 0.0)))
+        return beta < low - _FARKAS_TOL or beta > high + _FARKAS_TOL
+
+    # -- core loops --------------------------------------------------------------
 
     def run_phase(self, cost, phase1):
+        """Primal simplex on ``cost`` from a primal feasible basis."""
         T, lo, hi = self.T, self.lo, self.hi
         status, xval, basis = self.status, self.xval, self.basis
         d = cost - cost[basis] @ T if np.any(cost[basis]) else cost.copy()
         devex = np.ones(self.N)   # reference weights, approximate steepest edge
         stall = 0
         bland = False
-        since_refresh = 0
         while True:
             if self.iters >= self.iter_cap:
                 return ITER_LIMIT
@@ -403,8 +615,6 @@ class _Simplex:
             if not np.isfinite(t_best):
                 # phase 1 objective is bounded below; treat as numerical stop
                 return OPTIMAL if phase1 else UNBOUNDED
-            self.iters += 1
-            since_refresh += 1
             if t_best <= 1e-12:
                 stall += 1
                 if stall > max(64, self.m):
@@ -414,28 +624,17 @@ class _Simplex:
                 bland = False
 
             if r_best < 0:
+                self.iters += 1
+                self.since_refactor += 1
                 self.xB -= (t_best * sgn) * T[:, q]
                 status[q] = _AT_HI if status[q] == _AT_LO else _AT_LO
                 xval[q] = hi[q] if status[q] == _AT_HI else lo[q]
                 continue
 
             leave = basis[r_best]
-            enter_val = xval[q] + sgn * t_best
-            self.xB -= (t_best * sgn) * T[:, q]
-            if w[r_best] > 0:
-                status[leave], xval[leave] = _AT_LO, lo[leave]
-            else:
-                status[leave], xval[leave] = _AT_HI, hi[leave]
-            basis[r_best] = q
-            status[q] = _BASIC
-            piv = T[r_best, q]
-            Trow = T[r_best] / piv
-            colv = T[:, q].copy()
-            colv[r_best] = 0.0
-            T[r_best] = Trow
-            _rank1_update(T, colv, Trow)
+            Trow, piv = self._pivot(r_best, q, t_best * sgn,
+                                    _AT_LO if w[r_best] > 0 else _AT_HI)
             d = d - d[q] * Trow
-            self.xB[r_best] = enter_val
             # Devex reference update from the (normalized) pivot row
             wq = devex[q]
             np.maximum(devex, (Trow * Trow) * wq, out=devex)
@@ -443,12 +642,58 @@ class _Simplex:
             devex[q] = 1.0
             if np.max(devex) > 1e8:
                 devex[:] = 1.0
-            if since_refresh >= 500:
-                since_refresh = 0
-                d = self._refresh(cost)
-                T = self.T
+            if self.since_refactor >= _REFACTOR_PERIOD:
+                self.refactor()
+                d = cost - cost[basis] @ T
+
+    def run_dual(self):
+        """Bounded dual simplex on the user cost from a dual feasible basis.
+
+        Returns OPTIMAL once x_B is within its bounds (to ``feas_tol``),
+        INFEASIBLE when the leaving row admits no entering column and the
+        Farkas check confirms it, and None on a stall or an unconfirmed
+        verdict.
+        """
+        T, lo, hi, cost = self.T, self.lo, self.hi, self.c_user
+        status, basis = self.status, self.basis
+        d = cost - cost[basis] @ T
+        for _ in range(max(64, self.m)):
+            if self.iters >= self.iter_cap:
+                return None
+            xB, lb, ub = self.xB, lo[basis], hi[basis]
+            infeas = np.maximum(lb - xB, xB - ub)
+            rows = np.flatnonzero(infeas > self.feas_tol)
+            if rows.size == 0:
+                return OPTIMAL
+            # dual steepest edge pricing with exact weights
+            r = int(rows[np.argmax(infeas[rows] ** 2 / self._binv_row_norms(rows))])
+            above = xB[r] > ub[r]
+            # a > 0 marks the direction in which a nonbasic column moves x_B[r]
+            # back toward the violated bound
+            a = T[r] if above else -T[r]
+            cand = np.flatnonzero(~self.fixed & (
+                ((status == _AT_LO) & (a > _PIV_TOL))
+                | ((status == _AT_HI) & (a < -_PIV_TOL))
+                | ((status == _FREE) & (np.abs(a) > _PIV_TOL))))
+            if cand.size == 0:
+                return INFEASIBLE if self._farkas(r) else None
+            # Harris two-pass ratio test: the largest pivot among the columns
+            # whose dual ratio is within tolerance of the smallest
+            ac, dc = np.abs(a[cand]), np.abs(d[cand])
+            t_max = float(np.min((dc + _D_TOL) / ac))
+            near = np.flatnonzero(dc / ac <= t_max)
+            q = int(cand[near[np.argmax(ac[near])]])
+            bound = ub[r] if above else lb[r]
+            Trow, _ = self._pivot(r, q, (xB[r] - bound) / T[r, q],
+                                  _AT_HI if above else _AT_LO)
+            d -= d[q] * Trow
+            if self.since_refactor >= _REFACTOR_PERIOD:
+                self.refactor()
+                d = cost - cost[basis] @ T
+        return None
 
     def solve(self):
+        """Cold solve: phase 1 on the artificials, then phase 2."""
         n_tot, n_art = self.n_tot, self.n_art
         if n_art:
             art_cost = np.zeros(self.N)
@@ -467,10 +712,18 @@ class _Simplex:
         st = self.run_phase(cost, phase1=False)
         if st in (ITER_LIMIT, UNBOUNDED):
             return _SimplexResult(st, None, None, self.iters)
-        x = self.solution_x()
-        np.clip(x, np.where(np.isfinite(self.lo[:n_tot]), self.lo[:n_tot], -np.inf),
-                np.where(np.isfinite(self.hi[:n_tot]), self.hi[:n_tot], np.inf), out=x)
-        return _SimplexResult(OPTIMAL, x, float(self.c_user @ x), self.iters)
+        return self._optimal()
+
+    def reoptimize(self):
+        """Warm solve after ``set_bounds`` or ``load``: dual simplex, then a
+        primal pass that confirms optimality.  None asks for a cold solve."""
+        self.iters = 0
+        st = self.run_dual()
+        if st == INFEASIBLE:
+            return _SimplexResult(INFEASIBLE, None, None, self.iters)
+        if st is None or self.run_phase(self.c_user, phase1=False) != OPTIMAL:
+            return None
+        return self._optimal()
 
 
 def _bounded_simplex(A, b, lo, hi, c, iter_cap, feas_tol=1e-7):
@@ -503,21 +756,26 @@ def solve_lp(model: MilpModel, options: MilpOptions | None = None) -> MilpSoluti
     opts = options or MilpOptions()
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
-        return MilpSolution(INFEASIBLE, None, None)
+        return arrs.solution(INFEASIBLE, None, None, np.inf)
     cap = opts.iter_factor * (arrs.m + arrs.n_struct)
     res = _bounded_simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, cap, opts.feas_tol)
     if res.status != OPTIMAL:
-        return MilpSolution(res.status, None, None, 0, res.iterations)
-    obj = arrs.obj_sign * res.objective + arrs.obj_const
-    return MilpSolution(OPTIMAL, obj, res.x[:arrs.n_struct], 0, res.iterations)
+        bound = {INFEASIBLE: np.inf, UNBOUNDED: -np.inf}.get(res.status, np.nan)
+        return arrs.solution(res.status, None, None, bound, 0, res.iterations)
+    return arrs.solution(OPTIMAL, res.objective, res.x[:arrs.n_struct], res.objective,
+                         0, res.iterations)
 
 
-def _solve_with_bounds(arrs: _Arrays, lo, hi, cap, feas_tol):
+def _full_bounds(arrs: _Arrays, lo, hi):
     lo_full = arrs.lo.copy()
     hi_full = arrs.hi.copy()
     lo_full[:arrs.n_struct] = lo
     hi_full[:arrs.n_struct] = hi
-    return _bounded_simplex(arrs.A, arrs.b, lo_full, hi_full, arrs.c, cap, feas_tol)
+    return lo_full, hi_full
+
+
+def _solve_with_bounds(arrs: _Arrays, lo, hi, cap, feas_tol):
+    return _bounded_simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c, cap, feas_tol)
 
 
 @dataclass(order=True)
@@ -526,52 +784,119 @@ class _Node:
     neg_nid: int     # ties on the bound prefer the newest node (plunge)
     lo: np.ndarray = field(compare=False)
     hi: np.ndarray = field(compare=False)
+    parent: int = field(default=-1, compare=False)
+    basis: np.ndarray | None = field(default=None, compare=False)    # parent's, int32
+    status: np.ndarray | None = field(default=None, compare=False)   # parent's, int8
+
+
+class _NodeLp:
+    """Node LP solves of one search around its single working tableau."""
+
+    def __init__(self, arrs: _Arrays, cap, feas_tol):
+        self.arrs, self.cap, self.feas_tol = arrs, cap, feas_tol
+        self.lp = None       # _Simplex over structural and slack columns
+        self.holds = None    # id of the node whose optimal basis lp holds
+
+    def solve(self, node, nid):
+        res, spent = None, 0
+        if node.basis is not None and self.lp is not None:
+            if node.parent == self.holds and self.lp.since_refactor < _REFACTOR_PERIOD:
+                self.lp.set_bounds(node.lo, node.hi)
+                ready = True
+            else:
+                ready = self.lp.load(node.basis, node.status, node.lo, node.hi)
+            if ready:
+                res = self.lp.reoptimize()
+                spent = self.lp.iters
+        if res is None:
+            res = self._cold(node)
+            res.iterations += spent
+        self.holds = nid if res.status == OPTIMAL and self.lp is not None else None
+        return res
+
+    def _cold(self, node):
+        arrs = self.arrs
+        if arrs.m == 0:
+            return _solve_with_bounds(arrs, node.lo, node.hi, self.cap, self.feas_tol)
+        self.lp = None   # release the working tableau before building another
+        # its artificials stay until a child needs this basis (basis_of_last)
+        self.lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
+                           self.cap, self.feas_tol)
+        return self.lp.solve()
+
+    def basis_of_last(self):
+        """The working tableau's basis and statuses, to store in children;
+        (None, None) when the tableau cannot be narrowed to them."""
+        if self.lp.n_art:
+            self.lp.drop_artificials()
+            if not self.lp.refactor():
+                self.lp = self.holds = None
+                return None, None
+        return self.lp.basis.astype(np.int32), self.lp.status.copy()
 
 
 def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
     """Best-first branch and bound over binaries and SOS1 sets.
+
+    The root LP is a cold primal solve.  Every other node re-optimizes
+    from its parent's optimal basis with the dual simplex: in place when
+    its parent was the last node solved, otherwise after a refactor from
+    the basis it stores (see the module docstring for the node storage,
+    refactor policy, infeasibility confirmation and memory rule).  A
+    node whose warm solve cannot reach a confirmed verdict is solved
+    cold.  ``simplex_iterations`` counts every primal and dual pivot.
 
     Deterministic for fixed inputs and options: nodes are keyed on the
     relaxation bound with ties resolved toward the most recently created
     node (equal-bound plateaus are plunged depth-first, so the first
     incumbent closes them), fractional ties break to the lowest variable
     id, and SOS splits follow the ordered member list.
+
+    Status: ``NodeLimit`` when ``node_limit`` stopped the search with
+    open nodes left, else ``IterLimit`` when a node LP hit the simplex
+    cap and was dropped, else ``Optimal`` or ``Infeasible``.
+    ``best_bound`` covers the incumbent, the open nodes and the nodes
+    dropped at the cap; ``gap`` is its distance to the incumbent.
     """
     if not model.variables:
         raise ValueError("model has no variables")
     opts = options or MilpOptions()
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
-        return MilpSolution(INFEASIBLE, None, None)
+        return arrs.solution(INFEASIBLE, None, None, np.inf)
     cap = opts.iter_factor * (arrs.m + arrs.n_struct)
     n = arrs.n_struct
     bin_ids = np.array(model.binary_ids, dtype=int)
     sos_sets = [np.array(s, dtype=int) for s in model.sos1_sets]
+    node_lp = _NodeLp(arrs, cap, opts.feas_tol)
 
     total_iters = 0
     node_count = 0
     next_id = 1
     incumbent_obj = np.inf  # internal min sense
     incumbent_x = None
-    saw_limit = False
+    dropped_bound = np.inf  # best bound among nodes dropped at the simplex cap
+    stopped = False
 
     heap = [_Node(-np.inf, 0, arrs.lo[:n].copy(), arrs.hi[:n].copy())]
 
     while heap:
-        if node_count >= opts.node_limit:
-            saw_limit = True
-            break
         node = heapq.heappop(heap)
         if node.bound >= incumbent_obj - opts.gap:
             continue
-        res = _solve_with_bounds(arrs, node.lo, node.hi, cap, opts.feas_tol)
+        if node_count >= opts.node_limit:
+            heapq.heappush(heap, node)
+            stopped = True
+            break
+        nid = -node.neg_nid
+        res = node_lp.solve(node, nid)
         node_count += 1
         total_iters += res.iterations
         if res.status == ITER_LIMIT:
-            saw_limit = True
+            dropped_bound = min(dropped_bound, node.bound)
             continue
         if res.status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED, None, None, node_count, total_iters)
+            return arrs.solution(UNBOUNDED, None, None, -np.inf, node_count, total_iters)
         if res.status != OPTIMAL:
             continue
         if res.objective >= incumbent_obj - opts.gap:
@@ -598,7 +923,6 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
 
         # children are pushed preferred-last: equal bounds pop newest first,
         # so the plunge follows the relaxation's strongest hint
-        children = []
         if branch_var >= 0:
             lo_d, hi_d = node.lo.copy(), node.hi.copy()
             hi_d[branch_var] = 0.0
@@ -606,10 +930,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
             lo_u, hi_u = node.lo.copy(), node.hi.copy()
             lo_u[branch_var] = 1.0
             up = (lo_u, hi_u)
-            order = (down, up) if x[branch_var] >= 0.5 else (up, down)
-            for lo_c, hi_c in order:
-                children.append(_Node(res.objective, -next_id, lo_c, hi_c))
-                next_id += 1
+            bounds = (down, up) if x[branch_var] >= 0.5 else (up, down)
         else:
             members = sos_sets[viol_sos]
             weights = np.arange(1.0, len(members) + 1.0)
@@ -620,22 +941,26 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
             zero_sets = [members[split:], members[:split]]
             if top >= split:   # dominant member lives in the tail: keep it last
                 zero_sets.reverse()
+            bounds = []
             for zero_ids in zero_sets:
                 lo_c, hi_c = node.lo.copy(), node.hi.copy()
                 lo_c[zero_ids] = 0.0
                 hi_c[zero_ids] = 0.0
-                children.append(_Node(res.objective, -next_id, lo_c, hi_c))
-                next_id += 1
-        for child in children:
-            if child.bound < incumbent_obj - opts.gap:
-                heapq.heappush(heap, child)
+                bounds.append((lo_c, hi_c))
+        basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
+        for lo_c, hi_c in bounds:
+            heapq.heappush(heap, _Node(res.objective, -next_id, lo_c, hi_c, nid, basis, status))
+            next_id += 1
 
-    if incumbent_x is None:
-        status = ITER_LIMIT if saw_limit else INFEASIBLE
-        return MilpSolution(status, None, None, node_count, total_iters)
-    status = ITER_LIMIT if saw_limit else OPTIMAL
-    obj = arrs.obj_sign * incumbent_obj + arrs.obj_const
-    return MilpSolution(status, obj, incumbent_x, node_count, total_iters)
+    bound = min([incumbent_obj, dropped_bound] + [nd.bound for nd in heap])
+    if stopped:
+        status = NODE_LIMIT
+    elif dropped_bound < np.inf:
+        status = ITER_LIMIT
+    else:
+        status = OPTIMAL if incumbent_x is not None else INFEASIBLE
+    objective = incumbent_obj if incumbent_x is not None else None
+    return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters)
 
 
 def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
@@ -649,7 +974,7 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
     opts = options or MilpOptions()
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
-        return MilpSolution(INFEASIBLE, None, None)
+        return arrs.solution(INFEASIBLE, None, None, np.inf)
     cap = opts.iter_factor * (arrs.m + arrs.n_struct)
     n = arrs.n_struct
     bin_ids = model.binary_ids
@@ -689,7 +1014,7 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
             lo[vid] = hi[vid] = bit
         enumerate_sos(0, lo, hi)
 
-    if best["x"] is None:
-        return MilpSolution(INFEASIBLE, None, None, stats["solves"], stats["iters"])
-    obj = arrs.obj_sign * best["obj"] + arrs.obj_const
-    return MilpSolution(OPTIMAL, obj, best["x"], stats["solves"], stats["iters"])
+    status = OPTIMAL if best["x"] is not None else INFEASIBLE
+    objective = best["obj"] if best["x"] is not None else None
+    return arrs.solution(status, objective, best["x"], best["obj"],
+                         stats["solves"], stats["iters"])

@@ -1,0 +1,101 @@
+"""DSO dispatch stages on tiny-2bus in both droop encodings, and the
+solver on the benchmark's feeder13-highpv stage models.
+
+The tiny-2bus tests check invariants, not vertices: the dispatch of a
+stage with several optimal solutions may change with the solver's pivot
+path.
+"""
+
+import numpy as np
+import pytest
+
+from gridcoord import data, milp
+from gridcoord import dso_dispatch as dd
+from gridcoord.errors import GridcoordError
+
+ENCODINGS = ("bigm", "sos1")
+TOL = 1e-6
+
+
+def stage1_model(ctx):
+    mm, handles = dd.build_stage_model(ctx, "stage1")
+    mm.set_objective(milp.MAX, {handles.p[i]: ctx.specs[i].s_rated
+                                for i in range(len(handles.p))})
+    return mm
+
+
+def stage2a_model(ctx, p_star, sense):
+    mm, handles = dd.build_stage_model(ctx, "stage2a", p_star_kw=p_star)
+    mm.set_objective(sense, {handles.q[i]: ctx.specs[i].s_rated
+                             for i in range(len(handles.q))})
+    return mm
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    scenario = data.load_scenario("tiny-2bus")
+    return {enc: dd.make_context(scenario, encoding=enc) for enc in ENCODINGS}
+
+
+@pytest.fixture(scope="module")
+def stages(tiny):
+    """Stage 1, 2a and 2b (at both envelope ends and the midpoint) per encoding."""
+    out = {}
+    for enc, ctx in tiny.items():
+        p_star, r1 = dd.stage1_max_power(ctx)
+        (q_lo, q_hi), r_min, r_max = dd.stage2a_aggregate(ctx, p_star)
+        r2b = {q: dd.stage2b_disaggregate(ctx, p_star, q)
+               for q in (q_lo, 0.5 * (q_lo + q_hi), q_hi)}
+        out[enc] = {"p_star": p_star, "envelope": (q_lo, q_hi),
+                    "results": [r1, r_min, r_max, *r2b.values()], "stage2b": r2b}
+    return out
+
+
+@pytest.mark.parametrize("enc", ENCODINGS)
+def test_stage1_total_power_matches_brute_force(tiny, stages, enc):
+    oracle = milp.brute_force(stage1_model(tiny["sos1"]))
+    assert oracle.status == milp.OPTIMAL
+    assert stages[enc]["p_star"] == pytest.approx(300.0, abs=TOL)
+    assert stages[enc]["p_star"] == pytest.approx(oracle.objective, abs=TOL)
+
+
+@pytest.mark.parametrize("enc", ENCODINGS)
+def test_every_stage_is_droop_compliant_and_capable(tiny, stages, enc):
+    for result in stages[enc]["results"]:
+        for err, cap_ok in dd.droop_compliance_errors(tiny[enc], result):
+            assert err <= TOL, result.stage
+            assert cap_ok, result.stage
+
+
+@pytest.mark.parametrize("enc", ENCODINGS)
+def test_envelope_ordered_and_stage2b_meets_request(stages, enc):
+    q_lo, q_hi = stages[enc]["envelope"]
+    assert q_lo <= q_hi
+    for q_req, r2b in stages[enc]["stage2b"].items():
+        assert r2b.q_sub_kvar == pytest.approx(q_req, abs=TOL)
+        assert r2b.p_star_kw == pytest.approx(stages[enc]["p_star"], abs=TOL)
+
+
+def test_stage_error_reports_status_nodes_bound_and_gap(tiny, monkeypatch):
+    solve = milp.solve_milp
+    monkeypatch.setattr(dd.milp, "solve_milp",
+                        lambda mm: solve(mm, milp.MilpOptions(node_limit=1)))
+    with pytest.raises(GridcoordError) as err:
+        dd.stage1_max_power(tiny["bigm"])
+    text = str(err.value)
+    for part in ("stage1", milp.NODE_LIMIT, "1 nodes", "best bound 300", "gap inf"):
+        assert part in text
+
+
+def test_feeder13_highpv_bigm_stage_models():
+    """The benchmark round's stage 1 and both stage-2a models, as
+    ``build_stage_model`` makes them, solve to their known optima."""
+    ctx = dd.make_context(data.load_scenario("feeder13-highpv"), encoding="bigm")
+    expected = [(stage1_model(ctx), 2700.0),
+                (stage2a_model(ctx, 2700.0, milp.MIN), -1239.559121),
+                (stage2a_model(ctx, 2700.0, milp.MAX), 96.186799)]
+    for mm, objective in expected:
+        sol = milp.solve_milp(mm)
+        assert sol.status == milp.OPTIMAL, mm.name
+        assert sol.objective == pytest.approx(objective, abs=1e-6), mm.name
+        assert np.isfinite(sol.best_bound) and sol.gap <= milp.MilpOptions().gap

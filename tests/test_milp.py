@@ -1,7 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcoord import milp
 from gridcoord.errors import TooLarge, UnknownVariable
@@ -413,3 +415,127 @@ class TestBruteForce:
         m.set_objective(milp.MIN, {0: 1.0})
         with pytest.raises(TooLarge):
             milp.brute_force(m)
+
+
+# ---------------------------------------------------------------------------
+# warm-started search against the oracle
+# ---------------------------------------------------------------------------
+
+
+small_int = st.integers(-3, 3)
+
+
+@st.composite
+def oracle_milps(draw):
+    """Small MILPs with binaries, SOS1 sets, LE/GE/EQ rows and boxed,
+    one-sided and free variables; about half come with a known feasible
+    point, the rest have free right-hand sides and are often infeasible.
+    Unboxed variables get LE/GE rows, so every relaxation stays bounded."""
+    model = milp.MilpModel()
+    x0 = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["box", "lower", "upper", "free"]))
+        lo = float(draw(st.integers(-2, 0))) if kind in ("box", "lower") else -np.inf
+        hi = float(draw(st.integers(1, 3))) if kind in ("box", "upper") else np.inf
+        vid = model.add_variable(lo, hi)
+        x0.append(draw(st.integers(int(max(lo, -3)), int(min(hi, 3)))) / 2.0)
+        if not np.isfinite(hi):
+            model.add_constraint({vid: 1.0}, milp.LE, 4.0)
+        if not np.isfinite(lo):
+            model.add_constraint({vid: 1.0}, milp.GE, -4.0)
+    for _ in range(draw(st.integers(0, 3))):
+        model.add_variable(kind=milp.BINARY)
+        x0.append(float(draw(st.integers(0, 1))))
+    for size in draw(st.lists(st.integers(2, 4), max_size=2)):
+        members = [model.add_variable(0.0, float(draw(st.integers(1, 2))))
+                   for _ in range(size)]
+        model.add_sos1(members)
+        keep = draw(st.integers(0, size - 1))
+        x0.extend(model.variables[v].hi / 2.0 if k == keep else 0.0
+                  for k, v in enumerate(members))
+    if not model.variables:
+        model.add_variable(0.0, 1.0)
+        x0.append(0.5)
+    n, x0 = len(model.variables), np.array(x0)
+    anchored = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = {j: float(c) for j in range(n) if (c := draw(small_int))}
+        if not coeffs:
+            continue
+        sense = draw(st.sampled_from([milp.LE, milp.GE, milp.EQ]))
+        if anchored:
+            act = sum(c * x0[j] for j, c in coeffs.items())
+            rhs = act + {milp.LE: 1.0, milp.GE: -1.0, milp.EQ: 0.0}[sense] * draw(
+                st.integers(0, 2)) / 2.0
+        else:
+            rhs = float(draw(st.integers(-4, 4)))
+        model.add_constraint(coeffs, sense, rhs)
+    model.set_objective(draw(st.sampled_from([milp.MIN, milp.MAX])),
+                        {j: float(draw(small_int)) for j in range(n)})
+    return model
+
+
+class TestWarmSearch:
+    @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_matches_brute_force(self, model):
+        bf = milp.brute_force(model)
+        bb = milp.solve_milp(model)
+        assert bb.status == bf.status
+        if bf.status == milp.OPTIMAL:
+            assert bb.objective == pytest.approx(bf.objective, abs=1e-6)
+            assert bb.gap <= milp.MilpOptions().gap + 1e-9
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps(), st.sampled_from(["farkas", "dual"]))
+    def test_cold_fallback_matches_brute_force(self, model, broken):
+        """Node verdicts the warm path cannot confirm go to a cold solve:
+        force that for every infeasible node (no Farkas proof holds) or
+        for every node (the dual simplex always stalls)."""
+        if broken == "farkas":
+            patch = mock.patch.object(milp, "_FARKAS_TOL", np.inf)
+        else:
+            patch = mock.patch.object(milp._Simplex, "run_dual", lambda self: None)
+        bf = milp.brute_force(model)
+        with patch:
+            bb = milp.solve_milp(model)
+        assert bb.status == bf.status
+        if bf.status == milp.OPTIMAL:
+            assert bb.objective == pytest.approx(bf.objective, abs=1e-6)
+
+    def test_node_limit_status_and_bound(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            model = random_milp(rng)
+            full = milp.solve_milp(model)
+            if full.status == milp.OPTIMAL and full.node_count > 1:
+                break
+        sol = milp.solve_milp(model, milp.MilpOptions(node_limit=1))
+        assert sol.status == milp.NODE_LIMIT
+        assert sol.node_count == 1
+        best = milp.brute_force(model).objective
+        sign = 1.0 if model.objective_sense == milp.MIN else -1.0
+        assert sign * sol.best_bound <= sign * best + 1e-6
+        if sol.x is not None:
+            assert sign * sol.best_bound <= sign * sol.objective + 1e-9
+            assert sol.gap == pytest.approx(abs(sol.objective - sol.best_bound))
+        else:
+            assert sol.gap == np.inf
+
+    def test_refactor_reproduces_tableau(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            arrs = milp._Arrays(random_lp(rng))
+            lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4, 1e-7)
+            assert lp.solve().status == milp.OPTIMAL
+            T, xB = lp.T.copy(), lp.xB.copy()
+            assert lp.refactor()
+            np.testing.assert_allclose(lp.T, T, atol=1e-9)
+            np.testing.assert_allclose(lp.xB, xB, atol=1e-9)
+            # narrowed: T = B^-1 [A | I], so its slack block times A gives
+            # its structural block; the basic values stay
+            lp.drop_artificials()
+            assert lp.refactor()
+            n = arrs.n_struct
+            np.testing.assert_allclose(lp.T[:, :n], lp.T[:, n:] @ arrs.A, atol=1e-9)
+            np.testing.assert_allclose(lp.xB, xB, atol=1e-7)
