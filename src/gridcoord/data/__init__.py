@@ -72,9 +72,6 @@ class Scenario:
     transmission: TransmissionCase | None = None
     outage: tuple | None = None
 
-    def spec_for(self, der_index: int) -> InverterSpec:
-        return self.inverters[self.feeder.der_inverter_ids[der_index]]
-
 
 def list_scenarios(root: Path | None = None) -> list[str]:
     root = root or _ROOT

@@ -25,25 +25,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import feeder as feeder_mod
-from . import inverter, milp
+from . import inverter, milp, numkit
 from .errors import DegenerateSensitivity, GridcoordError, InfeasibleStage
 
 OPTIMIZED = "optimized"
 PQ_FREE = "pq_free"
-FORCED = "forced"
 
 V_BOX = (0.80, 1.20)   # droop-input voltage variable box (Big-M range)
 
 
 @dataclass
 class ModePolicy:
-    kind: str = OPTIMIZED          # optimized | pq_free | forced
-    mode: str | None = None        # for forced
-    setting_free: bool = True      # for forced: optimize the setting or pin default
+    """``optimized``: the stages pick each DER's droop mode, segment and
+    setting; ``pq_free``: each DER's P and Q are free inside its capability."""
 
-    @classmethod
-    def forced(cls, mode, setting_free=True):
-        return cls(FORCED, mode, setting_free)
+    kind: str = OPTIMIZED
 
 
 @dataclass
@@ -193,42 +189,31 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
             inverter.VOLT_WATT: (v_id, p_id),
             inverter.WATT_VAR: (p_id, q_id),
         }
-        pol = ctx.policy
-        if pol.kind == PQ_FREE:
+        if ctx.policy.kind == PQ_FREE:
             continue
-        modes = inverter.MODES if pol.kind == OPTIMIZED else (pol.mode,)
         # the mode-selection SOS1 set is registered before the per-mode
         # segment sets so branching resolves the hierarchy top-down
-        mode_vars = {}
-        if ctx.encoding == "sos1" and pol.kind == OPTIMIZED:
-            for mode in modes:
-                mode_vars[mode] = mm.add_variable(0.0, 1.0, name=f"s_{mode}_{sfx}")
+        if ctx.encoding == "sos1":
+            mode_vars = {mode: mm.add_variable(0.0, 1.0, name=f"s_{mode}_{sfx}")
+                         for mode in inverter.MODES}
             mm.add_constraint(dict.fromkeys(mode_vars.values(), 1.0), milp.EQ, 1.0,
                               name=f"mode_excl_{sfx}")
             mm.add_sos1(list(mode_vars.values()))
-        encs = []
-        for mode in modes:
+        for mode in inverter.MODES:
             curve = ctx.curves[i][mode]
             iid, oid = mode_io[mode]
             set_id = mm.add_variable(curve.setting_min, curve.setting_max,
                                      name=f"set_{mode}_{sfx}")
-            if pol.kind == FORCED and not pol.setting_free:
-                mm.fix_variable(set_id, curve.setting)
             settings[i][mode] = set_id
-            standalone = pol.kind == FORCED
             if ctx.encoding == "sos1":
-                enc = inverter.encode_sos1(curve, spec, mm, iid, oid,
-                                           setting_id=set_id,
-                                           mode_var=mode_vars.get(mode),
-                                           add_exclusivity=standalone, tag=f"{sfx}_")
+                enc = inverter.encode_sos1(curve, spec, mm, iid, oid, setting_id=set_id,
+                                           mode_var=mode_vars[mode], tag=f"{sfx}_")
             else:
-                enc = inverter.encode_bigM(curve, spec, mm, iid, oid,
-                                           setting_id=set_id,
-                                           add_exclusivity=standalone, tag=f"{sfx}_")
+                enc = inverter.encode_bigM(curve, spec, mm, iid, oid, setting_id=set_id,
+                                           add_exclusivity=False, tag=f"{sfx}_")
             encodings[i][mode] = enc
-            encs.append(enc)
-        if pol.kind == OPTIMIZED and ctx.encoding != "sos1":
-            inverter.mode_exclusivity(mm, encs)
+        if ctx.encoding != "sos1":
+            inverter.mode_exclusivity(mm, list(encodings[i].values()))
 
     # observable voltage map rows: Y_o = AR P_o + AX Q_o + c
     ar, ax, c_aff = feeder_mod.observable_matrices(blocks)
@@ -339,7 +324,7 @@ def _solve_stage(mm, stage):
     return sol, stats
 
 
-def _extract(ctx, mm, handles, sol, stage, stats, envelope=None) -> DispatchResult:
+def _extract(ctx, handles, sol, stage, stats) -> DispatchResult:
     m = ctx.model
     per_der = []
     for i, node in enumerate(m.der_nodes):
@@ -363,7 +348,7 @@ def _extract(ctx, mm, handles, sol, stage, stats, envelope=None) -> DispatchResu
     y_o = np.array([sol.value(y) for y in handles.y_o])
     p_star = sum(d.p_kw for d in per_der)
     return DispatchResult(stage, sol.objective, per_der, p_star,
-                          sol.value(handles.q_sub), y_o, envelope, stats)
+                          sol.value(handles.q_sub), y_o, None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +361,7 @@ def stage1_max_power(ctx: DispatchContext):
     mm.set_objective(milp.MAX, {handles.p[i]: ctx.specs[i].s_rated
                                 for i in range(len(handles.p))})
     sol, stats = _solve_stage(mm, "stage1")
-    result = _extract(ctx, mm, handles, sol, "stage1", stats)
+    result = _extract(ctx, handles, sol, "stage1", stats)
     return result.p_star_kw, result
 
 
@@ -387,13 +372,13 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
     endpoints are the substation reactive flows of the two extreme
     solutions, which is what the TSO interface consumes.
     """
+    mm, handles = build_stage_model(ctx, "stage2a", p_star_kw=p_star_kw)
+    q_total = {handles.q[i]: ctx.specs[i].s_rated for i in range(len(handles.q))}
     results = {}
     for sense, tag in ((milp.MIN, "stage2a_min"), (milp.MAX, "stage2a_max")):
-        mm, handles = build_stage_model(ctx, "stage2a", p_star_kw=p_star_kw)
-        mm.set_objective(sense, {handles.q[i]: ctx.specs[i].s_rated
-                                 for i in range(len(handles.q))})
+        mm.set_objective(sense, q_total)
         sol, stats = _solve_stage(mm, tag)
-        results[tag] = _extract(ctx, mm, handles, sol, tag, stats)
+        results[tag] = _extract(ctx, handles, sol, tag, stats)
     q_lo = min(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     q_hi = max(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     for r in results.values():
@@ -401,28 +386,17 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
     return (q_lo, q_hi), results["stage2a_min"], results["stage2a_max"]
 
 
-def sensitivity_weights(blocks: feeder_mod.SensitivityBlocks, der_nodes,
-                        step: float = 1e-4) -> np.ndarray:
+def sensitivity_weights(blocks: feeder_mod.SensitivityBlocks, der_nodes) -> np.ndarray:
     """Disaggregation weights from substation-reactive sensitivities.
 
-    Finite difference of the linearized substation reactive flow with
-    respect to each DER's reactive injection; w_i = 1 - s_i / sum(s).
+    The linearized substation reactive flow is
+    q_sub = sum(q_g - q_const - q_coef * y) with K y = y0 + Req (p_g - p_const)
+    + Xeq (q_g - q_const), so its derivative with respect to the reactive
+    injection at DER i's node is s_i = 1 - Xeq[:, i]^T K^-T q_coef: one
+    solve with K^T serves every DER.  The weights are w_i = 1 - s_i / sum(s).
     """
-    der_nodes = list(der_nodes)
-    n = blocks.k.shape[0]
-    zeros = np.zeros(n)
-
-    def q_sub_of(q_g):
-        y = feeder_mod.lindist_voltages(blocks, zeros, q_g)
-        _, q_sub = feeder_mod.substation_flow(blocks, y, zeros, q_g)
-        return q_sub
-
-    base = q_sub_of(zeros)
-    sens = np.empty(len(der_nodes))
-    for k, node in enumerate(der_nodes):
-        q_g = zeros.copy()
-        q_g[node] = step
-        sens[k] = (q_sub_of(q_g) - base) / step
+    k_inv_t_q = numkit.solve_linear(blocks.k.T, blocks.q_coef)
+    sens = 1.0 - blocks.xeq[:, list(der_nodes)].T @ k_inv_t_q
     total = float(np.sum(sens))
     if total <= 0.0:
         raise DegenerateSensitivity(f"sensitivity sum {total} is non-positive")
@@ -451,7 +425,7 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
     mm.set_objective(milp.MIN, obj)
     sol, stats = _solve_stage(mm, "stage2b")
     stats["weights"] = [float(w) for w in weights]
-    return _extract(ctx, mm, handles, sol, "stage2b", stats)
+    return _extract(ctx, handles, sol, "stage2b", stats)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,8 @@ consistent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -231,30 +229,10 @@ class FeederModel:
     def node_of(self, bus, phase) -> int:
         return self.node_index[(bus, phase)]
 
-    def scale_loads(self, factor: float) -> "FeederModel":
-        loads = [replace(ld, p_kw=ld.p_kw * factor, q_kvar=ld.q_kvar * factor)
-                 for ld in self.loads]
-        return FeederModel(self.s_base_kva, self.v_base_kv, self.substation_bus,
-                           self.y0_sub, self.buses, self.lines, loads, self.ders,
-                           self.observable_ids)
-
-
-def load_feeder(document, load_scale: float = 1.0) -> FeederModel:
-    """Parse and validate a feeder description (dict, JSON text, or path)."""
-    if isinstance(document, (str, Path)):
-        path = Path(document)
-        try:
-            if path.exists():
-                text = path.read_text(encoding="utf-8")
-            else:
-                text = str(document)
-            doc = json.loads(text)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot parse feeder document: {exc}") from exc
-    elif isinstance(document, dict):
-        doc = document
-    else:
-        raise ParseError(f"unsupported feeder document type {type(document)!r}")
+def load_feeder(doc: dict, load_scale: float = 1.0) -> FeederModel:
+    """Parse and validate a feeder from its JSON document, already decoded."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"feeder document must be a dict, not {type(doc).__name__}")
 
     try:
         base = doc["base"]
@@ -474,17 +452,7 @@ class BfmResult:
     v: np.ndarray           # complex voltage per node
     v_mag: np.ndarray
     s_sub: complex          # total complex power flowing into the feeder, pu
-    s_sub_phase: dict       # per substation phase
     sweeps: int
-
-    @property
-    def q_export(self):
-        """Reactive power exported to the grid (injection convention)."""
-        return -self.s_sub.imag
-
-    @property
-    def p_export(self):
-        return -self.s_sub.real
 
 
 def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8,
@@ -560,7 +528,7 @@ def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8,
                 for k, p in enumerate(ol.phases):
                     s_phase[p] = s_phase.get(p, 0.0) + vs[p] * np.conj(line_current[ol.index][k])
             total = complex(sum(s_phase.values()))
-            return BfmResult(v.copy(), np.abs(v), total, s_phase, sweep)
+            return BfmResult(v.copy(), np.abs(v), total, sweep)
     raise NoConvergence(f"backward/forward sweep above {tol} after {max_sweeps} sweeps")
 
 

@@ -26,9 +26,6 @@ VOLT_WATT = "volt_watt"
 WATT_VAR = "watt_var"
 MODES = (VOLT_VAR, VOLT_WATT, WATT_VAR)
 
-INPUT_VOLTAGE = "voltage"
-INPUT_POWER = "power"
-
 DEFAULT_PROFILE = {
     "vv": {"v1": 0.92, "v2": 0.98, "v3": 1.02, "v4": 1.08, "q_frac": 0.44,
            "v_ref": 1.0, "set_min": 0.01, "set_max": 0.05},
@@ -107,7 +104,6 @@ class DroopCurve:
     """Piecewise-linear control law with a single tunable setting."""
 
     mode: str
-    input_kind: str
     segments: tuple[Segment, ...]
     setting: float
     setting_min: float
@@ -161,8 +157,7 @@ def make_default_curve(mode: str, spec: InverterSpec, profile: dict | None = Non
                     m_hi, Affine(-m_hi * v_ref, -m_hi)),
             Segment(Affine(v_ref + w_hi, 1.0), Affine(dom_hi), 0.0, Affine(-q_ext)),
         )
-        return DroopCurve(mode, INPUT_VOLTAGE, segs, p["v3"] - v_ref,
-                          p["set_min"], p["set_max"])
+        return DroopCurve(mode, segs, p["v3"] - v_ref, p["set_min"], p["set_max"])
 
     if mode == VOLT_WATT:
         p = {**DEFAULT_PROFILE["vw"], **prof.get("vw", {})}
@@ -176,8 +171,7 @@ def make_default_curve(mode: str, spec: InverterSpec, profile: dict | None = Non
             Segment(Affine(0.0, 1.0), Affine(width, 1.0), m, Affine(p_top, -m)),
             Segment(Affine(width, 1.0), Affine(2.0), 0.0, Affine(p_floor)),
         )
-        return DroopCurve(mode, INPUT_VOLTAGE, segs, p["v1"],
-                          p["set_min"], p["set_max"])
+        return DroopCurve(mode, segs, p["v1"], p["set_min"], p["set_max"])
 
     if mode == WATT_VAR:
         p = {**DEFAULT_PROFILE["wv"], **prof.get("wv", {})}
@@ -194,8 +188,7 @@ def make_default_curve(mode: str, spec: InverterSpec, profile: dict | None = Non
             Segment(Affine(0.0, r), Affine(gap, r), m, Affine(0.0, -m * r)),
             Segment(Affine(gap, r), Affine(dom), 0.0, Affine(q3)),
         )
-        return DroopCurve(mode, INPUT_POWER, segs, p["p2_frac"],
-                          p["set_min"], p["set_max"])
+        return DroopCurve(mode, segs, p["p2_frac"], p["set_min"], p["set_max"])
 
     raise ValueError(f"unknown mode {mode!r}")
 

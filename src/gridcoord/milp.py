@@ -726,25 +726,6 @@ class _Simplex:
         return self._optimal()
 
 
-def _bounded_simplex(A, b, lo, hi, c, iter_cap, feas_tol=1e-7):
-    m = A.shape[0]
-    if m == 0:
-        unbounded = np.any((c > 0) & ~np.isfinite(lo)) or np.any((c < 0) & ~np.isfinite(hi))
-        if unbounded:
-            return _SimplexResult(UNBOUNDED, None, None, 0)
-        x = np.zeros(len(c))
-        pos, neg = c > 0, c < 0
-        x[pos] = lo[pos]
-        x[neg] = hi[neg]
-        zero = ~pos & ~neg
-        x[zero] = np.where(np.isfinite(lo[zero]), lo[zero],
-                           np.where(np.isfinite(hi[zero]), hi[zero], 0.0))
-        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-            return _SimplexResult(INFEASIBLE, None, None, 0)
-        return _SimplexResult(OPTIMAL, x, float(c @ x), 0)
-    return _Simplex(A, b, lo, hi, c, iter_cap, feas_tol).solve()
-
-
 # ---------------------------------------------------------------------------
 # public solves
 # ---------------------------------------------------------------------------
@@ -758,7 +739,7 @@ def solve_lp(model: MilpModel, options: MilpOptions | None = None) -> MilpSoluti
     if arrs.trivially_infeasible:
         return arrs.solution(INFEASIBLE, None, None, np.inf)
     cap = opts.iter_factor * (arrs.m + arrs.n_struct)
-    res = _bounded_simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, cap, opts.feas_tol)
+    res = _Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, cap, opts.feas_tol).solve()
     if res.status != OPTIMAL:
         bound = {INFEASIBLE: np.inf, UNBOUNDED: -np.inf}.get(res.status, np.nan)
         return arrs.solution(res.status, None, None, bound, 0, res.iterations)
@@ -772,10 +753,6 @@ def _full_bounds(arrs: _Arrays, lo, hi):
     lo_full[:arrs.n_struct] = lo
     hi_full[:arrs.n_struct] = hi
     return lo_full, hi_full
-
-
-def _solve_with_bounds(arrs: _Arrays, lo, hi, cap, feas_tol):
-    return _bounded_simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c, cap, feas_tol)
 
 
 @dataclass(order=True)
@@ -816,8 +793,6 @@ class _NodeLp:
 
     def _cold(self, node):
         arrs = self.arrs
-        if arrs.m == 0:
-            return _solve_with_bounds(arrs, node.lo, node.hi, self.cap, self.feas_tol)
         self.lp = None   # release the working tableau before building another
         # its artificials stay until a child needs this basis (basis_of_last)
         self.lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
@@ -966,8 +941,11 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
 def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
     """Enumerate binary assignments x SOS1 active-member choices; solve each LP.
 
-    Intended as a test oracle.  Raises :class:`TooLarge` above 2^20
-    combinations.
+    Intended as a test oracle.  ``Unbounded`` when any enumerated LP is
+    unbounded; ``IterLimit`` (with the best optimum found, and no bound)
+    when any hit the simplex cap, since that LP may hold a better one;
+    else ``Optimal`` or ``Infeasible``.  Raises :class:`TooLarge` above
+    2^20 combinations.
     """
     if not model.variables:
         raise ValueError("model has no variables")
@@ -989,12 +967,15 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
     hi0 = arrs.hi[:n].copy()
     best = {"obj": np.inf, "x": None}
     stats = {"iters": 0, "solves": 0}
+    statuses = set()
 
     def enumerate_sos(k, lo, hi):
         if k == len(sos_sets):
-            res = _solve_with_bounds(arrs, lo, hi, cap, opts.feas_tol)
+            res = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c, cap,
+                           opts.feas_tol).solve()
             stats["solves"] += 1
             stats["iters"] += res.iterations
+            statuses.add(res.status)
             if res.status == OPTIMAL and res.objective < best["obj"] - 1e-12:
                 best["obj"] = res.objective
                 best["x"] = res.x[:n].copy()
@@ -1014,7 +995,13 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
             lo[vid] = hi[vid] = bit
         enumerate_sos(0, lo, hi)
 
-    status = OPTIMAL if best["x"] is not None else INFEASIBLE
+    if UNBOUNDED in statuses:
+        return arrs.solution(UNBOUNDED, None, None, -np.inf, stats["solves"], stats["iters"])
+    bound = best["obj"]
+    if ITER_LIMIT in statuses:
+        status, bound = ITER_LIMIT, -np.inf
+    else:
+        status = OPTIMAL if best["x"] is not None else INFEASIBLE
     objective = best["obj"] if best["x"] is not None else None
-    return arrs.solution(status, objective, best["x"], best["obj"],
+    return arrs.solution(status, objective, best["x"], bound,
                          stats["solves"], stats["iters"])

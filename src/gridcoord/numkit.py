@@ -54,30 +54,3 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             x[:k] -= np.outer(lu[:k, k], x[k])
     return x[:, 0] if vector_rhs else x
 
-
-def invert(a: np.ndarray) -> np.ndarray:
-    """Dense inverse via :func:`solve_linear` against the identity."""
-    return solve_linear(a, np.eye(a.shape[0] if a.ndim == 2 else 1))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: entry (i*Br+k, j*Bc+l) is A[i,j]*B[k,l]."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking operator: columns of ``a`` concatenated top to bottom."""
-    return np.asarray(a, dtype=float).flatten(order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a column-stacked vector to (rows, cols)."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape {v.size} entries into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
-def diag_op(v: np.ndarray) -> np.ndarray:
-    """Square diagonal matrix with ``v`` on the diagonal."""
-    return np.diag(np.asarray(v, dtype=float))

@@ -11,15 +11,13 @@ non-increasing across outer iterations.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkit
-from .errors import NoConvergence, ParseError, SingularJacobian, ValidationError
+from .errors import (NoConvergence, ParseError, SingularJacobian, SingularMatrix,
+                     ValidationError)
 
 SLACK, PV, PQ = "slack", "PV", "PQ"
 
@@ -141,19 +139,10 @@ class TransmissionCase:
         return Y
 
 
-def load_transmission(document) -> TransmissionCase:
-    """Parse a transmission case (dict, JSON text, or path)."""
-    if isinstance(document, (str, Path)):
-        path = Path(document)
-        try:
-            text = path.read_text(encoding="utf-8") if path.exists() else str(document)
-            doc = json.loads(text)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot parse transmission document: {exc}") from exc
-    elif isinstance(document, dict):
-        doc = document
-    else:
-        raise ParseError(f"unsupported transmission document type {type(document)!r}")
+def load_transmission(doc: dict) -> TransmissionCase:
+    """Parse a transmission case from its JSON document, already decoded."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"transmission document must be a dict, not {type(doc).__name__}")
     try:
         buses = [TBus(str(b["id"]), str(b["type"]), float(b.get("p_mw", 0.0)),
                       float(b.get("q_mvar", 0.0)), float(b.get("v_set", 1.0)))
@@ -180,11 +169,7 @@ def load_transmission(document) -> TransmissionCase:
 class PowerFlowResult:
     v_mag: np.ndarray
     v_ang: np.ndarray
-    s_inj: np.ndarray          # complex bus injections, pu
-    slack_p_mw: float
     iterations: int
-    branch_flows: list         # (from, to, S_from pu, S_to pu)
-    max_mismatch: float
 
     def v_complex(self):
         return self.v_mag * np.exp(1j * self.v_ang)
@@ -201,6 +186,25 @@ def _spec_injections(case: TransmissionCase, q_inject=None):
         for bus, mvar in q_inject.items():
             s[case.index[str(bus)]] += 1j * mvar / case.s_base_mva
     return s
+
+
+def _jacobian(case: TransmissionCase, Y, v, vm):
+    """Polar Jacobian of the P (PV and PQ buses) and Q (PQ buses)
+    injections with respect to the PV/PQ angles and the PQ magnitudes.
+
+    ``vm`` is the magnitude vector ``v`` was built from; it is passed in
+    because ``np.abs(v)`` differs from it in the last bits.
+    """
+    ibus = Y @ v
+    dS_dVa = 1j * np.diag(v) @ np.conj(np.diag(ibus) - Y @ np.diag(v))
+    vnorm = v / vm
+    dS_dVm = (np.diag(v) @ np.conj(Y @ np.diag(vnorm))
+              + np.conj(np.diag(ibus)) @ np.diag(vnorm))
+    pq, pvpq = case.pq, case.pvpq
+    return np.block([
+        [np.real(dS_dVa)[np.ix_(pvpq, pvpq)], np.real(dS_dVm)[np.ix_(pvpq, pq)]],
+        [np.imag(dS_dVa)[np.ix_(pq, pvpq)], np.imag(dS_dVm)[np.ix_(pq, pq)]],
+    ])
 
 
 def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
@@ -221,50 +225,24 @@ def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
     for g in case.gens:
         vm[case.index[g.bus]] = g.v_pu
     s_spec = _spec_injections(case, q_inject)
-    pv, pq, pvpq = case.pv, case.pq, case.pvpq
+    pq, pvpq = case.pq, case.pvpq
 
     for it in range(1, max_iter + 1):
         v = vm * np.exp(1j * va)
-        ibus = Y @ v
-        s_calc = v * np.conj(ibus)
+        s_calc = v * np.conj(Y @ v)
         dp = np.real(s_calc - s_spec)[pvpq]
         dq = np.imag(s_calc - s_spec)[pq]
         mism = np.concatenate([dp, dq])
         worst = float(np.max(np.abs(mism))) if mism.size else 0.0
         if worst < tol:
-            flows = _branch_flows(case, v)
-            slack_p = float(np.real(s_calc[case.slack]) * case.s_base_mva)
-            return PowerFlowResult(vm.copy(), va.copy(), s_calc, slack_p, it - 1,
-                                   flows, worst)
-        dS_dVa = 1j * np.diag(v) @ np.conj(np.diag(ibus) - Y @ np.diag(v))
-        vnorm = v / vm
-        dS_dVm = (np.diag(v) @ np.conj(Y @ np.diag(vnorm))
-                  + np.conj(np.diag(ibus)) @ np.diag(vnorm))
-        J11 = np.real(dS_dVa)[np.ix_(pvpq, pvpq)]
-        J12 = np.real(dS_dVm)[np.ix_(pvpq, pq)]
-        J21 = np.imag(dS_dVa)[np.ix_(pq, pvpq)]
-        J22 = np.imag(dS_dVm)[np.ix_(pq, pq)]
-        J = np.block([[J11, J12], [J21, J22]])
+            return PowerFlowResult(vm.copy(), va.copy(), it - 1)
         try:
-            dx = numkit.solve_linear(J, -mism)
-        except Exception as exc:
+            dx = numkit.solve_linear(_jacobian(case, Y, v, vm), -mism)
+        except SingularMatrix as exc:
             raise SingularJacobian(f"Jacobian singular at iteration {it}") from exc
         va[pvpq] += dx[:len(pvpq)]
         vm[pq] += dx[len(pvpq):]
     raise NoConvergence(f"Newton power flow above {tol} after {max_iter} iterations")
-
-
-def _branch_flows(case, v):
-    flows = []
-    for br in case.branches:
-        f, t = case.index[br.from_bus], case.index[br.to_bus]
-        y = 1.0 / complex(br.r, br.x)
-        ish = 0.5j * br.b
-        i_f = (v[f] - v[t]) * y + v[f] * ish
-        i_t = (v[t] - v[f]) * y + v[t] * ish
-        flows.append((br.from_bus, br.to_bus,
-                      v[f] * np.conj(i_f), v[t] * np.conj(i_t)))
-    return flows
 
 
 def monitored_buses(case: TransmissionCase) -> list[int]:
@@ -287,19 +265,8 @@ def vq_sensitivity(case: TransmissionCase, pf: PowerFlowResult,
     itf = [case.index[str(b)] for b in
            (interface_buses or [i.bus for i in case.interfaces])]
     mon = monitored if monitored is not None else monitored_buses(case)
-    Y = case.ybus()
-    v = pf.v_complex()
-    ibus = Y @ v
-    vm = pf.v_mag
-    pv, pq, pvpq = case.pv, case.pq, case.pvpq
-    dS_dVa = 1j * np.diag(v) @ np.conj(np.diag(ibus) - Y @ np.diag(v))
-    vnorm = v / vm
-    dS_dVm = (np.diag(v) @ np.conj(Y @ np.diag(vnorm))
-              + np.conj(np.diag(ibus)) @ np.diag(vnorm))
-    J = np.block([
-        [np.real(dS_dVa)[np.ix_(pvpq, pvpq)], np.real(dS_dVm)[np.ix_(pvpq, pq)]],
-        [np.imag(dS_dVa)[np.ix_(pq, pvpq)], np.imag(dS_dVm)[np.ix_(pq, pq)]],
-    ])
+    pq, pvpq = case.pq, case.pvpq
+    J = _jacobian(case, case.ybus(), pf.v_complex(), pf.v_mag)
     rhs = np.zeros((J.shape[0], len(itf)))
     pq_pos = {bus: i for i, bus in enumerate(pq)}
     for col, bus in enumerate(itf):
@@ -308,7 +275,7 @@ def vq_sensitivity(case: TransmissionCase, pf: PowerFlowResult,
         rhs[len(pvpq) + pq_pos[bus], col] = 1.0
     try:
         dx = numkit.solve_linear(J, rhs)
-    except Exception as exc:
+    except SingularMatrix as exc:
         raise SingularJacobian("reduced Jacobian singular") from exc
     dvm = np.zeros((len(case.buses), len(itf)))
     for i, bus in enumerate(pq):
@@ -330,9 +297,13 @@ class TsoDispatch:
     trace: list = field(default_factory=list)
 
 
-def _objective(case, vm, mon, q_pu, c_v, c_q, v_setpoint):
+def _objective(vm, mon, q_pu, c_v, c_q, v_setpoint):
     dev = vm[mon] - v_setpoint
     return float(c_v * np.sum(dev ** 2) + c_q * np.sum(np.asarray(q_pu) ** 2))
+
+
+def _q_dict(case, itf_ids, q_pu):
+    return {bus: float(qi * case.s_base_mva) for bus, qi in zip(itf_ids, q_pu)}
 
 
 def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
@@ -354,11 +325,17 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
     if np.any(lo > hi):
         raise ValidationError("envelope lower bound above upper bound")
     mon = monitored_buses(case)
+    pf_iters = 0
+
+    def evaluate(q):
+        """Power flow at interface injections ``q`` (pu) and its objective."""
+        nonlocal pf_iters
+        pf = newton_powerflow(case, _q_dict(case, itf_ids, q))
+        pf_iters += pf.iterations
+        return pf, _objective(pf.v_mag, mon, q, c_v, c_q, v_setpoint)
 
     q = np.clip(np.zeros(len(itf_ids)), lo, hi)
-    pf = newton_powerflow(case, _q_dict(case, itf_ids, q))
-    pf_iters = pf.iterations
-    obj = _objective(case, pf.v_mag, mon, q, c_v, c_q, v_setpoint)
+    pf, obj = evaluate(q)
     trace = [obj]
 
     outer = 0
@@ -380,29 +357,19 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
             x = x_new
 
         q = x
-        pf = newton_powerflow(case, _q_dict(case, itf_ids, q))
-        pf_iters += pf.iterations
-        obj = _objective(case, pf.v_mag, mon, q, c_v, c_q, v_setpoint)
+        pf, obj = evaluate(q)
         backtracks = 0
         while obj > obj_prev + 1e-12 and backtracks < 12:
             q = 0.5 * (q + q_prev)
-            pf = newton_powerflow(case, _q_dict(case, itf_ids, q))
-            pf_iters += pf.iterations
-            obj = _objective(case, pf.v_mag, mon, q, c_v, c_q, v_setpoint)
+            pf, obj = evaluate(q)
             backtracks += 1
-        if obj > obj_prev + 1e-12:
+        if obj > obj_prev + 1e-12:   # no backtrack helped: stay at q_prev
             q, obj = q_prev, obj_prev
-            pf = newton_powerflow(case, _q_dict(case, itf_ids, q))
-            pf_iters += pf.iterations
+            pf, _ = evaluate(q)
             trace.append(obj)
             break
         trace.append(obj)
         if np.max(np.abs(q - q_prev)) < outer_tol:
             break
 
-    q_mvar = {bus: float(qi * case.s_base_mva) for bus, qi in zip(itf_ids, q)}
-    return TsoDispatch(q_mvar, pf.v_mag, obj, outer, pf_iters, trace)
-
-
-def _q_dict(case, itf_ids, q_pu):
-    return {bus: float(qi * case.s_base_mva) for bus, qi in zip(itf_ids, q_pu)}
+    return TsoDispatch(_q_dict(case, itf_ids, q), pf.v_mag, obj, outer, pf_iters, trace)

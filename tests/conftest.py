@@ -5,8 +5,15 @@ variants exist so unit tests can probe degenerate shapes (cycles, bad
 ZIP sums) that cannot ship as valid bundled files.
 """
 
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread, set before numpy is first imported: the solver's small
+# rank-1 updates and LU solves lose to thread hand-off on a few cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def z3(z_aa=None, full=None):

@@ -1,5 +1,6 @@
-"""DSO dispatch stages on tiny-2bus in both droop encodings, and the
-solver on the benchmark's feeder13-highpv stage models.
+"""DSO dispatch stages on tiny-2bus in both droop encodings, the solver
+on the benchmark's feeder13-highpv stage models, and the stage-2b
+sensitivity weights.
 
 The tiny-2bus tests check invariants, not vertices: the dispatch of a
 stage with several optimal solutions may change with the solver's pivot
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from gridcoord import data, milp
+from gridcoord import feeder as feeder_mod
 from gridcoord import dso_dispatch as dd
 from gridcoord.errors import GridcoordError
 
@@ -99,3 +101,27 @@ def test_feeder13_highpv_bigm_stage_models():
         assert sol.status == milp.OPTIMAL, mm.name
         assert sol.objective == pytest.approx(objective, abs=1e-6), mm.name
         assert np.isfinite(sol.best_bound) and sol.gap <= milp.MilpOptions().gap
+
+
+@pytest.mark.parametrize("name", ["tiny-2bus", "feeder13-highpv", "feeder40-highpv"])
+def test_sensitivity_weights_match_finite_difference(name):
+    """The closed-form weights against a finite difference of the linear
+    model's substation reactive flow; the model is linear, so only
+    rounding (about eps * |q_sub| / step) separates the two."""
+    ctx = dd.make_context(data.load_scenario(name))
+    blocks, der_nodes = ctx.blocks, ctx.model.der_nodes
+    zeros = np.zeros(blocks.k.shape[0])
+
+    def q_sub(q_g):
+        y = feeder_mod.lindist_voltages(blocks, zeros, q_g)
+        return feeder_mod.substation_flow(blocks, y, zeros, q_g)[1]
+
+    step = 1e-4
+    sens = np.empty(len(der_nodes))
+    for k, node in enumerate(der_nodes):
+        q_g = zeros.copy()
+        q_g[node] = step
+        sens[k] = (q_sub(q_g) - q_sub(zeros)) / step
+    weights = dd.sensitivity_weights(blocks, der_nodes)
+    np.testing.assert_allclose(weights, 1.0 - sens / np.sum(sens), rtol=0.0, atol=1e-9)
+    assert np.sum(weights) == pytest.approx(len(der_nodes) - 1.0)

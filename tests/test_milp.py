@@ -292,6 +292,69 @@ class TestSolveLp:
                 assert var.lo - 1e-9 <= x[j] <= var.hi + 1e-9
 
 
+def rowless_model(case):
+    """A model without rows (every row it has is empty); returns it with
+    the expected (status, objective) of solve_lp and of the MILP solvers."""
+    m = milp.MilpModel()
+    if case == "boxed":
+        x, y = m.add_variable(-1, 2), m.add_variable(0, 3)
+        m.set_objective(milp.MAX, {x: 1.0, y: 2.0})
+        return m, (milp.OPTIMAL, 8.0), (milp.OPTIMAL, 8.0)
+    if case == "lower":
+        x = m.add_variable(1, np.inf)
+        m.set_objective(milp.MIN, {x: 1.0})
+        return m, (milp.OPTIMAL, 1.0), (milp.OPTIMAL, 1.0)
+    if case == "upper":
+        x = m.add_variable(-np.inf, 2)
+        m.set_objective(milp.MAX, {x: 3.0})
+        return m, (milp.OPTIMAL, 6.0), (milp.OPTIMAL, 6.0)
+    if case == "unbounded":
+        x = m.add_variable(0, np.inf)
+        m.set_objective(milp.MAX, {x: 1.0})
+        return m, (milp.UNBOUNDED, None), (milp.UNBOUNDED, None)
+    if case == "free":
+        x, y = m.add_variable(-np.inf, np.inf), m.add_variable(0, 1)
+        m.set_objective(milp.MIN, {x: 0.0, y: -1.0})
+        return m, (milp.OPTIMAL, -1.0), (milp.OPTIMAL, -1.0)
+    if case == "binary":
+        z1, z2 = m.add_variable(kind=milp.BINARY), m.add_variable(kind=milp.BINARY)
+        m.set_objective(milp.MAX, {z1: 3.0, z2: -1.0})
+        return m, (milp.OPTIMAL, 3.0), (milp.OPTIMAL, 3.0)
+    if case == "sos1":
+        a, b = m.add_variable(0, 1), m.add_variable(0, 2)
+        m.add_sos1([a, b])
+        m.set_objective(milp.MAX, {a: 1.0, b: 1.0})
+        return m, (milp.OPTIMAL, 3.0), (milp.OPTIMAL, 2.0)
+    if case == "empty_rows":
+        x = m.add_variable(0, 4)
+        m.add_constraint([], milp.LE, 1.0)
+        m.add_constraint([], milp.EQ, 0.0)
+        m.set_objective(milp.MIN, {x: -1.0})
+        return m, (milp.OPTIMAL, -4.0), (milp.OPTIMAL, -4.0)
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["boxed", "lower", "upper", "unbounded", "free",
+                                  "binary", "sos1", "empty_rows"])
+def test_rowless_models(case):
+    """Models without rows go through the same simplex as any other:
+    bound flips alone reach the optimum, or show it unbounded."""
+    model, lp_expected, milp_expected = rowless_model(case)
+    for solve, (status, objective) in ((milp.solve_lp, lp_expected),
+                                       (milp.solve_milp, milp_expected),
+                                       (milp.brute_force, milp_expected)):
+        sol = solve(model)
+        assert sol.status == status, solve.__name__
+        if objective is None:
+            assert sol.x is None
+            continue
+        assert sol.objective == pytest.approx(objective, abs=1e-12), solve.__name__
+        for j, var in enumerate(model.variables):
+            assert var.lo <= sol.x[j] <= var.hi
+        c = np.array([model.objective.get(j, 0.0) for j in range(len(model.variables))])
+        assert c @ sol.x == pytest.approx(objective, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # branch and bound
 # ---------------------------------------------------------------------------
@@ -415,6 +478,29 @@ class TestBruteForce:
         m.set_objective(milp.MIN, {0: 1.0})
         with pytest.raises(TooLarge):
             milp.brute_force(m)
+
+    def test_unbounded_like_solve_milp(self):
+        """max x + z with x - y <= 1, x, y >= 0, z binary."""
+        m = milp.MilpModel()
+        x, y = m.add_variable(0, np.inf), m.add_variable(0, np.inf)
+        z = m.add_variable(kind=milp.BINARY)
+        m.add_constraint({x: 1.0, y: -1.0}, milp.LE, 1.0)
+        m.set_objective(milp.MAX, {x: 1.0, z: 1.0})
+        assert milp.solve_milp(m).status == milp.UNBOUNDED
+        sol = milp.brute_force(m)
+        assert sol.status == milp.UNBOUNDED
+        assert sol.x is None and sol.node_count == 2
+
+    def test_iteration_cap_is_not_an_optimum(self):
+        m = milp.MilpModel()
+        x = m.add_variable(0, 4)
+        z = m.add_variable(kind=milp.BINARY)
+        m.add_constraint({x: 1.0, z: 1.0}, milp.LE, 3.0)
+        m.set_objective(milp.MAX, {x: 1.0, z: 2.0})
+        assert milp.brute_force(m).objective == pytest.approx(4.0)
+        sol = milp.brute_force(m, milp.MilpOptions(iter_factor=0))
+        assert sol.status == milp.ITER_LIMIT
+        assert sol.x is None and sol.gap == np.inf
 
 
 # ---------------------------------------------------------------------------

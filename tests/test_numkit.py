@@ -47,67 +47,3 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             numkit.solve_linear(np.ones((2, 3)), np.ones(2))
 
-
-class TestKron:
-    def test_identity_identity(self):
-        np.testing.assert_allclose(numkit.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_hand_expansion(self):
-        a = np.array([[1.0, 2.0]])
-        out = numkit.kron(a, np.eye(2))
-        np.testing.assert_allclose(out, [[1, 0, 2, 0], [0, 1, 0, 2]])
-
-    def test_matches_elementwise_definition(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(3, 2))
-        b = rng.normal(size=(2, 2))
-        out = numkit.kron(a, b)
-        for i in range(3):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[i * 2 + k, j * 2 + l] == pytest.approx(a[i, j] * b[k, l])
-
-    def test_bilinear_in_first_argument(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(3, 2))
-        np.testing.assert_allclose(numkit.kron(2.5 * a, b), 2.5 * numkit.kron(a, b))
-
-
-class TestVec:
-    def test_column_major_stack(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(numkit.vec(a), [1, 3, 2, 4])
-
-    def test_single_column_is_identity(self):
-        v = np.array([[1.0], [2.0], [3.0]])
-        np.testing.assert_allclose(numkit.vec(v), [1, 2, 3])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 3))
-        np.testing.assert_allclose(numkit.unvec(numkit.vec(a), 4, 3), a)
-
-    def test_vec_of_unvec(self):
-        rng = np.random.default_rng(4)
-        v = rng.normal(size=12)
-        np.testing.assert_allclose(numkit.vec(numkit.unvec(v, 3, 4)), v)
-
-    def test_unvec_size_check(self):
-        with pytest.raises(ValueError):
-            numkit.unvec(np.ones(5), 2, 3)
-
-
-class TestDiagOp:
-    def test_ones_gives_identity(self):
-        np.testing.assert_allclose(numkit.diag_op([1.0, 1.0]), np.eye(2))
-
-    def test_scales_vector(self):
-        np.testing.assert_allclose(numkit.diag_op([2.0, 3.0]) @ np.ones(2), [2.0, 3.0])
-
-    def test_elementwise_product(self):
-        rng = np.random.default_rng(6)
-        v = rng.normal(size=7)
-        w = rng.normal(size=7)
-        np.testing.assert_allclose(numkit.diag_op(v) @ w, v * w)

@@ -1,0 +1,111 @@
+"""Transmission side on the bundled tx9 case and its 9-4 outage.
+
+The power flow is checked against the mismatch recomputed from the bus
+admittance matrix, the V-Q sensitivity against a central finite
+difference of the power flow, and the dispatch against its trace, its
+envelopes and the iteration counts it takes today.
+"""
+
+import numpy as np
+import pytest
+
+from gridcoord import data, tso
+from gridcoord.errors import ParseError, ValidationError
+
+# (outer iterations, power-flow iterations) per case and envelope
+DISPATCH_ITERS = {
+    ("tx9", "zero"): (1, 8), ("tx9", "round"): (1, 8), ("tx9", "sym"): (3, 16),
+    ("tx9-outage", "zero"): (1, 8), ("tx9-outage", "round"): (1, 8),
+    ("tx9-outage", "sym"): (4, 20),
+}
+
+
+@pytest.fixture(scope="module")
+def cases():
+    scenario = data.load_scenario("tx9-outage")
+    base = scenario.transmission
+    return {"tx9": base, "tx9-outage": base.remove_branch(*scenario.outage)}
+
+
+def envelopes(case, name):
+    """Per-interface (q_lo, q_hi) in MVAr: pinned at zero, the benchmark
+    round's feeder13-highpv envelope times multiplicity, or symmetric."""
+    if name == "zero":
+        return {itf.bus: (0.0, 0.0) for itf in case.interfaces}
+    if name == "round":
+        return {itf.bus: (-1.5912102287508615 * itf.multiplicity,
+                          -0.2601327271779127 * itf.multiplicity)
+                for itf in case.interfaces}
+    return {itf.bus: (-50.0, 50.0) for itf in case.interfaces}
+
+
+def mismatch(case, pf, q_inject):
+    """Largest P (PV and PQ buses) and Q (PQ buses) mismatch, pu."""
+    s_spec = np.zeros(len(case.buses), dtype=complex)
+    for k, bus in enumerate(case.buses):
+        s_spec[k] -= complex(bus.p_mw, bus.q_mvar) / case.s_base_mva
+    for gen in case.gens:
+        s_spec[case.index[gen.bus]] += gen.p_mw / case.s_base_mva
+    for bus, mvar in q_inject.items():
+        s_spec[case.index[bus]] += 1j * mvar / case.s_base_mva
+    v = pf.v_complex()
+    ds = v * np.conj(case.ybus() @ v) - s_spec
+    return max(np.max(np.abs(ds.real[case.pvpq])), np.max(np.abs(ds.imag[case.pq])))
+
+
+@pytest.mark.parametrize("name", ["tx9", "tx9-outage"])
+@pytest.mark.parametrize("q_inject", [{}, {"5": 20.0, "9": -35.0}])
+def test_newton_mismatch_within_tol(cases, name, q_inject):
+    case = cases[name]
+    for tol in (1e-8, 1e-11):
+        pf = tso.newton_powerflow(case, q_inject, tol=tol)
+        assert mismatch(case, pf, q_inject) <= tol
+        assert pf.v_mag[case.slack] == case.buses[case.slack].v_set
+
+
+@pytest.mark.parametrize("name", ["tx9", "tx9-outage"])
+def test_vq_sensitivity_matches_central_difference(cases, name):
+    case = cases[name]
+    itf = [i.bus for i in case.interfaces]
+    mon = tso.monitored_buses(case)
+    sens = tso.vq_sensitivity(case, tso.newton_powerflow(case), itf, mon)
+    h_mvar = 0.5
+    fd = np.empty_like(sens)
+    for col, bus in enumerate(itf):
+        up = tso.newton_powerflow(case, {bus: h_mvar}, tol=1e-12).v_mag[mon]
+        down = tso.newton_powerflow(case, {bus: -h_mvar}, tol=1e-12).v_mag[mon]
+        fd[:, col] = (up - down) / (2.0 * h_mvar / case.s_base_mva)
+    assert np.max(np.abs(sens)) > 1e-2
+    np.testing.assert_allclose(sens, fd, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name,envelope", sorted(DISPATCH_ITERS))
+def test_dispatch_trace_envelope_and_iterations(cases, name, envelope):
+    case = cases[name]
+    env = envelopes(case, envelope)
+    result = tso.tso_dispatch(case, env)
+    trace = result.trace
+    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    assert result.objective == trace[-1]
+    for bus, q in result.q_req_mvar.items():
+        q_lo, q_hi = env[bus]
+        assert q_lo - 1e-9 <= q <= q_hi + 1e-9
+    assert (result.outer_iterations, result.pf_iterations) == DISPATCH_ITERS[name, envelope]
+
+
+def test_remove_branch_drops_exactly_one(cases):
+    base = cases["tx9"]
+    assert len(base.branches) == 9
+    out = base.remove_branch("4", "9")   # the file lists it as 9-4
+    assert out.branches == [b for b in base.branches if {b.from_bus, b.to_bus} != {"9", "4"}]
+    assert len(out.branches) == 8
+    with pytest.raises(ValidationError):
+        base.remove_branch("5", "9")
+    with pytest.raises(ValidationError):
+        base.remove_branch("1", "4")   # bus 1 hangs on this branch alone
+
+
+@pytest.mark.parametrize("document", [None, ["buses"], 42, "{not json"])
+def test_load_transmission_rejects_non_dict(document):
+    with pytest.raises(ParseError):
+        tso.load_transmission(document)
