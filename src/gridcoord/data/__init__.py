@@ -21,6 +21,7 @@ from ..inverter import InverterSpec
 from ..tso import TransmissionCase, load_transmission
 
 _ROOT = Path(__file__).resolve().parent
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)  # a missing or mistyped field
 
 
 def data_root() -> Path:
@@ -85,22 +86,30 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
     if not (root / rel).exists():
         raise ParseError(f"unknown scenario {name!r}; have {list_scenarios(root)}")
     doc = _read_json(root, rel)
-    load_scale = float(doc.get("load_scale", 1.0))
-    irradiance = float(doc.get("irradiance", 1.0))
+    try:
+        load_scale = float(doc.get("load_scale", 1.0))
+        irradiance = float(doc.get("irradiance", 1.0))
+        feeder_rel, inv_rel = doc["feeder"], doc["inverters"]
+        outage = tuple(doc["outage"]) if doc.get("outage") else None
+    except _FIELD_ERRORS as exc:
+        raise ParseError(f"{rel}: missing or malformed field ({exc!r})") from exc
 
-    feeder_doc = _read_json(root, doc["feeder"])
+    feeder_doc = _read_json(root, feeder_rel)
     model = load_feeder(feeder_doc, load_scale=load_scale)
 
-    inv_doc = _read_json(root, doc["inverters"])
+    inv_doc = _read_json(root, inv_rel)
     inverters = {}
-    for rec in inv_doc["inverters"]:
-        spec = InverterSpec(str(rec["id"]), float(rec["s_kva"]),
-                            float(rec["p_max_kw"]), float(rec["q_max_kvar"]),
-                            p_min=float(rec.get("p_min_kw", 0.0)),
-                            m_pq=float(rec.get("m_pq", 2.2)),
-                            b_pq=float(rec.get("b_pq", 0.0)))
-        inverters[spec.inverter_id] = spec
-    profile = inv_doc.get("profile", {})
+    try:
+        for rec in inv_doc["inverters"]:
+            spec = InverterSpec(str(rec["id"]), float(rec["s_kva"]),
+                                float(rec["p_max_kw"]), float(rec["q_max_kvar"]),
+                                p_min=float(rec.get("p_min_kw", 0.0)),
+                                m_pq=float(rec.get("m_pq", 2.2)),
+                                b_pq=float(rec.get("b_pq", 0.0)))
+            inverters[spec.inverter_id] = spec
+        profile = inv_doc.get("profile", {})
+    except _FIELD_ERRORS as exc:
+        raise ParseError(f"{inv_rel}: missing or malformed field ({exc!r})") from exc
 
     for inv_id in model.der_inverter_ids:
         if inv_id not in inverters:
@@ -111,7 +120,6 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
     transmission = None
     if doc.get("transmission"):
         transmission = load_transmission(_read_json(root, doc["transmission"]))
-    outage = tuple(doc["outage"]) if doc.get("outage") else None
 
     return Scenario(name=str(doc.get("name", name)),
                     description=str(doc.get("description", "")),

@@ -31,7 +31,7 @@ from .errors import DegenerateSensitivity, GridcoordError, InfeasibleStage
 OPTIMIZED = "optimized"
 PQ_FREE = "pq_free"
 
-V_BOX = (0.80, 1.20)   # droop-input voltage variable box (Big-M range)
+V_LIMITS = (0.95, 1.05)   # planning voltage band on observable bus-phases, pu
 
 
 @dataclass
@@ -49,7 +49,6 @@ class DispatchContext:
     specs: list[inverter.InverterSpec]         # per DER placement
     curves: list[dict]                         # per DER: mode -> DroopCurve
     p_available_kw: np.ndarray
-    v_limits: tuple = (0.95, 1.05)
     encoding: str = "sos1"
     policy: ModePolicy = field(default_factory=ModePolicy)
     q_sub_offset_kvar: float | None = None     # None: flat-voltage estimate
@@ -76,18 +75,16 @@ class DispatchContext:
         return self.model.s_base_kva
 
 
-def make_context(scenario, encoding="sos1", policy: ModePolicy | None = None,
-                 v_limits=(0.95, 1.05), blocks=None) -> DispatchContext:
+def make_context(scenario, encoding="sos1",
+                 policy: ModePolicy | None = None) -> DispatchContext:
     """Build a dispatch context from a bundled scenario."""
     model = scenario.feeder
-    if blocks is None:
-        blocks = feeder_mod.build_blocks(model)
-        blocks = feeder_mod.partition_blocks(blocks, feeder_mod.make_partition(model))
+    blocks = feeder_mod.build_blocks(model)
+    blocks = feeder_mod.partition_blocks(blocks, feeder_mod.make_partition(model))
     specs = [scenario.inverters[i] for i in model.der_inverter_ids]
     curves = [inverter.make_curve_set(spec, scenario.profile) for spec in specs]
     return DispatchContext(model, blocks, specs, curves,
-                           scenario.p_available_kw.copy(),
-                           v_limits=v_limits, encoding=encoding,
+                           scenario.p_available_kw.copy(), encoding=encoding,
                            policy=policy or ModePolicy())
 
 
@@ -109,7 +106,6 @@ class StageHandles:
     p: list[int]
     q: list[int]
     v: list[int]
-    settings: list[dict]           # per DER: mode -> setting var id
     encodings: list[dict]          # per DER: mode -> DroopEncoding
     y_o: list[int]
     q_sub: int
@@ -119,8 +115,7 @@ class StageHandles:
 
 def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
                       p_star_kw: float | None = None,
-                      q_req_kvar: float | None = None,
-                      weights=None):
+                      q_req_kvar: float | None = None):
     """Assemble the MILP for one stage; returns (model, handles).
 
     ``stage`` is one of stage1 / stage2a / stage2b.  Stage 2a gets the
@@ -136,12 +131,11 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
     s_base = ctx.s_base
     mm = milp.MilpModel(name=f"{stage}-{ctx.encoding}")
 
-    v_lo, v_hi = ctx.v_limits
+    v_lo, v_hi = V_LIMITS
     y_ids = [mm.add_variable(v_lo ** 2, v_hi ** 2, name=f"y_{m.node_ids[node]}")
              for node in obs]
 
     p_ids, q_ids, v_ids = [], [], []
-    settings: list[dict] = []
     encodings: list[dict] = []
     for i, (node, spec) in enumerate(zip(m.der_nodes, ctx.specs)):
         sfx = f"d{i}"
@@ -150,70 +144,24 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
         q_id = mm.add_variable(spec.q_min_pu, spec.q_max_pu, name=f"q_{sfx}")
         # the voltage-link row pins V inside the image of the Y_o box, so the
         # variable box (and with it every droop Big-M) can be this tight
-        y0n_ = blocks.y0[node]
-        v_bounds = (v_lo ** 2 / (2 * np.sqrt(y0n_)) + np.sqrt(y0n_) / 2,
-                    v_hi ** 2 / (2 * np.sqrt(y0n_)) + np.sqrt(y0n_) / 2)
-        v_id = mm.add_variable(v_bounds[0], v_bounds[1], name=f"v_{sfx}")
+        y0n = blocks.y0[node]
+        v_id = mm.add_variable(v_lo ** 2 / (2 * np.sqrt(y0n)) + np.sqrt(y0n) / 2,
+                               v_hi ** 2 / (2 * np.sqrt(y0n)) + np.sqrt(y0n) / 2,
+                               name=f"v_{sfx}")
         p_ids.append(p_id)
         q_ids.append(q_id)
         v_ids.append(v_id)
-
-        # capability rows; boxes live on the variable bounds, and rows that
-        # cannot bind anywhere inside the boxes are not emitted
-        for row in inverter.capability_constraints(spec):
-            if row.name.startswith("box"):
-                continue
-            ext_p = row.coef_p * (p_hi if (row.coef_p > 0) == (row.sense == milp.LE)
-                                  else spec.p_min_pu)
-            ext_q = row.coef_q * (spec.q_max_pu if (row.coef_q > 0) == (row.sense == milp.LE)
-                                  else spec.q_min_pu)
-            if row.sense == milp.LE and ext_p + ext_q <= row.rhs - 1e-12:
-                continue
-            if row.sense == milp.GE and ext_p + ext_q >= row.rhs + 1e-12:
-                continue
-            mm.add_constraint({p_id: row.coef_p, q_id: row.coef_q},
-                              row.sense, row.rhs, name=f"cap_{row.name}_{sfx}")
+        inverter.add_capability_rows(mm, spec, p_id, q_id, sfx)
 
         # terminal voltage link onto the observable map
         if node not in obs_pos:
             raise InfeasibleStage(f"DER node {m.node_ids[node]} is unobservable")
-        y0n = blocks.y0[node]
-        mm.add_constraint({v_ids[i]: 1.0,
+        mm.add_constraint({v_id: 1.0,
                            y_ids[obs_pos[node]]: -1.0 / (2.0 * np.sqrt(y0n))},
                           milp.EQ, np.sqrt(y0n) / 2.0, name=f"vlink_{sfx}")
 
-        settings.append({})
-        encodings.append({})
-        mode_io = {
-            inverter.VOLT_VAR: (v_id, q_id),
-            inverter.VOLT_WATT: (v_id, p_id),
-            inverter.WATT_VAR: (p_id, q_id),
-        }
-        if ctx.policy.kind == PQ_FREE:
-            continue
-        # the mode-selection SOS1 set is registered before the per-mode
-        # segment sets so branching resolves the hierarchy top-down
-        if ctx.encoding == "sos1":
-            mode_vars = {mode: mm.add_variable(0.0, 1.0, name=f"s_{mode}_{sfx}")
-                         for mode in inverter.MODES}
-            mm.add_constraint(dict.fromkeys(mode_vars.values(), 1.0), milp.EQ, 1.0,
-                              name=f"mode_excl_{sfx}")
-            mm.add_sos1(list(mode_vars.values()))
-        for mode in inverter.MODES:
-            curve = ctx.curves[i][mode]
-            iid, oid = mode_io[mode]
-            set_id = mm.add_variable(curve.setting_min, curve.setting_max,
-                                     name=f"set_{mode}_{sfx}")
-            settings[i][mode] = set_id
-            if ctx.encoding == "sos1":
-                enc = inverter.encode_sos1(curve, spec, mm, iid, oid, setting_id=set_id,
-                                           mode_var=mode_vars[mode], tag=f"{sfx}_")
-            else:
-                enc = inverter.encode_bigM(curve, spec, mm, iid, oid, setting_id=set_id,
-                                           add_exclusivity=False, tag=f"{sfx}_")
-            encodings[i][mode] = enc
-        if ctx.encoding != "sos1":
-            inverter.mode_exclusivity(mm, list(encodings[i].values()))
+        encodings.append({} if ctx.policy.kind == PQ_FREE else inverter.encode_modes(
+            mm, ctx.curves[i], {"v": v_id, "p": p_id, "q": q_id}, ctx.encoding, sfx))
 
     # observable voltage map rows: Y_o = AR P_o + AX Q_o + c
     ar, ax, c_aff = feeder_mod.observable_matrices(blocks)
@@ -238,7 +186,7 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
     rhs = -s_base * float(np.sum(blocks.q_const[obs])) + ctx.q_sub_offset_kvar
     mm.add_constraint(coeffs, milp.EQ, rhs, name="qsub_def")
 
-    handles = StageHandles(p_ids, q_ids, v_ids, settings, encodings, y_ids, q_sub)
+    handles = StageHandles(p_ids, q_ids, v_ids, encodings, y_ids, q_sub)
 
     if stage in ("stage2a", "stage2b"):
         if p_star_kw is None:
@@ -329,17 +277,14 @@ def _extract(ctx, handles, sol, stage, stats) -> DispatchResult:
     per_der = []
     for i, node in enumerate(m.der_nodes):
         spec = ctx.specs[i]
-        mode = None
-        segment = None
-        setting = None
-        if ctx.policy.kind != PQ_FREE:
-            for md, enc in handles.encodings[i].items():
-                zvals = [sol.value(z) for z in enc.indicator_ids]
-                if max(zvals) > 0.5:
-                    mode = md
-                    segment = int(np.argmax(zvals))
-                    setting = sol.value(handles.settings[i][md])
-                    break
+        mode = segment = setting = None
+        for md, enc in handles.encodings[i].items():   # none under pq_free
+            zvals = [sol.value(z) for z in enc.indicator_ids]
+            if max(zvals) > 0.5:
+                mode = md
+                segment = int(np.argmax(zvals))
+                setting = sol.value(enc.setting_id)
+                break
         per_der.append(DerDispatch(
             i, m.node_ids[node], spec.inverter_id, mode, segment, setting,
             p_kw=sol.value(handles.p[i]) * spec.s_rated,
@@ -449,11 +394,8 @@ def droop_compliance_errors(ctx: DispatchContext, result: DispatchResult):
             out.append((0.0, cap_ok))
             continue
         curve = ctx.curves[d.der_index][d.mode].with_setting(d.setting)
-        if d.mode == inverter.VOLT_VAR:
-            err = abs(inverter.evaluate_droop(curve, d.v_pu) - q_pu)
-        elif d.mode == inverter.VOLT_WATT:
-            err = abs(inverter.evaluate_droop(curve, d.v_pu) - p_pu)
-        else:
-            err = abs(inverter.evaluate_droop(curve, p_pu) - q_pu)
+        values = {"v": d.v_pu, "p": p_pu, "q": q_pu}
+        x, y = (values[k] for k in inverter.MODE_IO[d.mode])
+        err = abs(inverter.evaluate_droop(curve, x) - y)
         out.append((float(err), cap_ok))
     return out

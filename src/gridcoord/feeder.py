@@ -301,12 +301,12 @@ class SensitivityBlocks:
     """Connectivity, equivalents, load coupling, and optional partition blocks.
 
     Block names use the from/to superscript convention described in the
-    module docstring: ``kuo`` maps unobservable quantities to observable
-    rows (shape n_o x n_u), ``kou`` the reverse, and similarly for the
-    ``r*`` / ``x*`` blocks.
+    module docstring: ``kou`` maps observable quantities to unobservable
+    rows (shape n_u x n_o), and similarly for the ``r*`` / ``x*`` blocks.
+    Only the blocks the reduced observable model reads are kept; the
+    unobservable-column blocks enter it through ``k1`` and ``c2``.
     """
 
-    m0: np.ndarray
     m: np.ndarray
     req: np.ndarray
     xeq: np.ndarray
@@ -319,16 +319,10 @@ class SensitivityBlocks:
     partition: ObservablePartition | None = None
     koo: np.ndarray | None = None
     kou: np.ndarray | None = None
-    kuo: np.ndarray | None = None
-    kuu: np.ndarray | None = None
     roo: np.ndarray | None = None
     rou: np.ndarray | None = None
-    ruo: np.ndarray | None = None
-    ruu: np.ndarray | None = None
     xoo: np.ndarray | None = None
     xou: np.ndarray | None = None
-    xuo: np.ndarray | None = None
-    xuu: np.ndarray | None = None
     k1: np.ndarray | None = None
     c2: np.ndarray | None = None
 
@@ -365,7 +359,7 @@ def _gamma(phases: str) -> np.ndarray:
     return np.exp(1j * (ang[:, None] - ang[None, :]))
 
 
-def build_equivalents(model: FeederModel, M0, M):
+def build_equivalents(model: FeederModel, M):
     """Equivalent drop matrices Req, Xeq = M^-T Z M^-1 on node indexing."""
     n = model.n_nodes
     ZP = np.zeros((n, n))
@@ -385,9 +379,9 @@ def build_equivalents(model: FeederModel, M0, M):
     return req, xeq
 
 
-def build_K(model: FeederModel, req, xeq, y0_node=None):
+def build_K(model: FeederModel, req, xeq):
     """Load-coupling matrix K = I + Req D(p_coef) + Xeq D(q_coef)."""
-    y0 = model.y0_node if y0_node is None else np.asarray(y0_node, dtype=float)
+    y0 = model.y0_node
     coef = model.a1v + model.a2v / (2.0 * np.sqrt(y0))
     p_coef = model.p0 * coef
     q_coef = model.q0 * coef
@@ -398,14 +392,14 @@ def build_K(model: FeederModel, req, xeq, y0_node=None):
 
 def build_blocks(model: FeederModel) -> SensitivityBlocks:
     """Assemble the full set of linear-model matrices for a feeder."""
-    M0, M = build_connectivity(model)
-    req, xeq = build_equivalents(model, M0, M)
+    _, M = build_connectivity(model)
+    req, xeq = build_equivalents(model, M)
     K = build_K(model, req, xeq)
     y0 = model.y0_node
     const = model.a0v + model.a2v * np.sqrt(y0) / 2.0
     coef = model.a1v + model.a2v / (2.0 * np.sqrt(y0))
     return SensitivityBlocks(
-        m0=M0, m=M, req=req, xeq=xeq, k=K, y0=y0,
+        m=M, req=req, xeq=xeq, k=K, y0=y0,
         p_const=model.p0 * const, q_const=model.q0 * const,
         p_coef=model.p0 * coef, q_coef=model.q0 * coef)
 
@@ -538,7 +532,7 @@ def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8,
 
 def partition_blocks(blocks: SensitivityBlocks,
                      partition: ObservablePartition) -> SensitivityBlocks:
-    """Extract the 12 partition blocks plus ground-truth K1 and C2.
+    """Extract the observable-column partition blocks plus ground-truth K1 and C2.
 
     The controllable (DER) set must be contained in the observable set.
     C2 is evaluated with the model's unobservable constant net loads
@@ -570,11 +564,8 @@ def partition_blocks(blocks: SensitivityBlocks,
         k1 = np.zeros((len(o), 0))
         c2 = blocks.y0[o].copy()
 
-    return replace(blocks, partition=partition,
-                   koo=koo, kou=kou, kuo=kuo, kuu=kuu,
-                   roo=roo, rou=rou, ruo=ruo, ruu=ruu,
-                   xoo=xoo, xou=xou, xuo=xuo, xuu=xuu,
-                   k1=k1, c2=c2)
+    return replace(blocks, partition=partition, koo=koo, kou=kou,
+                   roo=roo, rou=rou, xoo=xoo, xou=xou, k1=k1, c2=c2)
 
 
 def observable_matrices(blocks: SensitivityBlocks, k1=None, c2=None):

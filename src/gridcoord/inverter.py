@@ -25,6 +25,8 @@ VOLT_VAR = "volt_var"
 VOLT_WATT = "volt_watt"
 WATT_VAR = "watt_var"
 MODES = (VOLT_VAR, VOLT_WATT, WATT_VAR)
+# each mode's (input, output): "v" terminal voltage, "p"/"q" active/reactive power
+MODE_IO = {VOLT_VAR: ("v", "q"), VOLT_WATT: ("v", "p"), WATT_VAR: ("p", "q")}
 
 DEFAULT_PROFILE = {
     "vv": {"v1": 0.92, "v2": 0.98, "v3": 1.02, "v4": 1.08, "q_frac": 0.44,
@@ -264,6 +266,27 @@ def satisfies_capability(spec: InverterSpec, p_pu: float, q_pu: float, tol=1e-6)
     return all(row.holds(p_pu, q_pu, tol) for row in capability_constraints(spec))
 
 
+def add_capability_rows(model: milp.MilpModel, spec: InverterSpec, p_id: int, q_id: int,
+                        sfx: str):
+    """Capability rows of one DER over its (P, Q) variables.
+
+    The boxes live on the variable bounds, and rows that cannot bind
+    anywhere inside those boxes are not emitted.
+    """
+    p, q = model.variables[p_id], model.variables[q_id]
+    for row in capability_constraints(spec):
+        if row.name.startswith("box"):
+            continue
+        ext_p = row.coef_p * (p.hi if (row.coef_p > 0) == (row.sense == milp.LE) else p.lo)
+        ext_q = row.coef_q * (q.hi if (row.coef_q > 0) == (row.sense == milp.LE) else q.lo)
+        if row.sense == milp.LE and ext_p + ext_q <= row.rhs - 1e-12:
+            continue
+        if row.sense == milp.GE and ext_p + ext_q >= row.rhs + 1e-12:
+            continue
+        model.add_constraint({p_id: row.coef_p, q_id: row.coef_q},
+                             row.sense, row.rhs, name=f"cap_{row.name}_{sfx}")
+
+
 # ---------------------------------------------------------------------------
 # MILP encodings
 # ---------------------------------------------------------------------------
@@ -271,14 +294,8 @@ def satisfies_capability(spec: InverterSpec, p_pu: float, q_pu: float, tol=1e-6)
 @dataclass
 class DroopEncoding:
     mode: str
-    input_id: int
-    output_id: int
     setting_id: int
     indicator_ids: list[int]
-    constraint_ids: list[int]
-    mode_var: int | None = None
-    sos_ids: list[int] | None = None
-    uses_sos: bool = False
 
 
 def _interval_max(terms):
@@ -305,104 +322,105 @@ def _segment_rows(model, curve, input_id, output_id, setting_id, indicator_ids):
     in_lo, in_hi = _bounds(model, input_id)
     out_lo, out_hi = _bounds(model, output_id)
     s_lo, s_hi = _bounds(model, setting_id)
-    cids = []
     for seg, z in zip(curve.segments, indicator_ids):
         # input >= lo(s) when z = 1
         m_dom_lo = max(0.0, seg.lo.const +
                        _interval_max([(seg.lo.per_setting, s_lo, s_hi)]) - in_lo)
-        cids.append(model.add_constraint(
+        model.add_constraint(
             {input_id: 1.0, setting_id: -seg.lo.per_setting, z: -m_dom_lo},
-            milp.GE, seg.lo.const - m_dom_lo))
+            milp.GE, seg.lo.const - m_dom_lo)
         # input <= hi(s) when z = 1
         m_dom_hi = max(0.0, in_hi - (seg.hi.const +
                                      _interval_min([(seg.hi.per_setting, s_lo, s_hi)])))
-        cids.append(model.add_constraint(
+        model.add_constraint(
             {input_id: 1.0, setting_id: -seg.hi.per_setting, z: m_dom_hi},
-            milp.LE, seg.hi.const + m_dom_hi))
+            milp.LE, seg.hi.const + m_dom_hi)
         # output >= m*input + b(s) when z = 1
         m_val_lo = max(0.0, _interval_max([
             (seg.slope, in_lo, in_hi), (seg.offset.per_setting, s_lo, s_hi),
             (-1.0, out_lo, out_hi)]) + seg.offset.const)
-        cids.append(model.add_constraint(
+        model.add_constraint(
             {output_id: 1.0, input_id: -seg.slope,
              setting_id: -seg.offset.per_setting, z: -m_val_lo},
-            milp.GE, seg.offset.const - m_val_lo))
+            milp.GE, seg.offset.const - m_val_lo)
         # output <= m*input + b(s) when z = 1
         m_val_hi = max(0.0, _interval_max([
             (-seg.slope, in_lo, in_hi), (-seg.offset.per_setting, s_lo, s_hi),
             (1.0, out_lo, out_hi)]) - seg.offset.const)
-        cids.append(model.add_constraint(
+        model.add_constraint(
             {output_id: 1.0, input_id: -seg.slope,
              setting_id: -seg.offset.per_setting, z: m_val_hi},
-            milp.LE, seg.offset.const + m_val_hi))
-    return cids
+            milp.LE, seg.offset.const + m_val_hi)
 
 
-def _make_setting_var(model, curve, name):
-    return model.add_variable(curve.setting_min, curve.setting_max, name=name)
-
-
-def encode_bigM(curve: DroopCurve, spec: InverterSpec, model: milp.MilpModel,
-                input_id: int, output_id: int, setting_id: int | None = None,
-                add_exclusivity: bool = True, tag: str = "") -> DroopEncoding:
+def encode_bigM(curve: DroopCurve, model: milp.MilpModel, input_id: int, output_id: int,
+                setting_id: int, tag: str = "") -> DroopEncoding:
     """Big-M encoding with binary segment indicators.
 
     Each segment contributes a two-sided domain row pair and a two-sided
     value row pair; M is the maximum violation of each row over the
-    variable boxes (per-row tight M).  With ``add_exclusivity`` a
-    sum-to-one row over this curve's indicators is appended; leave it
-    off when composing several modes under a joint exclusivity row.
+    variable boxes (per-row tight M).  Exclusivity comes from
+    :func:`mode_exclusivity` over every mode of the DER.
     """
-    if setting_id is None:
-        setting_id = _make_setting_var(model, curve, f"{tag}{curve.mode}_set")
     zs = [model.add_variable(kind=milp.BINARY, name=f"{tag}{curve.mode}_z{l}")
           for l in range(len(curve.segments))]
-    cids = _segment_rows(model, curve, input_id, output_id, setting_id, zs)
-    if add_exclusivity:
-        cids.append(model.add_constraint({z: 1.0 for z in zs}, milp.EQ, 1.0))
-    return DroopEncoding(curve.mode, input_id, output_id, setting_id, zs, cids)
+    _segment_rows(model, curve, input_id, output_id, setting_id, zs)
+    return DroopEncoding(curve.mode, setting_id, zs)
 
 
-def encode_sos1(curve: DroopCurve, spec: InverterSpec, model: milp.MilpModel,
-                input_id: int, output_id: int, setting_id: int | None = None,
-                mode_var: int | None = None, add_exclusivity: bool = True,
-                tag: str = "") -> DroopEncoding:
+def encode_sos1(curve: DroopCurve, model: milp.MilpModel, input_id: int, output_id: int,
+                setting_id: int, mode_var: int, tag: str = "") -> DroopEncoding:
     """SOS1 encoding: continuous indicators in an SOS1 set.
 
     The continuous feasible set matches :func:`encode_bigM`; exclusivity
-    comes from the SOS1 set plus either a sum-to-one row (standalone) or
-    a linking row onto ``mode_var`` (hierarchical mode selection).
+    comes from the SOS1 set plus a linking row that makes the indicators
+    sum to ``mode_var`` (hierarchical mode selection).
     """
-    if setting_id is None:
-        setting_id = _make_setting_var(model, curve, f"{tag}{curve.mode}_set")
     zs = [model.add_variable(0.0, 1.0, name=f"{tag}{curve.mode}_z{l}")
           for l in range(len(curve.segments))]
-    cids = _segment_rows(model, curve, input_id, output_id, setting_id, zs)
-    sos = [model.add_sos1(zs)]
-    if mode_var is not None:
-        link = dict.fromkeys(zs, 1.0)
-        link[mode_var] = -1.0
-        cids.append(model.add_constraint(link, milp.EQ, 0.0))
-    elif add_exclusivity:
-        cids.append(model.add_constraint({z: 1.0 for z in zs}, milp.EQ, 1.0))
-    return DroopEncoding(curve.mode, input_id, output_id, setting_id, zs, cids,
-                         mode_var=mode_var, sos_ids=sos, uses_sos=True)
+    _segment_rows(model, curve, input_id, output_id, setting_id, zs)
+    model.add_sos1(zs)
+    link = dict.fromkeys(zs, 1.0)
+    link[mode_var] = -1.0
+    model.add_constraint(link, milp.EQ, 0.0)
+    return DroopEncoding(curve.mode, setting_id, zs)
 
 
-def mode_exclusivity(model: milp.MilpModel, encodings: list[DroopEncoding]):
-    """One-of-all-modes constraint across a DER's encodings.
-
-    Binary variant: a single sum-to-one row over every segment indicator.
-    SOS variant: sum-to-one over the mode variables plus an SOS1 set on
-    them (segment indicators are already linked to their mode variable).
-    """
-    if all(e.uses_sos for e in encodings):
-        mode_vars = [e.mode_var for e in encodings]
-        if any(v is None for v in mode_vars):
-            raise ValueError("SOS encodings need mode_var for hierarchical exclusivity")
-        cid = model.add_constraint(dict.fromkeys(mode_vars, 1.0), milp.EQ, 1.0)
-        sid = model.add_sos1(mode_vars)
-        return cid, sid
+def mode_exclusivity(model: milp.MilpModel, encodings: list[DroopEncoding]) -> int:
+    """One sum-to-one row over every segment indicator of a DER's encodings."""
     zs = [z for e in encodings for z in e.indicator_ids]
-    cid = model.add_constraint(dict.fromkeys(zs, 1.0), milp.EQ, 1.0)
-    return cid, None
+    return model.add_constraint(dict.fromkeys(zs, 1.0), milp.EQ, 1.0)
+
+
+def encode_modes(model: milp.MilpModel, curves: dict, ids: dict, encoding: str,
+                 sfx: str) -> dict:
+    """Every droop mode of one DER, one of them active; returns mode -> DroopEncoding.
+
+    ``ids`` maps ``"v"``, ``"p"`` and ``"q"`` to the DER's variable ids,
+    which :data:`MODE_IO` wires to each mode's input and output.  sos1:
+    one continuous variable per mode, summing to one in an SOS1 set that
+    is registered before the per-mode segment sets so branching resolves
+    the hierarchy top-down.  Any other encoding is Big-M, with one
+    sum-to-one row over all of the DER's binaries.
+    """
+    sos = encoding == "sos1"
+    if sos:
+        mode_vars = {mode: model.add_variable(0.0, 1.0, name=f"s_{mode}_{sfx}")
+                     for mode in MODES}
+        model.add_constraint(dict.fromkeys(mode_vars.values(), 1.0), milp.EQ, 1.0,
+                             name=f"mode_excl_{sfx}")
+        model.add_sos1(list(mode_vars.values()))
+    encodings = {}
+    for mode in MODES:
+        curve = curves[mode]
+        iid, oid = (ids[k] for k in MODE_IO[mode])
+        set_id = model.add_variable(curve.setting_min, curve.setting_max,
+                                    name=f"set_{mode}_{sfx}")
+        if sos:
+            encodings[mode] = encode_sos1(curve, model, iid, oid, set_id,
+                                          mode_vars[mode], tag=f"{sfx}_")
+        else:
+            encodings[mode] = encode_bigM(curve, model, iid, oid, set_id, tag=f"{sfx}_")
+    if not sos:
+        mode_exclusivity(model, list(encodings.values()))
+    return encodings

@@ -82,11 +82,13 @@ NODE_LIMIT = "NodeLimit"     # branch and bound stopped at MilpOptions.node_limi
 MIN, MAX = "min", "max"
 
 
+FEAS_TOL = 1e-7     # primal feasibility of a basic solution
+INT_TOL = 1e-6      # integrality of binaries and SOS1 members
+GAP = 1e-6          # absolute optimality gap at termination
+
+
 @dataclass
 class MilpOptions:
-    feas_tol: float = 1e-7
-    int_tol: float = 1e-6
-    gap: float = 1e-6            # absolute optimality gap at termination
     node_limit: int = 10 ** 6
     iter_factor: int = 50        # simplex cap = iter_factor * (rows + cols)
 
@@ -307,13 +309,12 @@ class _Simplex:
     """One tableau T = B^-1 [A | art].  Columns: structurals, slacks, then
     artificials; ``drop_artificials`` narrows it to the first two."""
 
-    def __init__(self, A, b, lo, hi, c, iter_cap, feas_tol):
+    def __init__(self, A, b, lo, hi, c, iter_cap):
         self.m, n = A.shape
         self.n_tot = n + self.m
         self.A, self.b = A, b
         self.c_user = c
         self.iter_cap = iter_cap
-        self.feas_tol = feas_tol
         self.iters = 0
         self.since_refactor = 0
 
@@ -333,7 +334,7 @@ class _Simplex:
 
         sl_lo, sl_hi = lo[basis], hi[basis]
         clamped = np.clip(resid, sl_lo, sl_hi)
-        viol = np.where(np.abs(resid - clamped) > feas_tol)[0]
+        viol = np.where(np.abs(resid - clamped) > FEAS_TOL)[0]
         n_art = len(viol)
         self.n_art = n_art
         self.art_rows = viol
@@ -649,7 +650,7 @@ class _Simplex:
     def run_dual(self):
         """Bounded dual simplex on the user cost from a dual feasible basis.
 
-        Returns OPTIMAL once x_B is within its bounds (to ``feas_tol``),
+        Returns OPTIMAL once x_B is within its bounds (to ``FEAS_TOL``),
         INFEASIBLE when the leaving row admits no entering column and the
         Farkas check confirms it, and None on a stall or an unconfirmed
         verdict.
@@ -662,7 +663,7 @@ class _Simplex:
                 return None
             xB, lb, ub = self.xB, lo[basis], hi[basis]
             infeas = np.maximum(lb - xB, xB - ub)
-            rows = np.flatnonzero(infeas > self.feas_tol)
+            rows = np.flatnonzero(infeas > FEAS_TOL)
             if rows.size == 0:
                 return OPTIMAL
             # dual steepest edge pricing with exact weights
@@ -702,7 +703,7 @@ class _Simplex:
             if st == ITER_LIMIT:
                 return _SimplexResult(ITER_LIMIT, None, None, self.iters)
             infeas = sum(self.xB[i] for i in range(self.m) if self.basis[i] >= n_tot)
-            if infeas > 10 * self.feas_tol:
+            if infeas > 10 * FEAS_TOL:
                 return _SimplexResult(INFEASIBLE, None, None, self.iters)
             self.lo[n_tot:] = 0.0
             self.hi[n_tot:] = 0.0
@@ -739,7 +740,7 @@ def solve_lp(model: MilpModel, options: MilpOptions | None = None) -> MilpSoluti
     if arrs.trivially_infeasible:
         return arrs.solution(INFEASIBLE, None, None, np.inf)
     cap = opts.iter_factor * (arrs.m + arrs.n_struct)
-    res = _Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, cap, opts.feas_tol).solve()
+    res = _Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, cap).solve()
     if res.status != OPTIMAL:
         bound = {INFEASIBLE: np.inf, UNBOUNDED: -np.inf}.get(res.status, np.nan)
         return arrs.solution(res.status, None, None, bound, 0, res.iterations)
@@ -769,8 +770,8 @@ class _Node:
 class _NodeLp:
     """Node LP solves of one search around its single working tableau."""
 
-    def __init__(self, arrs: _Arrays, cap, feas_tol):
-        self.arrs, self.cap, self.feas_tol = arrs, cap, feas_tol
+    def __init__(self, arrs: _Arrays, cap):
+        self.arrs, self.cap = arrs, cap
         self.lp = None       # _Simplex over structural and slack columns
         self.holds = None    # id of the node whose optimal basis lp holds
 
@@ -796,7 +797,7 @@ class _NodeLp:
         self.lp = None   # release the working tableau before building another
         # its artificials stay until a child needs this basis (basis_of_last)
         self.lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
-                           self.cap, self.feas_tol)
+                           self.cap)
         return self.lp.solve()
 
     def basis_of_last(self):
@@ -843,7 +844,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     n = arrs.n_struct
     bin_ids = np.array(model.binary_ids, dtype=int)
     sos_sets = [np.array(s, dtype=int) for s in model.sos1_sets]
-    node_lp = _NodeLp(arrs, cap, opts.feas_tol)
+    node_lp = _NodeLp(arrs, cap)
 
     total_iters = 0
     node_count = 0
@@ -857,7 +858,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
 
     while heap:
         node = heapq.heappop(heap)
-        if node.bound >= incumbent_obj - opts.gap:
+        if node.bound >= incumbent_obj - GAP:
             continue
         if node_count >= opts.node_limit:
             heapq.heappush(heap, node)
@@ -874,7 +875,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
             return arrs.solution(UNBOUNDED, None, None, -np.inf, node_count, total_iters)
         if res.status != OPTIMAL:
             continue
-        if res.objective >= incumbent_obj - opts.gap:
+        if res.objective >= incumbent_obj - GAP:
             continue
         x = res.x[:n]
 
@@ -882,12 +883,12 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
         if bin_ids.size:
             fracs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
             j = int(np.argmax(fracs))
-            if fracs[j] > opts.int_tol:
+            if fracs[j] > INT_TOL:
                 branch_var = int(bin_ids[j])
         viol_sos = -1
         if branch_var < 0:
             for k, members in enumerate(sos_sets):
-                if np.count_nonzero(np.abs(x[members]) > opts.int_tol) > 1:
+                if np.count_nonzero(np.abs(x[members]) > INT_TOL) > 1:
                     viol_sos = k
                     break
 
@@ -971,8 +972,7 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
 
     def enumerate_sos(k, lo, hi):
         if k == len(sos_sets):
-            res = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c, cap,
-                           opts.feas_tol).solve()
+            res = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c, cap).solve()
             stats["solves"] += 1
             stats["iters"] += res.iterations
             statuses.add(res.status)

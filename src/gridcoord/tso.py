@@ -342,7 +342,7 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
     for outer in range(1, max_outer + 1):
         sens = vq_sensitivity(case, pf, itf_ids, mon)
         v0 = pf.v_mag[mon]
-        q_prev, obj_prev = q.copy(), obj
+        q_prev, obj_prev, pf_prev = q.copy(), obj, pf
 
         x = q.copy()
         lip = 2.0 * (c_v * np.linalg.norm(sens, 2) ** 2 + c_q)
@@ -355,6 +355,9 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
                 x = x_new
                 break
             x = x_new
+        if np.array_equal(x, q_prev):   # the model step stays put: q_prev is the answer
+            trace.append(obj)
+            break
 
         q = x
         pf, obj = evaluate(q)
@@ -364,8 +367,7 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
             pf, obj = evaluate(q)
             backtracks += 1
         if obj > obj_prev + 1e-12:   # no backtrack helped: stay at q_prev
-            q, obj = q_prev, obj_prev
-            pf, _ = evaluate(q)
+            q, obj, pf = q_prev, obj_prev, pf_prev
             trace.append(obj)
             break
         trace.append(obj)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import shutil
 
 import numpy as np
@@ -67,6 +69,25 @@ class TestBundle:
         (root / "scenarios" / "rogue.json").write_text("{}")
         with pytest.raises(ChecksumMismatch):
             bundle.load_scenario("rogue", root=root)
+
+    @pytest.mark.parametrize("rel,drop", [
+        ("inverters/default.json", lambda doc: doc["inverters"][0].pop("s_kva")),
+        ("scenarios/tiny-2bus.json", lambda doc: doc.pop("feeder")),
+    ], ids=["inverter-s_kva", "scenario-feeder"])
+    def test_missing_field_is_parse_error(self, tmp_path, rel, drop):
+        # the checksum is rewritten, so only the schema is wrong
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        doc = json.loads((root / rel).read_text())
+        drop(doc)
+        blob = json.dumps(doc).encode()
+        (root / rel).write_bytes(blob)
+        sums = root / "CHECKSUMS"
+        lines = [f"{hashlib.sha256(blob).hexdigest()}  {rel}" if line.endswith(f"  {rel}")
+                 else line for line in sums.read_text().splitlines()]
+        sums.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rel):
+            bundle.load_scenario("tiny-2bus", root=root)
 
     def test_all_bundled_scenarios_load(self):
         for name in bundle.list_scenarios():

@@ -10,7 +10,7 @@ path.
 import numpy as np
 import pytest
 
-from gridcoord import data, milp
+from gridcoord import data, inverter, milp
 from gridcoord import feeder as feeder_mod
 from gridcoord import dso_dispatch as dd
 from gridcoord.errors import GridcoordError
@@ -78,6 +78,33 @@ def test_envelope_ordered_and_stage2b_meets_request(stages, enc):
         assert r2b.p_star_kw == pytest.approx(stages[enc]["p_star"], abs=TOL)
 
 
+def test_stage1_mode_hierarchy(tiny):
+    """The mode hierarchy the stages build: in sos1 each DER's mode set
+    precedes its three segment sets, so branching resolves the mode
+    first; in bigm one row makes all 13 of a DER's binaries sum to one."""
+    for enc, ctx in tiny.items():
+        mm, handles = dd.build_stage_model(ctx, "stage1")
+        for i, encodings in enumerate(handles.encodings):
+            segment_sets = [e.indicator_ids for e in encodings.values()]
+            if enc == "sos1":
+                excl = next(c for c in mm.constraints if c.name == f"mode_excl_d{i}")
+                mode_vars = [v for v, _ in excl.coeffs]
+                assert [mm.variables[v].name for v in mode_vars] == [
+                    f"s_{mode}_d{i}" for mode in inverter.MODES]
+                assert (excl.sense, excl.rhs) == (milp.EQ, 1.0)
+                assert all(c == 1.0 for _, c in excl.coeffs)
+                k = mm.sos1_sets.index(mode_vars)
+                assert mm.sos1_sets[k + 1:k + 4] == segment_sets
+            else:
+                zs = {z for ids in segment_sets for z in ids}
+                assert len(zs) == 13
+                assert zs <= set(mm.binary_ids)
+                rows = [c for c in mm.constraints if {v for v, _ in c.coeffs} == zs]
+                assert len(rows) == 1
+                assert (rows[0].sense, rows[0].rhs) == (milp.EQ, 1.0)
+                assert all(c == 1.0 for _, c in rows[0].coeffs)
+
+
 def test_stage_error_reports_status_nodes_bound_and_gap(tiny, monkeypatch):
     solve = milp.solve_milp
     monkeypatch.setattr(dd.milp, "solve_milp",
@@ -100,7 +127,7 @@ def test_feeder13_highpv_bigm_stage_models():
         sol = milp.solve_milp(mm)
         assert sol.status == milp.OPTIMAL, mm.name
         assert sol.objective == pytest.approx(objective, abs=1e-6), mm.name
-        assert np.isfinite(sol.best_bound) and sol.gap <= milp.MilpOptions().gap
+        assert np.isfinite(sol.best_bound) and sol.gap <= milp.GAP
 
 
 @pytest.mark.parametrize("name", ["tiny-2bus", "feeder13-highpv", "feeder40-highpv"])

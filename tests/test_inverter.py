@@ -8,11 +8,35 @@ from gridcoord.errors import InvalidProfile, ValidationError
 SPEC = inverter.InverterSpec("inv1", s_rated=330.0, p_max=300.0, q_max=145.2)
 
 
-def fresh_model_vars(out_lo=-1.0, out_hi=1.0, in_lo=0.85, in_hi=1.15):
+def single_curve(curve, encoding="bigm", out_lo=-1.0, out_hi=1.0):
+    """One curve on fresh input, output and setting variables, its
+    indicators summing to one; returns (model, vin, vout, encoding)."""
     m = milp.MilpModel()
-    vin = m.add_variable(in_lo, in_hi, name="vin")
+    vin = m.add_variable(0.85, 1.15, name="vin")
     vout = m.add_variable(out_lo, out_hi, name="vout")
-    return m, vin, vout
+    set_id = m.add_variable(curve.setting_min, curve.setting_max, name="set")
+    if encoding == "sos1":
+        mode_var = m.add_variable(0.0, 1.0, name="mode")
+        enc = inverter.encode_sos1(curve, m, vin, vout, set_id, mode_var)
+    else:
+        enc = inverter.encode_bigM(curve, m, vin, vout, set_id)
+    inverter.mode_exclusivity(m, [enc])
+    return m, vin, vout, enc
+
+
+def three_modes(encoding):
+    """One DER's three modes as the stages build them; returns (model,
+    variable ids by "v"/"p"/"q", mode -> DroopEncoding)."""
+    m = milp.MilpModel()
+    ids = {"v": m.add_variable(0.85, 1.15, name="v"),
+           "p": m.add_variable(0.0, SPEC.p_max_pu, name="p"),
+           "q": m.add_variable(SPEC.q_min_pu, SPEC.q_max_pu, name="q")}
+    encs = inverter.encode_modes(m, inverter.make_curve_set(SPEC), ids, encoding, "d0")
+    return m, ids, encs
+
+
+def var_id(model, name):
+    return next(i for i, v in enumerate(model.variables) if v.name == name)
 
 
 class TestInverterSpec:
@@ -134,8 +158,7 @@ class TestBigMEncoding:
     def test_active_indicator_pins_output(self):
         curve = inverter.make_default_curve(inverter.VOLT_VAR, SPEC)
         for seg_idx in range(5):
-            m, vin, vout = fresh_model_vars()
-            enc = inverter.encode_bigM(curve, SPEC, m, vin, vout)
+            m, vin, vout, enc = single_curve(curve)
             m.fix_variable(enc.setting_id, curve.setting)
             for l, z in enumerate(enc.indicator_ids):
                 m.fix_variable(z, 1.0 if l == seg_idx else 0.0)
@@ -152,8 +175,7 @@ class TestBigMEncoding:
 
     def test_inactive_indicator_leaves_slack(self):
         curve = inverter.make_default_curve(inverter.VOLT_VAR, SPEC)
-        m, vin, vout = fresh_model_vars()
-        enc = inverter.encode_bigM(curve, SPEC, m, vin, vout)
+        m, vin, vout, enc = single_curve(curve)
         m.fix_variable(enc.setting_id, curve.setting)
         # deadband active, extreme input on segment 1's domain still feasible
         for l, z in enumerate(enc.indicator_ids):
@@ -167,8 +189,7 @@ class TestBigMEncoding:
     def test_enumeration_matches_curve_graph(self):
         curve = inverter.make_default_curve(inverter.VOLT_WATT, SPEC)
         for v in np.linspace(0.9, 1.14, 100):
-            m, vin, vout = fresh_model_vars(out_lo=0.0, out_hi=1.0)
-            enc = inverter.encode_bigM(curve, SPEC, m, vin, vout)
+            m, vin, vout, enc = single_curve(curve, out_lo=0.0, out_hi=1.0)
             m.fix_variable(enc.setting_id, curve.setting)
             m.fix_variable(vin, v)
             m.set_objective(milp.MIN, {vout: 1.0})
@@ -189,8 +210,7 @@ class TestBigMEncoding:
             cset = curve.with_setting(s)
             q = inverter.evaluate_droop(cset, v)
             seg = inverter.active_segment(cset, v)
-            m, vin, vout = fresh_model_vars()
-            enc = inverter.encode_bigM(curve, SPEC, m, vin, vout)
+            m, vin, vout, enc = single_curve(curve)
             m.fix_variable(enc.setting_id, s)
             m.fix_variable(vin, v)
             m.fix_variable(vout, q)
@@ -204,106 +224,63 @@ class TestSos1Encoding:
     def test_cross_encoding_objective_equality(self):
         curve = inverter.make_default_curve(inverter.VOLT_VAR, SPEC)
         objs = {}
-        for use_sos in (False, True):
-            m, vin, vout = fresh_model_vars()
-            if use_sos:
-                inverter.encode_sos1(curve, SPEC, m, vin, vout)
-            else:
-                inverter.encode_bigM(curve, SPEC, m, vin, vout)
+        for encoding in ("bigm", "sos1"):
+            m, vin, vout, _ = single_curve(curve, encoding)
             # trade off voltage against var output
             m.set_objective(milp.MAX, {vout: 1.0, vin: 0.1})
             sol = milp.solve_milp(m)
             assert sol.status == milp.OPTIMAL
-            objs[use_sos] = sol.objective
-        assert objs[True] == pytest.approx(objs[False], abs=1e-6)
+            objs[encoding] = sol.objective
+        assert objs["sos1"] == pytest.approx(objs["bigm"], abs=1e-6)
 
     def test_three_mode_sos_hierarchy(self):
-        curves = inverter.make_curve_set(SPEC)
-        m = milp.MilpModel()
-        vin = m.add_variable(0.85, 1.15, name="v")
-        p = m.add_variable(0.0, SPEC.p_max_pu, name="p")
-        q = m.add_variable(SPEC.q_min_pu, SPEC.q_max_pu, name="q")
-        mode_vars = {mode: m.add_variable(0.0, 1.0, name=f"s_{mode}") for mode in inverter.MODES}
-        encs = [
-            inverter.encode_sos1(curves[inverter.VOLT_VAR], SPEC, m, vin, q,
-                                 mode_var=mode_vars[inverter.VOLT_VAR]),
-            inverter.encode_sos1(curves[inverter.VOLT_WATT], SPEC, m, vin, p,
-                                 mode_var=mode_vars[inverter.VOLT_WATT]),
-            inverter.encode_sos1(curves[inverter.WATT_VAR], SPEC, m, p, q,
-                                 mode_var=mode_vars[inverter.WATT_VAR]),
-        ]
-        inverter.mode_exclusivity(m, encs)
-        m.set_objective(milp.MAX, {p: 1.0})
+        m, ids, encs = three_modes("sos1")
+        mode_vars = {mode: var_id(m, f"s_{mode}_d0") for mode in inverter.MODES}
+        m.set_objective(milp.MAX, {ids["p"]: 1.0})
         sol = milp.solve_milp(m)
         assert sol.status == milp.OPTIMAL
         active_modes = [mode for mode, mv in mode_vars.items() if sol.value(mv) > 1e-6]
         assert len(active_modes) == 1
 
     def test_forcing_watt_var_zeroes_other_modes(self):
-        curves = inverter.make_curve_set(SPEC)
-        m = milp.MilpModel()
-        vin = m.add_variable(0.85, 1.15)
-        p = m.add_variable(0.0, SPEC.p_max_pu)
-        q = m.add_variable(SPEC.q_min_pu, SPEC.q_max_pu)
-        mode_vars = {mode: m.add_variable(0.0, 1.0) for mode in inverter.MODES}
-        encs = [
-            inverter.encode_sos1(curves[inverter.VOLT_VAR], SPEC, m, vin, q,
-                                 mode_var=mode_vars[inverter.VOLT_VAR]),
-            inverter.encode_sos1(curves[inverter.VOLT_WATT], SPEC, m, vin, p,
-                                 mode_var=mode_vars[inverter.VOLT_WATT]),
-            inverter.encode_sos1(curves[inverter.WATT_VAR], SPEC, m, p, q,
-                                 mode_var=mode_vars[inverter.WATT_VAR]),
-        ]
-        inverter.mode_exclusivity(m, encs)
-        m.fix_variable(mode_vars[inverter.WATT_VAR], 1.0)
-        m.set_objective(milp.MAX, {p: 1.0})
+        m, ids, encs = three_modes("sos1")
+        m.fix_variable(var_id(m, f"s_{inverter.WATT_VAR}_d0"), 1.0)
+        m.set_objective(milp.MAX, {ids["p"]: 1.0})
         sol = milp.solve_milp(m)
         assert sol.status == milp.OPTIMAL
-        for enc in encs:
+        for enc in encs.values():
             if enc.mode != inverter.WATT_VAR:
                 for z in enc.indicator_ids:
                     assert abs(sol.value(z)) <= 1e-8
 
 
 class TestModeExclusivity:
-    def _three_mode_bigm(self):
-        curves = inverter.make_curve_set(SPEC)
-        m = milp.MilpModel()
-        vin = m.add_variable(0.85, 1.15)
-        p = m.add_variable(0.0, SPEC.p_max_pu)
-        q = m.add_variable(SPEC.q_min_pu, SPEC.q_max_pu)
-        encs = [
-            inverter.encode_bigM(curves[inverter.VOLT_VAR], SPEC, m, vin, q,
-                                 add_exclusivity=False),
-            inverter.encode_bigM(curves[inverter.VOLT_WATT], SPEC, m, vin, p,
-                                 add_exclusivity=False),
-            inverter.encode_bigM(curves[inverter.WATT_VAR], SPEC, m, p, q,
-                                 add_exclusivity=False),
-        ]
-        inverter.mode_exclusivity(m, encs)
-        return m, encs
+    """Both encodings: one segment of one mode, as the stages build them."""
 
     def test_all_zero_indicators_infeasible(self):
-        m, encs = self._three_mode_bigm()
-        for enc in encs:
-            for z in enc.indicator_ids:
-                m.fix_variable(z, 0.0)
-        m.set_objective(milp.MIN, {0: 0.0})
-        assert milp.solve_lp(m).status == milp.INFEASIBLE
+        for encoding in ("bigm", "sos1"):
+            m, _, encs = three_modes(encoding)
+            for enc in encs.values():
+                for z in enc.indicator_ids:
+                    m.fix_variable(z, 0.0)
+            m.set_objective(milp.MIN, {0: 0.0})
+            assert milp.solve_lp(m).status == milp.INFEASIBLE, encoding
 
     def test_single_active_segment_feasible(self):
-        m, encs = self._three_mode_bigm()
-        # volt-var deadband active, all other indicators zero
-        for enc in encs:
-            for l, z in enumerate(enc.indicator_ids):
-                value = 1.0 if (enc.mode == inverter.VOLT_VAR and l == 2) else 0.0
-                m.fix_variable(z, value)
-        m.set_objective(milp.MIN, {0: 0.0})
-        assert milp.solve_lp(m).status == milp.OPTIMAL
+        for encoding in ("bigm", "sos1"):
+            m, _, encs = three_modes(encoding)
+            # volt-var deadband active, all other indicators zero
+            for enc in encs.values():
+                for l, z in enumerate(enc.indicator_ids):
+                    value = 1.0 if (enc.mode == inverter.VOLT_VAR and l == 2) else 0.0
+                    m.fix_variable(z, value)
+            m.set_objective(milp.MIN, {0: 0.0})
+            assert milp.solve_lp(m).status == milp.OPTIMAL, encoding
 
     def test_two_active_segments_across_modes_infeasible(self):
-        m, encs = self._three_mode_bigm()
-        m.fix_variable(encs[0].indicator_ids[2], 1.0)
-        m.fix_variable(encs[1].indicator_ids[0], 1.0)
-        m.set_objective(milp.MIN, {0: 0.0})
-        assert milp.solve_lp(m).status == milp.INFEASIBLE
+        for encoding in ("bigm", "sos1"):
+            m, _, encs = three_modes(encoding)
+            m.fix_variable(encs[inverter.VOLT_VAR].indicator_ids[2], 1.0)
+            m.fix_variable(encs[inverter.VOLT_WATT].indicator_ids[0], 1.0)
+            m.set_objective(milp.MIN, {0: 0.0})
+            assert milp.solve_lp(m).status == milp.INFEASIBLE, encoding

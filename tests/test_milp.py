@@ -570,7 +570,7 @@ class TestWarmSearch:
         assert bb.status == bf.status
         if bf.status == milp.OPTIMAL:
             assert bb.objective == pytest.approx(bf.objective, abs=1e-6)
-            assert bb.gap <= milp.MilpOptions().gap + 1e-9
+            assert bb.gap <= milp.GAP + 1e-9
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(oracle_milps(), st.sampled_from(["farkas", "dual"]))
@@ -612,7 +612,7 @@ class TestWarmSearch:
         rng = np.random.default_rng(3)
         for _ in range(10):
             arrs = milp._Arrays(random_lp(rng))
-            lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4, 1e-7)
+            lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
             assert lp.solve().status == milp.OPTIMAL
             T, xB = lp.T.copy(), lp.xB.copy()
             assert lp.refactor()

@@ -14,8 +14,8 @@ from gridcoord.errors import ParseError, ValidationError
 
 # (outer iterations, power-flow iterations) per case and envelope
 DISPATCH_ITERS = {
-    ("tx9", "zero"): (1, 8), ("tx9", "round"): (1, 8), ("tx9", "sym"): (3, 16),
-    ("tx9-outage", "zero"): (1, 8), ("tx9-outage", "round"): (1, 8),
+    ("tx9", "zero"): (1, 4), ("tx9", "round"): (1, 4), ("tx9", "sym"): (3, 16),
+    ("tx9-outage", "zero"): (1, 4), ("tx9-outage", "round"): (1, 4),
     ("tx9-outage", "sym"): (4, 20),
 }
 
