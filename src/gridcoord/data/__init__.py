@@ -90,9 +90,16 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
         load_scale = float(doc.get("load_scale", 1.0))
         irradiance = float(doc.get("irradiance", 1.0))
         feeder_rel, inv_rel = doc["feeder"], doc["inverters"]
+        tx_rel = doc.get("transmission")
         outage = tuple(doc["outage"]) if doc.get("outage") else None
     except _FIELD_ERRORS as exc:
         raise ParseError(f"{rel}: missing or malformed field ({exc!r})") from exc
+    refs = {"feeder": feeder_rel, "inverters": inv_rel}
+    if tx_rel is not None:
+        refs["transmission"] = tx_rel
+    bad = [key for key, ref in refs.items() if not isinstance(ref, str)]
+    if bad:
+        raise ParseError(f"{rel}: {', '.join(bad)} must be a file path string")
 
     feeder_doc = _read_json(root, feeder_rel)
     model = load_feeder(feeder_doc, load_scale=load_scale)
@@ -118,8 +125,8 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
                         for i in model.der_inverter_ids])
 
     transmission = None
-    if doc.get("transmission"):
-        transmission = load_transmission(_read_json(root, doc["transmission"]))
+    if tx_rel:
+        transmission = load_transmission(_read_json(root, tx_rel))
 
     return Scenario(name=str(doc.get("name", name)),
                     description=str(doc.get("description", "")),

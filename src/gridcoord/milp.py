@@ -12,6 +12,13 @@ tightens bounds, so a parent's optimal basis stays dual feasible in its
 children; each child re-optimizes from it with a bounded dual simplex
 that pivots only on the rows the branch made primal infeasible.
 
+- **Node order.**  Open nodes pop in order of their LP bound rounded
+  down to ``GAP``, newest first among equal keys.  Stage models often
+  have a root bound equal to the optimum, so the search is a hunt for an
+  incumbent on a plateau of equal bounds; keyed on the exact bound,
+  round-off of 1e-12 between siblings reordered that plateau and broke
+  the plunge.  The rounded key only orders the search: pruning, the
+  reported ``best_bound`` and ``gap`` read each node's exact bound.
 - **What a node stores.**  Its bounds, plus its parent's optimal basis
   (int32, one entry per row) and column statuses (int8, one per
   column).  Siblings share those two arrays.  No node stores a tableau.
@@ -758,8 +765,9 @@ def _full_bounds(arrs: _Arrays, lo, hi):
 
 @dataclass(order=True)
 class _Node:
-    bound: float
-    neg_nid: int     # ties on the bound prefer the newest node (plunge)
+    key: float       # floor(bound / GAP): orders the search, never prunes
+    neg_nid: int     # ties on the key prefer the newest node (plunge)
+    bound: float = field(compare=False)
     lo: np.ndarray = field(compare=False)
     hi: np.ndarray = field(compare=False)
     parent: int = field(default=-1, compare=False)
@@ -822,11 +830,17 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     node whose warm solve cannot reach a confirmed verdict is solved
     cold.  ``simplex_iterations`` counts every primal and dual pivot.
 
-    Deterministic for fixed inputs and options: nodes are keyed on the
-    relaxation bound with ties resolved toward the most recently created
-    node (equal-bound plateaus are plunged depth-first, so the first
-    incumbent closes them), fractional ties break to the lowest variable
-    id, and SOS splits follow the ordered member list.
+    Deterministic for fixed inputs and options.  Open nodes are keyed on
+    ``floor(bound / GAP)``, their relaxation bound rounded down to the
+    termination gap, with ties resolved toward the most recently created
+    node.  Bounds equal within ``GAP`` are one plateau to the search,
+    which it plunges depth-first until the first incumbent closes it;
+    keyed on the exact bound, siblings whose bounds differ only by
+    round-off would jump ahead of one another and break the plunge.  The
+    key orders the search and nothing else: pruning (``bound >=
+    incumbent - GAP``), ``best_bound`` and ``gap`` read the exact bound.
+    Fractional ties break to the lowest variable id, and SOS splits
+    follow the ordered member list.
 
     Status: ``NodeLimit`` when ``node_limit`` stopped the search with
     open nodes left, else ``IterLimit`` when a node LP hit the simplex
@@ -854,7 +868,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     dropped_bound = np.inf  # best bound among nodes dropped at the simplex cap
     stopped = False
 
-    heap = [_Node(-np.inf, 0, arrs.lo[:n].copy(), arrs.hi[:n].copy())]
+    heap = [_Node(-np.inf, 0, -np.inf, arrs.lo[:n].copy(), arrs.hi[:n].copy())]
 
     while heap:
         node = heapq.heappop(heap)
@@ -924,8 +938,10 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
                 hi_c[zero_ids] = 0.0
                 bounds.append((lo_c, hi_c))
         basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
+        key = np.floor(res.objective / GAP)
         for lo_c, hi_c in bounds:
-            heapq.heappush(heap, _Node(res.objective, -next_id, lo_c, hi_c, nid, basis, status))
+            heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
+                                       status))
             next_id += 1
 
     bound = min([incumbent_obj, dropped_bound] + [nd.bound for nd in heap])

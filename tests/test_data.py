@@ -73,7 +73,10 @@ class TestBundle:
     @pytest.mark.parametrize("rel,drop", [
         ("inverters/default.json", lambda doc: doc["inverters"][0].pop("s_kva")),
         ("scenarios/tiny-2bus.json", lambda doc: doc.pop("feeder")),
-    ], ids=["inverter-s_kva", "scenario-feeder"])
+        ("scenarios/tiny-2bus.json", lambda doc: doc.update(feeder=[doc["feeder"]])),
+        ("scenarios/tiny-2bus.json", lambda doc: doc.update(feeder=None)),
+    ], ids=["inverter-s_kva", "scenario-feeder", "scenario-feeder-list",
+            "scenario-feeder-null"])
     def test_missing_field_is_parse_error(self, tmp_path, rel, drop):
         # the checksum is rewritten, so only the schema is wrong
         root = tmp_path / "data"

@@ -608,6 +608,26 @@ class TestWarmSearch:
         else:
             assert sol.gap == np.inf
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps(), st.sampled_from([1, 2, 3, 5]))
+    def test_node_limit_bound_is_valid(self, model, node_limit):
+        """Open nodes are ordered on their bound rounded to GAP, but the
+        bound a stopped search reports must still be a proven one: never
+        past the optimum, with any incumbent no better than it."""
+        bf = milp.brute_force(model)
+        sol = milp.solve_milp(model, milp.MilpOptions(node_limit=node_limit))
+        sign = 1.0 if model.objective_sense == milp.MIN else -1.0
+        if bf.status == milp.OPTIMAL:
+            assert sign * sol.best_bound <= sign * bf.objective + 1e-6
+            if sol.x is not None:
+                assert sign * sol.objective >= sign * bf.objective - 1e-6
+        elif bf.status == milp.INFEASIBLE:
+            assert sol.x is None
+        if sol.x is not None:
+            assert sol.gap == abs(sol.objective - sol.best_bound)
+        else:
+            assert sol.gap == np.inf
+
     def test_refactor_reproduces_tableau(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
