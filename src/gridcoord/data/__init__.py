@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ChecksumMismatch, ParseError
+from ..errors import FIELD_ERRORS, ChecksumMismatch, ParseError
 from ..feeder import FeederModel, load_feeder
 from ..inverter import InverterSpec
 from ..tso import TransmissionCase, load_transmission
 
 _ROOT = Path(__file__).resolve().parent
-_FIELD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)  # a missing or mistyped field
 
 
 def data_root() -> Path:
@@ -32,12 +31,18 @@ def _checksums(root: Path) -> dict[str, str]:
     path = root / "CHECKSUMS"
     if not path.exists():
         raise ChecksumMismatch(f"missing CHECKSUMS file under {root}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChecksumMismatch(f"CHECKSUMS under {root} is not UTF-8 text ({exc})") from exc
     table = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+    for k, line in enumerate(text.splitlines(), 1):
+        fields = line.split(None, 1)
+        if not fields:
             continue
-        digest, rel = line.split(None, 1)
+        if len(fields) != 2:
+            raise ChecksumMismatch(f"CHECKSUMS line {k} is not 'digest  path': {line!r}")
+        digest, rel = fields
         table[rel.strip()] = digest
     return table
 
@@ -54,9 +59,10 @@ def _read_verified(root: Path, rel: str) -> bytes:
 
 
 def _read_json(root: Path, rel: str):
+    blob = _read_verified(root, rel)
     try:
-        return json.loads(_read_verified(root, rel).decode("utf-8"))
-    except json.JSONDecodeError as exc:
+        return json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{rel}: {exc}") from exc
 
 
@@ -92,7 +98,7 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
         feeder_rel, inv_rel = doc["feeder"], doc["inverters"]
         tx_rel = doc.get("transmission")
         outage = tuple(doc["outage"]) if doc.get("outage") else None
-    except _FIELD_ERRORS as exc:
+    except FIELD_ERRORS as exc:
         raise ParseError(f"{rel}: missing or malformed field ({exc!r})") from exc
     refs = {"feeder": feeder_rel, "inverters": inv_rel}
     if tx_rel is not None:
@@ -115,7 +121,7 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
                                 b_pq=float(rec.get("b_pq", 0.0)))
             inverters[spec.inverter_id] = spec
         profile = inv_doc.get("profile", {})
-    except _FIELD_ERRORS as exc:
+    except FIELD_ERRORS as exc:
         raise ParseError(f"{inv_rel}: missing or malformed field ({exc!r})") from exc
 
     for inv_id in model.der_inverter_ids:

@@ -34,6 +34,12 @@ class ParseError(InputError):
     """Document does not match the expected schema."""
 
 
+# What reading a missing or mistyped field of a decoded JSON document
+# raises (``doc["x"]``, ``float("abc")``, ``re, im = [1, 2, 3]``); loaders
+# turn these into ParseError.
+FIELD_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
+
+
 class ValidationError(InputError):
     """Parsed data violates a model invariant (non-radial, dangling DER, ...)."""
 

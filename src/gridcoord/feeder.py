@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkit
-from .errors import (InvalidPartition, NoConvergence, ParseError,
+from .errors import (FIELD_ERRORS, InvalidPartition, NoConvergence, ParseError,
                      SingularMatrix, ValidationError)
 
 PHASES = "abc"
@@ -261,7 +261,7 @@ def load_feeder(doc: dict, load_scale: float = 1.0) -> FeederModel:
         observable = [str(x) for x in doc.get("observable", [])]
         return FeederModel(float(base["s_kva"]), float(base["v_kv"]), sub_bus, y0,
                            buses, lines, loads, ders, observable)
-    except (KeyError, IndexError, TypeError, StopIteration) as exc:
+    except (*FIELD_ERRORS, StopIteration) as exc:
         raise ParseError(f"feeder document missing or malformed field: {exc}") from exc
 
 

@@ -1,11 +1,20 @@
 """Linear / mixed-integer linear model container and embedded solver.
 
-The LP engine is a dense bounded-variable tableau simplex over the
-structural columns and one slack column per row.  A cold solve starts
-from the slack basis: phase 1 drives artificial columns out, phase 2
-optimizes, both with Devex-weighted Dantzig pricing and a Bland
-anti-cycling fallback.  ``solve_lp``, ``brute_force`` and the root node
-of ``solve_milp`` are cold solves.
+The LP engine is a bounded-variable tableau simplex over the structural
+columns and one slack column per row.  A cold solve starts from the
+slack basis: phase 1 drives artificial columns out, phase 2 optimizes,
+both with Devex-weighted Dantzig pricing and a Bland anti-cycling
+fallback.  ``solve_lp``, ``brute_force`` and the root node of
+``solve_milp`` are cold solves.
+
+- **Condensed tableau.**  The m basic columns of B^-1 [A | I] are unit
+  columns, so only the nonbasic ones are stored: T is m x n_struct (plus
+  one column per artificial during phase 1), never m x (n_struct + m).
+  Column k holds variable ``nb[k]``.  A pivot is a Jordan exchange: one
+  rank-1 update of T, with the leaving variable taking the entering
+  one's column.  Exact ties in pricing and in the ratio tests go to the
+  lowest variable id, so the search does not depend on where a variable
+  sits in T.
 
 Branch and bound is best-first and warm-started.  Branching only
 tightens bounds, so a parent's optimal basis stays dual feasible in its
@@ -20,8 +29,8 @@ that pivots only on the rows the branch made primal infeasible.
   the plunge.  The rounded key only orders the search: pruning, the
   reported ``best_bound`` and ``gap`` read each node's exact bound.
 - **What a node stores.**  Its bounds, plus its parent's optimal basis
-  (int32, one entry per row) and column statuses (int8, one per
-  column).  Siblings share those two arrays.  No node stores a tableau.
+  (int32, one entry per row) and variable statuses (int8, one per
+  structural or slack).  Siblings share those two arrays.  No node stores a tableau.
 - **One working tableau.**  A node whose parent was the last node
   solved re-optimizes in that tableau in place.  Any other node rebuilds
   it from the stored basis.  A cold solve's tableau becomes the working
@@ -31,29 +40,33 @@ that pivots only on the rows the branch made primal infeasible.
 - **Refactor.**  Slack and artificial columns are signed unit columns,
   so B^-1 needs only an LU of the block of basic structural columns on
   the rows no basic unit column covers (at most n_struct square).  The
-  refactor rebuilds T = B^-1 A in place, a few columns at a time.  It
-  runs when a node is loaded from its stored basis and after every
-  ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike.
+  refactor renumbers the nonbasic columns in variable order and rebuilds
+  them in place, a few at a time.  It runs when a node is loaded from
+  its stored basis and after every ``_REFACTOR_PERIOD`` pivots, in the
+  primal and the dual simplex alike.
+- **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
+  tableau: its column of T when the slack is nonbasic, else the unit
+  column of the row it is basic in.  The dual steepest-edge weights and
+  the Farkas check rebuild the rows they need from that.
 - **Verdicts.**  A node is optimal only after a primal pricing pass on
   the dual simplex's end point finds nothing to improve.  It is pruned
   as infeasible only when a Farkas check recomputed from the original
-  rows (row r of B^-1, read from the tableau's slack block, applied to
-  A and b) proves the bounds infeasible.  An unconfirmed verdict, a
-  singular refactor or a dual stall (more than max(64, rows) pivots)
-  falls back to a cold solve of that node.
-- **Memory.**  The search holds one tableau, never a copy per node.  A
-  cold fallback first releases it, dropping artificials reuses its
-  buffer, and the refactor works in blocks of columns, so the warm path
-  adds only the refactor's LU and a few blocks to a cold solve.  The
-  slack identity is never stored: ``_Arrays.A`` holds structural
-  columns only.
+  rows (row r of B^-1 applied to A and b) proves the bounds infeasible.
+  An unconfirmed verdict, a singular refactor or a dual stall (more than
+  max(64, rows) pivots) falls back to a cold solve of that node.
+- **Memory.**  The search holds one m x n_struct tableau, never a copy
+  per node.  A cold fallback first releases it, dropping artificials
+  reuses its buffer, and the refactor works in blocks of columns, so the
+  warm path adds only the refactor's LU and a few blocks to a cold
+  solve.  The slack identity is never stored: ``_Arrays.A`` holds
+  structural columns only.
 
 A brute-force enumerator over binary assignments and SOS1 active-member
 choices, made of cold LP solves, serves as the test oracle.
 
 Scale notes: models in this package stay below roughly two thousand
-rows, so the tableau is kept dense and no presolve is attempted beyond
-skipping empty rows.
+rows and a few hundred structural columns, so T is kept dense and no
+presolve is attempted beyond skipping empty rows.
 """
 
 from __future__ import annotations
@@ -245,7 +258,7 @@ class MilpSolution:
 
 
 # ---------------------------------------------------------------------------
-# dense bounded-variable simplex
+# bounded-variable simplex on a condensed tableau
 # ---------------------------------------------------------------------------
 
 _AT_LO, _AT_HI, _BASIC, _FREE = 0, 1, 2, 3
@@ -313,8 +326,17 @@ class _SimplexResult:
 
 
 class _Simplex:
-    """One tableau T = B^-1 [A | art].  Columns: structurals, slacks, then
-    artificials; ``drop_artificials`` narrows it to the first two."""
+    """A condensed tableau: T = B^-1 [A | I | art] on the nonbasic columns.
+
+    Column k of T holds variable ``nb[k]`` and ``pos`` is the inverse map
+    (-1 for a basic variable); variables are numbered structurals, slacks,
+    then artificials.  The m basic columns of the full tableau are unit
+    columns and are not stored, so T is m x (n_struct + n_art) during a
+    cold solve and m x n_struct once ``drop_artificials`` has run.  A pivot
+    is a Jordan exchange: the leaving variable takes the entering one's
+    column.  Pricing and ratio-test ties go to the lowest variable id, as
+    they would in a tableau stored in variable order.
+    """
 
     def __init__(self, A, b, lo, hi, c, iter_cap):
         self.m, n = A.shape
@@ -347,10 +369,11 @@ class _Simplex:
         self.art_rows = viol
         self.art_signs = np.ones(n_art)
 
-        N = n_tot + n_art
-        T = np.zeros((m, N))
+        # nonbasic: every structural, then the slacks artificials displace
+        self.nb = np.concatenate([np.arange(n), n + viol])
+        T = np.zeros((m, n + n_art))
         T[:, :n] = A
-        T[np.arange(m), basis] = 1.0
+        T[viol, n + np.arange(n_art)] = 1.0
         self.lo = np.concatenate([lo, np.zeros(n_art)])
         self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
         self.xval = np.concatenate([xval, np.zeros(n_art)])
@@ -361,12 +384,10 @@ class _Simplex:
             gap = resid[r] - clamped[r]
             sgn = 1.0 if gap > 0 else -1.0
             self.art_signs[k] = sgn
-            col = n_tot + k
-            T[r, col] = sgn
             s_id = basis[r]
             self.status[s_id] = _AT_HI if gap > 0 else _AT_LO
             self.xval[s_id] = clamped[r]
-            basis[r] = col
+            basis[r] = n_tot + k
             if sgn < 0:
                 T[r, :] *= -1.0  # keep T = B^{-1}A with the -1 basis column
             xB[r] = abs(gap)
@@ -374,7 +395,9 @@ class _Simplex:
         self.T = T
         self.xB = xB
         self.basis = basis
-        self.N = N
+        self.N = n_tot + n_art
+        self.pos = np.full(self.N, -1)
+        self.pos[self.nb] = np.arange(self.nb.size)
         self.fixed = self.hi - self.lo <= 0.0
 
     # -- helpers ---------------------------------------------------------------
@@ -385,9 +408,10 @@ class _Simplex:
         With S the basic structurals and R the rows that no basic unit
         (slack or artificial) column covers, B^-1 M needs only an LU of
         A[R, S]: the S rows solve against it, and each unit row then
-        follows by substitution.  Basic columns are set to unit columns
-        and the nonbasic ones are rebuilt a block at a time.  Returns
-        False, leaving T and x_B as they were, when A[R, S] is singular.
+        follows by substitution.  The nonbasic columns are renumbered in
+        variable order and rebuilt a block at a time.  Returns the
+        renumbering (new column k held old column ``perm[k]``), or None,
+        leaving T and x_B as they were, when A[R, S] is singular.
         """
         self.since_refactor = 0
         m, n = self.m, self.n_tot - self.m
@@ -404,7 +428,7 @@ class _Simplex:
         uncovered[u_rows] = False
         rows_r = np.flatnonzero(uncovered)
         if rows_r.size != pos_s.size:
-            return False   # two unit columns on one row
+            return None   # two unit columns on one row
         cols_s = basis[pos_s]
         lu = None
         if pos_s.size:
@@ -414,7 +438,7 @@ class _Simplex:
                                 check_finite=False)
             diag = np.abs(np.diag(lu[0]))
             if not diag.min() > 1e-11 * diag.max():
-                return False
+                return None
         a_us = self.A[np.ix_(u_rows, cols_s)]
 
         def binv(rhs):
@@ -426,10 +450,8 @@ class _Simplex:
             out[pos_u] = u_sign * (rhs[u_rows] - a_us @ y_s)
             return out
 
-        # basic columns are unit columns; only the nonbasic ones need B^-1
-        self.T.fill(0.0)
-        self.T[np.arange(m), basis] = 1.0
         nonbasic = np.flatnonzero(self.status != _BASIC)
+        perm = self.pos[nonbasic]
         for c0 in range(0, nonbasic.size, _REFACTOR_BLOCK):
             cols = nonbasic[c0:c0 + _REFACTOR_BLOCK]
             block = np.zeros((m, cols.size))
@@ -437,27 +459,34 @@ class _Simplex:
             block[:, struct] = self.A[:, cols[struct]]
             k = cols[~struct] - n
             block[unit_rows[k], np.flatnonzero(~struct)] = unit_signs[k]
-            self.T[:, cols] = binv(block)
+            self.T[:, c0:c0 + cols.size] = binv(block)
+        self.nb[:] = nonbasic
+        self.pos.fill(-1)
+        self.pos[nonbasic] = np.arange(nonbasic.size)
         x_nb = np.where(self.status != _BASIC, self.xval, 0.0)
         self.xB = binv((self.b - self.A @ x_nb[:n] - x_nb[n:self.n_tot])[:, None])[:, 0]
-        return True
+        return perm
 
     def drop_artificials(self):
-        """Narrow to structural and slack columns, reusing T's buffer;
+        """Narrow to structural and slack variables, reusing T's buffer;
         T must then be refactored.
 
         A basic artificial is replaced by its row's slack: the two span
         the same unit column, so the basis stays nonsingular and x_B and
         the reduced costs do not change.
         """
-        n_tot = self.n_tot
+        m, n_tot = self.m, self.n_tot
         art = self.basis >= n_tot
-        self.basis[art] = n_tot - self.m + self.art_rows[self.basis[art] - n_tot]
+        self.basis[art] = n_tot - m + self.art_rows[self.basis[art] - n_tot]
         self.status = self.status[:n_tot].copy()
         self.status[self.basis] = _BASIC
         self.lo, self.hi = self.lo[:n_tot].copy(), self.hi[:n_tot].copy()
         self.xval, self.fixed = self.xval[:n_tot].copy(), self.fixed[:n_tot].copy()
-        self.T = self.T.reshape(-1)[:self.m * n_tot].reshape(self.m, n_tot)
+        n = n_tot - m
+        self.T = self.T.reshape(-1)[:m * n].reshape(m, n)
+        self.nb = np.flatnonzero(self.status != _BASIC)
+        self.pos = np.full(n_tot, -1)
+        self.pos[self.nb] = np.arange(n)
         self.N, self.n_art = n_tot, 0
         self.art_rows, self.art_signs = self.art_rows[:0], self.art_signs[:0]
 
@@ -489,7 +518,7 @@ class _Simplex:
         delta = self.xval - old
         moved = np.flatnonzero(delta)
         if moved.size:
-            self.xB -= self.T[:, moved] @ delta[moved]
+            self.xB -= self.T[:, self.pos[moved]] @ delta[moved]
 
     def load(self, basis, status, lo_s, hi_s):
         """Adopt a stored basis under new structural bounds; refactors."""
@@ -499,7 +528,7 @@ class _Simplex:
         self.status[:] = status
         self._set_struct_bounds(lo_s, hi_s)
         self._place_nonbasic()
-        return self.refactor()
+        return self.refactor() is not None
 
     def solution_x(self):
         x = self.xval[:self.n_tot].copy()
@@ -514,21 +543,32 @@ class _Simplex:
                 np.where(np.isfinite(self.hi[:n_tot]), self.hi[:n_tot], np.inf), out=x)
         return _SimplexResult(OPTIMAL, x, float(self.c_user @ x), self.iters)
 
-    def _pivot(self, r, q, step, leave_status):
-        """Basis change: column q enters at row r after moving by ``step``;
-        the leaving column goes to the bound ``leave_status`` names."""
+    def _reduced_costs(self, cost):
+        """cost - cost_B B^-1 [A | I | art], on the nonbasic columns."""
+        return cost[self.nb] - cost[self.basis] @ self.T
+
+    def _pivot(self, r, k, step, leave_status):
+        """Basis change: the variable of column k enters at row r after
+        moving by ``step``; the leaving one goes to the bound
+        ``leave_status`` names and takes column k.  Returns the new row r
+        of T and the pivot element."""
         T, basis = self.T, self.basis
-        leave = basis[r]
+        q, leave = self.nb[k], basis[r]
         enter_val = self.xval[q] + step
-        self.xB -= step * T[:, q]
+        self.xB -= step * T[:, k]
         self.status[leave] = leave_status
         self.xval[leave] = self.hi[leave] if leave_status == _AT_HI else self.lo[leave]
         basis[r] = q
         self.status[q] = _BASIC
-        piv = T[r, q]
+        self.nb[k], self.pos[leave], self.pos[q] = leave, k, -1
+        piv = T[r, k]
         Trow = T[r] / piv
-        colv = T[:, q].copy()
+        Trow[k] = 1.0 / piv
+        colv = T[:, k].copy()
         colv[r] = 0.0
+        # from a zero column the update leaves the leaving variable's column,
+        # -colv / piv off row r and 1 / piv on it
+        T[:, k] = 0.0
         T[r] = Trow
         _rank1_update(T, colv, Trow)
         self.xB[r] = enter_val
@@ -536,21 +576,34 @@ class _Simplex:
         self.since_refactor += 1
         return Trow, piv
 
+    def _binv_rows(self, rows):
+        """Rows of B^-1 at full width m: column i is slack i's column of T
+        when the slack is nonbasic, else the unit column of its row.  The
+        zeros stay in, so a sum along a row adds the same terms in the same
+        order whichever slacks are basic."""
+        n = self.n_tot - self.m
+        out = np.zeros((rows.size, self.m))
+        slack_col = self.pos[n:self.n_tot]
+        nonbasic = slack_col >= 0
+        out[:, nonbasic] = self.T[rows][:, slack_col[nonbasic]]
+        held = self.basis[rows] - n
+        unit = (held >= 0) & (held < self.m)
+        out[unit, held[unit]] = 1.0
+        return out
+
     def _binv_row_norms(self, rows):
-        """|row i of B^-1|^2 for each given row, read from the slack block
-        a few rows at a time."""
+        """|row i of B^-1|^2 for each given row, a few rows at a time."""
         out = np.empty(rows.size)
-        slack = slice(self.n_tot - self.m, self.n_tot)
         for c0 in range(0, rows.size, _REFACTOR_BLOCK):
-            b_inv = self.T[rows[c0:c0 + _REFACTOR_BLOCK], slack]
+            b_inv = self._binv_rows(rows[c0:c0 + _REFACTOR_BLOCK])
             out[c0:c0 + _REFACTOR_BLOCK] = np.einsum("ij,ij->i", b_inv, b_inv)
         return out
 
     def _farkas(self, r):
         """Whether row r of B^-1, applied to the original A and b, proves
-        the current bounds infeasible.  B^-1 is the tableau's slack block."""
+        the current bounds infeasible."""
         n_tot = self.n_tot
-        rho = self.T[r, n_tot - self.m:n_tot]
+        rho = self._binv_rows(np.array([r]))[0]
         alpha = np.concatenate([rho @ self.A, rho])
         beta = float(rho @ self.b)
         lo, hi = self.lo[:n_tot], self.hi[:n_tot]
@@ -566,39 +619,43 @@ class _Simplex:
     def run_phase(self, cost, phase1):
         """Primal simplex on ``cost`` from a primal feasible basis."""
         T, lo, hi = self.T, self.lo, self.hi
-        status, xval, basis = self.status, self.xval, self.basis
-        d = cost - cost[basis] @ T if np.any(cost[basis]) else cost.copy()
-        devex = np.ones(self.N)   # reference weights, approximate steepest edge
+        status, xval, basis, nb = self.status, self.xval, self.basis, self.nb
+        d = self._reduced_costs(cost) if np.any(cost[basis]) else cost[nb]
+        devex = np.ones(nb.size)   # reference weights, approximate steepest edge
         stall = 0
         bland = False
         while True:
             if self.iters >= self.iter_cap:
                 return ITER_LIMIT
-            at_lo = status == _AT_LO
-            at_hi = status == _AT_HI
-            free = status == _FREE
-            viol = np.zeros(self.N)
+            st = status[nb]
+            at_lo = st == _AT_LO
+            at_hi = st == _AT_HI
+            free = st == _FREE
+            viol = np.zeros(nb.size)
             viol[at_lo] = -d[at_lo]
             viol[at_hi] = d[at_hi]
             viol[free] = np.abs(d[free])
-            viol[self.fixed & (status != _BASIC)] = 0.0
+            viol[self.fixed[nb]] = 0.0
             if bland:
-                elig = np.where(viol > _D_TOL)[0]
+                elig = np.flatnonzero(viol > _D_TOL)
                 if elig.size == 0:
                     return OPTIMAL
-                q = int(elig[0])
+                k = int(elig[np.argmin(nb[elig])])
             else:
                 score = np.where(viol > _D_TOL, viol * viol / devex, 0.0)
-                q = int(np.argmax(score))
-                if score[q] <= 0.0:
+                k = int(np.argmax(score))
+                if score[k] <= 0.0:
                     return OPTIMAL
+                ties = np.flatnonzero(score == score[k])
+                k = int(ties[np.argmin(nb[ties])])
+            q = nb[k]
             if status[q] == _AT_HI:
                 sgn = -1.0
             elif status[q] == _AT_LO:
                 sgn = 1.0
             else:
-                sgn = 1.0 if d[q] < 0 else -1.0
-            w = T[:, q] * sgn
+                sgn = 1.0 if d[k] < 0 else -1.0
+            w = T[:, k] * sgn
 
             t_flip = hi[q] - lo[q]
             if not np.isfinite(t_flip):
@@ -634,25 +691,27 @@ class _Simplex:
             if r_best < 0:
                 self.iters += 1
                 self.since_refactor += 1
-                self.xB -= (t_best * sgn) * T[:, q]
+                self.xB -= (t_best * sgn) * T[:, k]
                 status[q] = _AT_HI if status[q] == _AT_LO else _AT_LO
                 xval[q] = hi[q] if status[q] == _AT_HI else lo[q]
                 continue
 
-            leave = basis[r_best]
-            Trow, piv = self._pivot(r_best, q, t_best * sgn,
+            Trow, piv = self._pivot(r_best, k, t_best * sgn,
                                     _AT_LO if w[r_best] > 0 else _AT_HI)
-            d = d - d[q] * Trow
-            # Devex reference update from the (normalized) pivot row
-            wq = devex[q]
+            d_q, d[k] = d[k], 0.0
+            d -= d_q * Trow
+            # Devex reference update from the (normalized) pivot row; column
+            # k now holds the leaving variable
+            wq = devex[k]
             np.maximum(devex, (Trow * Trow) * wq, out=devex)
-            devex[leave] = max(wq / (piv * piv), 1.0)
-            devex[q] = 1.0
+            devex[k] = max(wq / (piv * piv), 1.0)
             if np.max(devex) > 1e8:
                 devex[:] = 1.0
             if self.since_refactor >= _REFACTOR_PERIOD:
-                self.refactor()
-                d = cost - cost[basis] @ T
+                perm = self.refactor()
+                if perm is not None:
+                    devex = devex[perm]
+                d = self._reduced_costs(cost)
 
     def run_dual(self):
         """Bounded dual simplex on the user cost from a dual feasible basis.
@@ -662,9 +721,9 @@ class _Simplex:
         Farkas check confirms it, and None on a stall or an unconfirmed
         verdict.
         """
-        T, lo, hi, cost = self.T, self.lo, self.hi, self.c_user
-        status, basis = self.status, self.basis
-        d = cost - cost[basis] @ T
+        T, lo, hi = self.T, self.lo, self.hi
+        status, basis, nb = self.status, self.basis, self.nb
+        d = self._reduced_costs(self.c_user)
         for _ in range(max(64, self.m)):
             if self.iters >= self.iter_cap:
                 return None
@@ -679,10 +738,11 @@ class _Simplex:
             # a > 0 marks the direction in which a nonbasic column moves x_B[r]
             # back toward the violated bound
             a = T[r] if above else -T[r]
-            cand = np.flatnonzero(~self.fixed & (
-                ((status == _AT_LO) & (a > _PIV_TOL))
-                | ((status == _AT_HI) & (a < -_PIV_TOL))
-                | ((status == _FREE) & (np.abs(a) > _PIV_TOL))))
+            st = status[nb]
+            cand = np.flatnonzero(~self.fixed[nb] & (
+                ((st == _AT_LO) & (a > _PIV_TOL))
+                | ((st == _AT_HI) & (a < -_PIV_TOL))
+                | ((st == _FREE) & (np.abs(a) > _PIV_TOL))))
             if cand.size == 0:
                 return INFEASIBLE if self._farkas(r) else None
             # Harris two-pass ratio test: the largest pivot among the columns
@@ -690,14 +750,16 @@ class _Simplex:
             ac, dc = np.abs(a[cand]), np.abs(d[cand])
             t_max = float(np.min((dc + _D_TOL) / ac))
             near = np.flatnonzero(dc / ac <= t_max)
-            q = int(cand[near[np.argmax(ac[near])]])
+            best = cand[near[ac[near] == np.max(ac[near])]]
+            k = int(best[np.argmin(nb[best])])
             bound = ub[r] if above else lb[r]
-            Trow, _ = self._pivot(r, q, (xB[r] - bound) / T[r, q],
+            Trow, _ = self._pivot(r, k, (xB[r] - bound) / T[r, k],
                                   _AT_HI if above else _AT_LO)
-            d -= d[q] * Trow
+            d_q, d[k] = d[k], 0.0
+            d -= d_q * Trow
             if self.since_refactor >= _REFACTOR_PERIOD:
                 self.refactor()
-                d = cost - cost[basis] @ T
+                d = self._reduced_costs(self.c_user)
         return None
 
     def solve(self):
@@ -813,7 +875,7 @@ class _NodeLp:
         (None, None) when the tableau cannot be narrowed to them."""
         if self.lp.n_art:
             self.lp.drop_artificials()
-            if not self.lp.refactor():
+            if self.lp.refactor() is None:
                 self.lp = self.holds = None
                 return None, None
         return self.lp.basis.astype(np.int32), self.lp.status.copy()

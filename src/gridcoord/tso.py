@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .errors import (NoConvergence, ParseError, SingularJacobian, SingularMatrix,
-                     ValidationError)
+from .errors import (FIELD_ERRORS, NoConvergence, ParseError, SingularJacobian,
+                     SingularMatrix, ValidationError)
 
 SLACK, PV, PQ = "slack", "PV", "PQ"
 
@@ -157,8 +157,8 @@ def load_transmission(doc: dict) -> TransmissionCase:
                       for i in doc.get("interfaces", [])]
         return TransmissionCase(buses, branches, gens, interfaces,
                                 float(doc.get("s_base_mva", 100.0)))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"transmission document missing field: {exc}") from exc
+    except FIELD_ERRORS as exc:
+        raise ParseError(f"transmission document missing or malformed field: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

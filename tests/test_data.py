@@ -10,6 +10,15 @@ from gridcoord import feeder
 from gridcoord.errors import ChecksumMismatch, ParseError
 
 
+def rewrite_checked(root, rel, blob):
+    """Write ``blob`` to ``root/rel`` and record its digest in CHECKSUMS."""
+    (root / rel).write_bytes(blob)
+    sums = root / "CHECKSUMS"
+    lines = [f"{hashlib.sha256(blob).hexdigest()}  {rel}" if line.endswith(f"  {rel}")
+             else line for line in sums.read_text().splitlines()]
+    sums.write_text("\n".join(lines) + "\n")
+
+
 class TestBundle:
     def test_list_scenarios(self):
         names = bundle.list_scenarios()
@@ -83,13 +92,28 @@ class TestBundle:
         shutil.copytree(bundle.data_root(), root)
         doc = json.loads((root / rel).read_text())
         drop(doc)
-        blob = json.dumps(doc).encode()
-        (root / rel).write_bytes(blob)
-        sums = root / "CHECKSUMS"
-        lines = [f"{hashlib.sha256(blob).hexdigest()}  {rel}" if line.endswith(f"  {rel}")
-                 else line for line in sums.read_text().splitlines()]
-        sums.write_text("\n".join(lines) + "\n")
+        rewrite_checked(root, rel, json.dumps(doc).encode())
         with pytest.raises(ParseError, match=rel):
+            bundle.load_scenario("tiny-2bus", root=root)
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        rel = "feeders/tiny2.json"
+        rewrite_checked(root, rel, (root / rel).read_text().encode("utf-16"))
+        with pytest.raises(ParseError, match=rel):
+            bundle.load_scenario("tiny-2bus", root=root)
+
+    @pytest.mark.parametrize("line,match", [
+        (b"0123abcd\n", "CHECKSUMS line"),
+        (b"\xff\xfe  feeders/tiny2.json\n", "not UTF-8"),
+    ], ids=["one-field", "non-utf8"])
+    def test_malformed_checksums_rejected(self, tmp_path, line, match):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        with (root / "CHECKSUMS").open("ab") as fh:
+            fh.write(line)
+        with pytest.raises(ChecksumMismatch, match=match):
             bundle.load_scenario("tiny-2bus", root=root)
 
     def test_all_bundled_scenarios_load(self):

@@ -65,6 +65,16 @@ class TestLoadFeeder:
         with pytest.raises(ParseError):
             feeder.load_feeder({"base": {}})
 
+    @pytest.mark.parametrize("spoil", [
+        lambda doc: doc["base"].update(s_kva="big"),
+        lambda doc: doc["lines"][0]["z"][0].__setitem__(0, [0.01, 0.02, 0.03]),
+    ], ids=["s_kva-string", "z-three-numbers"])
+    def test_mistyped_field_is_parse_error(self, spoil):
+        doc = two_bus_dict()
+        spoil(doc)
+        with pytest.raises(ParseError):
+            feeder.load_feeder(doc)
+
     def test_load_scale(self):
         m = feeder.load_feeder(two_bus_dict(), load_scale=0.5)
         assert m.p0[0] == pytest.approx(0.05)

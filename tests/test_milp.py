@@ -635,13 +635,69 @@ class TestWarmSearch:
             lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
             assert lp.solve().status == milp.OPTIMAL
             T, xB = lp.T.copy(), lp.xB.copy()
-            assert lp.refactor()
-            np.testing.assert_allclose(lp.T, T, atol=1e-9)
+            perm = lp.refactor()
+            assert perm is not None
+            np.testing.assert_allclose(lp.T, T[:, perm], atol=1e-9)
             np.testing.assert_allclose(lp.xB, xB, atol=1e-9)
-            # narrowed: T = B^-1 [A | I], so its slack block times A gives
-            # its structural block; the basic values stay
+            assert np.all(np.diff(lp.nb) > 0)   # renumbered in variable order
+            # narrowed: T = B^-1 [A | I] on the nonbasic columns, with B^-1
+            # read from the slack columns; the basic values stay
             lp.drop_artificials()
-            assert lp.refactor()
-            n = arrs.n_struct
-            np.testing.assert_allclose(lp.T[:, :n], lp.T[:, n:] @ arrs.A, atol=1e-9)
+            assert lp.refactor() is not None
+            assert lp.T.shape == (arrs.m, arrs.n_struct)
+            binv = lp._binv_rows(np.arange(arrs.m))
+            full = np.hstack([arrs.A, np.eye(arrs.m)])
+            np.testing.assert_allclose(lp.T, binv @ full[:, lp.nb], atol=1e-9)
             np.testing.assert_allclose(lp.xB, xB, atol=1e-7)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_condensed_tableau_invariants(self, model):
+        """nb, pos and basis partition the variables, T is B^-1 [A | I | art]
+        on the nonbasic columns and the B^-1 rows that the dual pricing and
+        the Farkas check read are the explicit inverse's: after a cold
+        solve, after a bound change and its warm solve, and after a load."""
+        arrs = milp._Arrays(model)
+        if arrs.trivially_infeasible or arrs.m == 0:
+            return
+        lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+        lp.solve()
+        check_condensed(lp)
+        lp.drop_artificials()
+        if lp.refactor() is None:
+            return
+        check_condensed(lp)
+        basis, status = lp.basis.copy(), lp.status.copy()
+        n = arrs.n_struct
+        lo, hi = arrs.lo[:n].copy(), arrs.hi[:n].copy()
+        j = int(np.argmax(np.isfinite(lo)))
+        if np.isfinite(lo[j]):
+            hi[j] = lo[j]
+            lp.set_bounds(lo, hi)
+            check_condensed(lp)
+            lp.reoptimize()
+            check_condensed(lp)
+        if lp.load(basis, status, arrs.lo[:n], arrs.hi[:n]):
+            check_condensed(lp)
+
+
+def check_condensed(lp):
+    m, n_tot, N = lp.m, lp.n_tot, lp.N
+    assert lp.T.shape == (m, N - m) and lp.nb.size == N - m
+    assert np.array_equal(np.sort(np.concatenate([lp.nb, lp.basis])), np.arange(N))
+    assert np.array_equal(lp.pos[lp.nb], np.arange(N - m))
+    assert np.all(lp.pos[lp.basis] == -1)
+    assert np.all(lp.status[lp.basis] == milp._BASIC)
+    assert np.all(lp.status[lp.nb] != milp._BASIC)
+    art = np.zeros((m, N - n_tot))
+    art[lp.art_rows, np.arange(lp.n_art)] = lp.art_signs
+    full = np.hstack([lp.A, np.eye(m), art])
+    B = full[:, lp.basis]
+    expected = np.linalg.solve(B, full[:, lp.nb])
+    np.testing.assert_allclose(lp.T, expected, atol=1e-8 * max(1.0, np.abs(expected).max()))
+    b_inv = np.linalg.inv(B)
+    rows = np.arange(m)
+    tol = 1e-8 * max(1.0, np.abs(b_inv).max())
+    np.testing.assert_allclose(lp._binv_rows(rows), b_inv, atol=tol)
+    np.testing.assert_allclose(lp._binv_row_norms(rows), np.sum(b_inv * b_inv, axis=1),
+                               rtol=1e-7, atol=tol)

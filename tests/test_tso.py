@@ -109,3 +109,10 @@ def test_remove_branch_drops_exactly_one(cases):
 def test_load_transmission_rejects_non_dict(document):
     with pytest.raises(ParseError):
         tso.load_transmission(document)
+
+
+def test_load_transmission_mistyped_field_is_parse_error():
+    doc = data._read_json(data.data_root(), "transmission/tx9.json")
+    doc["branches"][0]["r"] = "abc"
+    with pytest.raises(ParseError, match="malformed"):
+        tso.load_transmission(doc)
