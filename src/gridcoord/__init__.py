@@ -1,10 +1,15 @@
 """gridcoord: TSO-DSO coordinated reactive power dispatch engine.
 
-Subpackages cover the linearized unbalanced feeder model, IEEE-1547
-droop-mode MILP encodings, an embedded LP/MILP solver with SOS1
-branching, transmission-side Newton power flow and dispatch, recursive
-least-squares estimation under limited observability, and the closed
-coordination loop tying them together.
+Modules cover the linearized unbalanced feeder model with a nonlinear
+backward/forward sweep oracle (``feeder``), IEEE-1547 droop-mode MILP
+encodings (``inverter``), an embedded LP/MILP solver with SOS1
+branching (``milp``), the hierarchical DSO dispatch stages
+(``dso_dispatch``), transmission-side Newton power flow and reactive
+dispatch (``tso``) and the checksummed scenario bundle (``data``).
+Each piece runs once per call.  Recursive least-squares estimation
+under limited observability, and the closed coordination loop that
+would tie the pieces together, are planned in ROADMAP.md (item 3) and
+do not exist yet.
 """
 
 __version__ = "0.1.0"

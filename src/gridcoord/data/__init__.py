@@ -86,7 +86,8 @@ def list_scenarios(root: Path | None = None) -> list[str]:
 
 
 def load_scenario(name: str, root: Path | None = None) -> Scenario:
-    """Load, verify, and assemble one named scenario bundle."""
+    """Load, verify, and assemble one named scenario bundle from ``root``
+    (a copy of the bundle; the packaged one by default)."""
     root = Path(root) if root is not None else _ROOT
     rel = f"scenarios/{name}.json"
     if not (root / rel).exists():
@@ -97,7 +98,7 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
         irradiance = float(doc.get("irradiance", 1.0))
         feeder_rel, inv_rel = doc["feeder"], doc["inverters"]
         tx_rel = doc.get("transmission")
-        outage = tuple(doc["outage"]) if doc.get("outage") else None
+        outage = doc.get("outage")
     except FIELD_ERRORS as exc:
         raise ParseError(f"{rel}: missing or malformed field ({exc!r})") from exc
     refs = {"feeder": feeder_rel, "inverters": inv_rel}
@@ -106,6 +107,9 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
     bad = [key for key, ref in refs.items() if not isinstance(ref, str)]
     if bad:
         raise ParseError(f"{rel}: {', '.join(bad)} must be a file path string")
+    if outage is not None and not (isinstance(outage, list) and len(outage) == 2
+                                   and all(isinstance(bus, str) for bus in outage)):
+        raise ParseError(f"{rel}: outage must be a list of two bus ids, not {outage!r}")
 
     feeder_doc = _read_json(root, feeder_rel)
     model = load_feeder(feeder_doc, load_scale=load_scale)
@@ -139,4 +143,4 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
                     feeder=model, inverters=inverters, profile=profile,
                     p_available_kw=p_avail, load_scale=load_scale,
                     irradiance=irradiance, transmission=transmission,
-                    outage=outage)
+                    outage=tuple(outage) if outage else None)

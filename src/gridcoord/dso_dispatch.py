@@ -12,9 +12,13 @@ Per-DER power variables are in device per-unit (fractions of the
 inverter rating); stage objectives and reported quantities are in
 kW/kvar; network coupling converts through the feeder power base.  The
 substation reactive expression carries a constant offset for the
-unobservable load contribution; standalone runs evaluate it from the
-linear model at the flat voltage profile, while the coordination loop
-recalibrates it from field measurements each iteration.
+unobservable load contribution, evaluated from the linear model at the
+flat voltage profile.  Each stage is solved once, on the model as
+built: nothing here closes a loop against field measurements.  That
+loop, with recursive least-squares (RLS) recalibration of the offset
+and of the reduced model's K1 and c2, is planned in ROADMAP.md (item
+3); ``DispatchContext.q_sub_offset_kvar`` and
+``feeder.observable_matrices(k1, c2)`` stay settable for it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ from .errors import DegenerateSensitivity, GridcoordError, InfeasibleStage
 
 OPTIMIZED = "optimized"
 PQ_FREE = "pq_free"
+POLICIES = (OPTIMIZED, PQ_FREE)
+ENCODINGS = ("sos1", "bigm")
+STAGES = ("stage1", "stage2a", "stage2b")
 
 V_LIMITS = (0.95, 1.05)   # planning voltage band on observable bus-phases, pu
 
@@ -54,6 +61,10 @@ class DispatchContext:
     q_sub_offset_kvar: float | None = None     # None: flat-voltage estimate
 
     def __post_init__(self):
+        if self.encoding not in ENCODINGS:
+            raise ValueError(f"unknown encoding {self.encoding!r}; have {ENCODINGS}")
+        if self.policy.kind not in POLICIES:
+            raise ValueError(f"unknown mode policy {self.policy.kind!r}; have {POLICIES}")
         n_der = len(self.model.der_nodes)
         if len(self.specs) != n_der or len(self.curves) != n_der:
             raise ValueError("specs/curves must match the DER placements")
@@ -122,6 +133,8 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
     total-power row; stage 2b additionally pins the substation reactive
     flow and adds the absolute-value split variables.
     """
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}; have {STAGES}")
     m = ctx.model
     blocks = ctx.blocks
     part = blocks.partition
@@ -355,7 +368,8 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
     Minimizes the sensitivity-weighted sum of absolute DER reactive
     outputs; the absolute value uses the standard nonnegative split
     (weights are nonnegative, so no simultaneous positive parts at the
-    optimum).
+    optimum).  ``weights`` defaults to ``sensitivity_weights``; it stays
+    a parameter because a caller that computed them passes them in.
     """
     if weights is None:
         weights = sensitivity_weights(ctx.blocks, ctx.model.der_nodes)

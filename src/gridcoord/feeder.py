@@ -26,6 +26,12 @@ block "xy" maps x-side quantities into y-side rows (e.g. ``kuo`` has
 observable rows and unobservable columns).  This is the only reading
 under which the reduced observable-voltage equation is dimensionally
 consistent.
+
+Fixed settings: ``bfm_oracle`` gives up after ``BFM_MAX_SWEEPS = 100``
+sweeps, a guard against a feeder loaded past voltage collapse; its
+``tol`` stays a parameter, which tests tighten to 1e-12.
+``make_partition`` takes the observable set from the feeder document
+(``FeederModel.observable_ids``).
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .errors import (FIELD_ERRORS, InvalidPartition, NoConvergence, ParseError,
                      SingularMatrix, ValidationError)
 
 PHASES = "abc"
+BFM_MAX_SWEEPS = 100   # backward/forward sweeps before bfm_oracle gives up
 _PHASE_ANGLE = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
 
 
@@ -130,16 +137,13 @@ class FeederModel:
         parent: dict[str, tuple[str, int]] = {}
         order = [sub]
         seen = {sub}
-        queue = [sub]
-        while queue:
-            cur = queue.pop(0)
+        for cur in order:   # breadth first: the loop reaches the buses it appends
             for nxt, idx in adj[cur]:
                 if nxt in seen:
                     continue
                 seen.add(nxt)
                 parent[nxt] = (cur, idx)
                 order.append(nxt)
-                queue.append(nxt)
         if len(seen) != len(bus_ids):
             raise ValidationError("feeder graph is not connected")
         self.bus_order = order
@@ -163,7 +167,6 @@ class FeederModel:
             if not np.all(np.isfinite(zsub.view(float))):
                 raise ValidationError(f"line {up}-{down}: non-finite impedance")
             self.oriented.append(OrientedLine(idx, up, down, down_ph, zsub))
-        self.oriented.sort(key=lambda ol: ol.index)
 
         # flattened bus-phase index (file order, phases a,b,c, substation excluded)
         self.nodes: list[tuple[str, str]] = []
@@ -284,16 +287,13 @@ class ObservablePartition:
         return len(self.unobservable)
 
 
-def make_partition(model: FeederModel, observable_ids=None) -> ObservablePartition:
-    ids = model.observable_ids if observable_ids is None else list(observable_ids)
-    idx = []
-    for nid in ids:
-        if nid not in model.node_ids:
-            raise InvalidPartition(f"observable id {nid} is not a bus-phase")
-        idx.append(model.node_ids.index(nid))
-    obs = np.array(sorted(set(idx)), dtype=int)
-    unobs = np.array([k for k in range(model.n_nodes) if k not in set(idx)], dtype=int)
-    return ObservablePartition(obs, unobs, np.array(model.der_nodes, dtype=int))
+def make_partition(model: FeederModel) -> ObservablePartition:
+    """The partition by ``model.observable_ids`` (bus-phases, as FeederModel checked)."""
+    pos = {nid: k for k, nid in enumerate(model.node_ids)}
+    obs = {pos[nid] for nid in model.observable_ids}
+    unobs = [k for k in range(model.n_nodes) if k not in obs]
+    return ObservablePartition(np.array(sorted(obs), dtype=int), np.array(unobs, dtype=int),
+                               np.array(model.der_nodes, dtype=int))
 
 
 @dataclass
@@ -449,13 +449,12 @@ class BfmResult:
     sweeps: int
 
 
-def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8,
-               max_sweeps: int = 100) -> BfmResult:
+def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8) -> BfmResult:
     """Fixed-point backward/forward sweep on the nonlinear branch-flow model.
 
     ZIP loads are evaluated at the actual voltage magnitude each sweep;
     losses are fully represented.  Raises :class:`NoConvergence` when the
-    maximum voltage update stays above ``tol`` after ``max_sweeps``.
+    maximum voltage update stays above ``tol`` after ``BFM_MAX_SWEEPS``.
     """
     p_g = np.asarray(p_g, dtype=float)
     q_g = np.asarray(q_g, dtype=float)
@@ -482,7 +481,7 @@ def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8,
             [model.node_of(b.bus_id, p) for p in model.bus_phases[b.bus_id]], dtype=int)
 
     line_current: dict[int, np.ndarray] = {}
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, BFM_MAX_SWEEPS + 1):
         vmag = np.abs(v)
         zip_mult = model.a0v + model.a1v * vmag ** 2 + model.a2v * vmag
         s_net = (p_g + 1j * q_g) - s0 * zip_mult
@@ -523,7 +522,7 @@ def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8,
                     s_phase[p] = s_phase.get(p, 0.0) + vs[p] * np.conj(line_current[ol.index][k])
             total = complex(sum(s_phase.values()))
             return BfmResult(v.copy(), np.abs(v), total, sweep)
-    raise NoConvergence(f"backward/forward sweep above {tol} after {max_sweeps} sweeps")
+    raise NoConvergence(f"backward/forward sweep above {tol} after {BFM_MAX_SWEEPS} sweeps")
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +568,8 @@ def partition_blocks(blocks: SensitivityBlocks,
 
 
 def observable_matrices(blocks: SensitivityBlocks, k1=None, c2=None):
-    """Affine map Y_o = AR @ P_o + AX @ Q_o + c for the reduced model."""
+    """Affine map Y_o = AR @ P_o + AX @ Q_o + c for the reduced model; ``k1`` and
+    ``c2`` default to the ground truth, and stay settable for RLS (ROADMAP.md item 3)."""
     if blocks.partition is None:
         raise InvalidPartition("blocks have not been partitioned")
     k1 = blocks.k1 if k1 is None else np.asarray(k1, dtype=float)

@@ -400,8 +400,8 @@ def encode_modes(model: milp.MilpModel, curves: dict, ids: dict, encoding: str,
     which :data:`MODE_IO` wires to each mode's input and output.  sos1:
     one continuous variable per mode, summing to one in an SOS1 set that
     is registered before the per-mode segment sets so branching resolves
-    the hierarchy top-down.  Any other encoding is Big-M, with one
-    sum-to-one row over all of the DER's binaries.
+    the hierarchy top-down.  bigm: one sum-to-one row over all of the
+    DER's binaries.
     """
     sos = encoding == "sos1"
     if sos:

@@ -64,6 +64,12 @@ that pivots only on the rows the branch made primal infeasible.
 A brute-force enumerator over binary assignments and SOS1 active-member
 choices, made of cold LP solves, serves as the test oracle.
 
+Fixed settings (module constants no caller changes): the tolerances
+``FEAS_TOL = 1e-7``, ``INT_TOL = 1e-6`` and ``GAP = 1e-6``, and
+``ITER_FACTOR = 50``.  An LP solve stops with ``IterLimit`` after
+``ITER_FACTOR * (rows + cols)`` pivots (``_Arrays.iter_cap``), a guard
+against cycling far above what the stage LPs take.
+
 Scale notes: models in this package stay below roughly two thousand
 rows and a few hundred structural columns, so T is kept dense and no
 presolve is attempted beyond skipping empty rows.
@@ -105,12 +111,14 @@ MIN, MAX = "min", "max"
 FEAS_TOL = 1e-7     # primal feasibility of a basic solution
 INT_TOL = 1e-6      # integrality of binaries and SOS1 members
 GAP = 1e-6          # absolute optimality gap at termination
+ITER_FACTOR = 50    # simplex cap per LP solve = ITER_FACTOR * (rows + cols)
 
 
 @dataclass
 class MilpOptions:
+    """``node_limit`` stays an option because callers differ: the stages
+    run to optimality, a budgeted benchmark workload stops at 60 nodes."""
     node_limit: int = 10 ** 6
-    iter_factor: int = 50        # simplex cap = iter_factor * (rows + cols)
 
 
 @dataclass
@@ -306,6 +314,7 @@ class _Arrays:
             c[vid] = sign * coef
         self.A, self.b, self.lo, self.hi, self.c = A, b, lo, hi, c
         self.n_struct, self.m = n, m
+        self.iter_cap = ITER_FACTOR * (m + n)
         self.obj_sign, self.obj_const = sign, model.objective_const
 
     def solution(self, status, objective, x, bound, nodes=0, iterations=0):
@@ -800,16 +809,14 @@ class _Simplex:
 # public solves
 # ---------------------------------------------------------------------------
 
-def solve_lp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
+def solve_lp(model: MilpModel) -> MilpSolution:
     """Solve the LP relaxation (integrality dropped, bounds kept)."""
     if not model.variables:
         raise ValueError("model has no variables")
-    opts = options or MilpOptions()
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
         return arrs.solution(INFEASIBLE, None, None, np.inf)
-    cap = opts.iter_factor * (arrs.m + arrs.n_struct)
-    res = _Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, cap).solve()
+    res = _Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, arrs.iter_cap).solve()
     if res.status != OPTIMAL:
         bound = {INFEASIBLE: np.inf, UNBOUNDED: -np.inf}.get(res.status, np.nan)
         return arrs.solution(res.status, None, None, bound, 0, res.iterations)
@@ -840,8 +847,8 @@ class _Node:
 class _NodeLp:
     """Node LP solves of one search around its single working tableau."""
 
-    def __init__(self, arrs: _Arrays, cap):
-        self.arrs, self.cap = arrs, cap
+    def __init__(self, arrs: _Arrays):
+        self.arrs = arrs
         self.lp = None       # _Simplex over structural and slack columns
         self.holds = None    # id of the node whose optimal basis lp holds
 
@@ -867,7 +874,7 @@ class _NodeLp:
         self.lp = None   # release the working tableau before building another
         # its artificials stay until a child needs this basis (basis_of_last)
         self.lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
-                           self.cap)
+                           arrs.iter_cap)
         return self.lp.solve()
 
     def basis_of_last(self):
@@ -916,11 +923,10 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
         return arrs.solution(INFEASIBLE, None, None, np.inf)
-    cap = opts.iter_factor * (arrs.m + arrs.n_struct)
     n = arrs.n_struct
     bin_ids = np.array(model.binary_ids, dtype=int)
     sos_sets = [np.array(s, dtype=int) for s in model.sos1_sets]
-    node_lp = _NodeLp(arrs, cap)
+    node_lp = _NodeLp(arrs)
 
     total_iters = 0
     node_count = 0
@@ -1017,7 +1023,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters)
 
 
-def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
+def brute_force(model: MilpModel) -> MilpSolution:
     """Enumerate binary assignments x SOS1 active-member choices; solve each LP.
 
     Intended as a test oracle.  ``Unbounded`` when any enumerated LP is
@@ -1028,11 +1034,9 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
     """
     if not model.variables:
         raise ValueError("model has no variables")
-    opts = options or MilpOptions()
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
         return arrs.solution(INFEASIBLE, None, None, np.inf)
-    cap = opts.iter_factor * (arrs.m + arrs.n_struct)
     n = arrs.n_struct
     bin_ids = model.binary_ids
     sos_sets = model.sos1_sets
@@ -1050,7 +1054,8 @@ def brute_force(model: MilpModel, options: MilpOptions | None = None) -> MilpSol
 
     def enumerate_sos(k, lo, hi):
         if k == len(sos_sets):
-            res = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c, cap).solve()
+            res = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c,
+                           arrs.iter_cap).solve()
             stats["solves"] += 1
             stats["iters"] += res.iterations
             statuses.add(res.status)

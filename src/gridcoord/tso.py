@@ -7,6 +7,15 @@ linearization: a reduced-Jacobian V-Q sensitivity builds a quadratic
 model solved by projected gradient, then a full power flow re-anchors
 the model.  A bisection backtrack keeps the true objective
 non-increasing across outer iterations.
+
+Fixed settings (module constants no caller changes; they define the one
+dispatch every caller runs): the objective is C_V * sum((|V_mon| -
+V_SETPOINT)^2) + C_Q * sum(q^2), q in pu, with C_V = 1, C_Q = 0.01 and
+V_SETPOINT = 1 pu.  The dispatch stops once an outer step moves q by
+less than OUTER_TOL = 1e-4 pu, or after MAX_OUTER = 20 steps; a power
+flow gives up after PF_MAX_ITER = 20 Newton iterations.
+``newton_powerflow`` keeps its ``tol``, which tests tighten to 1e-11
+and 1e-12.
 """
 
 from __future__ import annotations
@@ -20,6 +29,12 @@ from .errors import (FIELD_ERRORS, NoConvergence, ParseError, SingularJacobian,
                      SingularMatrix, ValidationError)
 
 SLACK, PV, PQ = "slack", "PV", "PQ"
+C_V = 1.0           # weight of the squared voltage deviations
+C_Q = 0.01          # weight of the squared interface injections (pu)
+V_SETPOINT = 1.0    # voltage target at the monitored buses, pu
+OUTER_TOL = 1e-4    # outer-iteration step (pu) below which the dispatch stops
+MAX_OUTER = 20      # outer iterations of the dispatch
+PF_MAX_ITER = 20    # Newton iterations of one power flow
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,8 @@ class TransmissionCase:
                 raise ValidationError(f"interface at unknown bus {itf.bus}")
             if self.buses[self.index[itf.bus]].btype != PQ:
                 raise ValidationError(f"interface bus {itf.bus} must be PQ")
+            if itf.multiplicity < 1:   # feeders behind the interface; callers divide by it
+                raise ValidationError(f"interface bus {itf.bus}: multiplicity below 1")
         # connectivity
         seen = {self.slack}
         frontier = [self.slack]
@@ -208,12 +225,12 @@ def _jacobian(case: TransmissionCase, Y, v, vm):
 
 
 def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
-                     tol: float = 1e-8, max_iter: int = 20) -> PowerFlowResult:
+                     tol: float = 1e-8) -> PowerFlowResult:
     """Full Newton-Raphson in polar form.
 
     ``q_inject`` adds reactive injections (MVAr) at interface buses on
     top of the case loads.  Converged when the largest P/Q mismatch
-    falls below ``tol`` (pu).
+    falls below ``tol`` (pu) within ``PF_MAX_ITER`` iterations.
     """
     Y = case.ybus()
     n = len(case.buses)
@@ -227,7 +244,7 @@ def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
     s_spec = _spec_injections(case, q_inject)
     pq, pvpq = case.pq, case.pvpq
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, PF_MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         s_calc = v * np.conj(Y @ v)
         dp = np.real(s_calc - s_spec)[pvpq]
@@ -242,7 +259,7 @@ def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
             raise SingularJacobian(f"Jacobian singular at iteration {it}") from exc
         va[pvpq] += dx[:len(pvpq)]
         vm[pq] += dx[len(pvpq):]
-    raise NoConvergence(f"Newton power flow above {tol} after {max_iter} iterations")
+    raise NoConvergence(f"Newton power flow above {tol} after {PF_MAX_ITER} iterations")
 
 
 def monitored_buses(case: TransmissionCase) -> list[int]:
@@ -255,23 +272,19 @@ def monitored_buses(case: TransmissionCase) -> list[int]:
     return out
 
 
-def vq_sensitivity(case: TransmissionCase, pf: PowerFlowResult,
-                   interface_buses=None, monitored=None) -> np.ndarray:
+def vq_sensitivity(case: TransmissionCase, pf: PowerFlowResult) -> np.ndarray:
     """Reduced-Jacobian d|V|/dQ at monitored buses w.r.t. interface injections.
 
     PV and slack voltages are held by their controls, so their rows are
     zero; sensitivities are per-unit volts per per-unit injected Q.
+    ``TransmissionCase`` has checked that every interface bus is PQ.
     """
-    itf = [case.index[str(b)] for b in
-           (interface_buses or [i.bus for i in case.interfaces])]
-    mon = monitored if monitored is not None else monitored_buses(case)
+    itf = [case.index[i.bus] for i in case.interfaces]
     pq, pvpq = case.pq, case.pvpq
     J = _jacobian(case, case.ybus(), pf.v_complex(), pf.v_mag)
     rhs = np.zeros((J.shape[0], len(itf)))
     pq_pos = {bus: i for i, bus in enumerate(pq)}
     for col, bus in enumerate(itf):
-        if bus not in pq_pos:
-            raise ValidationError(f"interface bus {case.buses[bus].bus_id} must be PQ")
         rhs[len(pvpq) + pq_pos[bus], col] = 1.0
     try:
         dx = numkit.solve_linear(J, rhs)
@@ -280,7 +293,7 @@ def vq_sensitivity(case: TransmissionCase, pf: PowerFlowResult,
     dvm = np.zeros((len(case.buses), len(itf)))
     for i, bus in enumerate(pq):
         dvm[bus, :] = dx[len(pvpq) + i, :]
-    return dvm[mon, :]
+    return dvm[monitored_buses(case), :]
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +310,11 @@ class TsoDispatch:
     trace: list = field(default_factory=list)
 
 
-def _objective(vm, mon, q_pu, c_v, c_q, v_setpoint):
-    dev = vm[mon] - v_setpoint
-    return float(c_v * np.sum(dev ** 2) + c_q * np.sum(np.asarray(q_pu) ** 2))
-
-
 def _q_dict(case, itf_ids, q_pu):
     return {bus: float(qi * case.s_base_mva) for bus, qi in zip(itf_ids, q_pu)}
 
 
-def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
-                 c_q: float = 0.01, v_setpoint: float = 1.0,
-                 outer_tol: float = 1e-4, max_outer: int = 20) -> TsoDispatch:
+def tso_dispatch(case: TransmissionCase, envelopes: dict) -> TsoDispatch:
     """Box-constrained reactive dispatch by successive linearization.
 
     ``envelopes`` maps interface bus id to (q_lo, q_hi) in MVAr.  Each
@@ -332,24 +338,25 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
         nonlocal pf_iters
         pf = newton_powerflow(case, _q_dict(case, itf_ids, q))
         pf_iters += pf.iterations
-        return pf, _objective(pf.v_mag, mon, q, c_v, c_q, v_setpoint)
+        dev = pf.v_mag[mon] - V_SETPOINT
+        return pf, float(C_V * np.sum(dev ** 2) + C_Q * np.sum(q ** 2))
 
     q = np.clip(np.zeros(len(itf_ids)), lo, hi)
     pf, obj = evaluate(q)
     trace = [obj]
 
     outer = 0
-    for outer in range(1, max_outer + 1):
-        sens = vq_sensitivity(case, pf, itf_ids, mon)
+    for outer in range(1, MAX_OUTER + 1):
+        sens = vq_sensitivity(case, pf)
         v0 = pf.v_mag[mon]
         q_prev, obj_prev, pf_prev = q.copy(), obj, pf
 
         x = q.copy()
-        lip = 2.0 * (c_v * np.linalg.norm(sens, 2) ** 2 + c_q)
+        lip = 2.0 * (C_V * np.linalg.norm(sens, 2) ** 2 + C_Q)
         step = 1.0 / max(lip, 1e-12)
         for _ in range(10_000):
             v_model = v0 + sens @ (x - q_prev)
-            grad = 2.0 * c_v * (sens.T @ (v_model - v_setpoint)) + 2.0 * c_q * x
+            grad = 2.0 * C_V * (sens.T @ (v_model - V_SETPOINT)) + 2.0 * C_Q * x
             x_new = np.clip(x - step * grad, lo, hi)
             if np.max(np.abs(x_new - x)) < 1e-8:
                 x = x_new
@@ -371,7 +378,7 @@ def tso_dispatch(case: TransmissionCase, envelopes: dict, c_v: float = 1.0,
             trace.append(obj)
             break
         trace.append(obj)
-        if np.max(np.abs(q - q_prev)) < outer_tol:
+        if np.max(np.abs(q - q_prev)) < OUTER_TOL:
             break
 
     return TsoDispatch(_q_dict(case, itf_ids, q), pf.v_mag, obj, outer, pf_iters, trace)

@@ -7,7 +7,7 @@ import pytest
 
 from gridcoord import data as bundle
 from gridcoord import feeder
-from gridcoord.errors import ChecksumMismatch, ParseError
+from gridcoord.errors import ChecksumMismatch, ParseError, ValidationError
 
 
 def rewrite_checked(root, rel, blob):
@@ -95,6 +95,29 @@ class TestBundle:
         rewrite_checked(root, rel, json.dumps(doc).encode())
         with pytest.raises(ParseError, match=rel):
             bundle.load_scenario("tiny-2bus", root=root)
+
+    @pytest.mark.parametrize("outage", [["9"], "94", ["9", "4", "5"], [9, 4]],
+                             ids=["one-bus", "string", "three-buses", "numbers"])
+    def test_malformed_outage_is_parse_error(self, tmp_path, outage):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        rel = "scenarios/tx9-outage.json"
+        doc = json.loads((root / rel).read_text())
+        doc["outage"] = outage
+        rewrite_checked(root, rel, json.dumps(doc).encode())
+        with pytest.raises(ParseError, match=rel):
+            bundle.load_scenario("tx9-outage", root=root)
+
+    @pytest.mark.parametrize("multiplicity", [0, -2])
+    def test_multiplicity_below_one_rejected(self, tmp_path, multiplicity):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        rel = "transmission/tx9.json"
+        doc = json.loads((root / rel).read_text())
+        doc["interfaces"][0]["multiplicity"] = multiplicity
+        rewrite_checked(root, rel, json.dumps(doc).encode())
+        with pytest.raises(ValidationError, match="multiplicity"):
+            bundle.load_scenario("tx9-outage", root=root)
 
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         root = tmp_path / "data"

@@ -105,6 +105,21 @@ def test_stage1_mode_hierarchy(tiny):
                 assert all(c == 1.0 for _, c in rows[0].coeffs)
 
 
+@pytest.mark.parametrize("selector", [{"encoding": "SOS1"},
+                                      {"policy": dd.ModePolicy("pq-free")}],
+                         ids=["encoding", "policy"])
+def test_unknown_selector_rejected(selector):
+    # both used to build a model silently: Big-M, and all three droop modes
+    with pytest.raises(ValueError, match="unknown"):
+        dd.make_context(data.load_scenario("tiny-2bus"), **selector)
+
+
+def test_unknown_stage_rejected(tiny):
+    # used to build stage 1's rows under the unknown name
+    with pytest.raises(ValueError, match="unknown stage 'stage3'"):
+        dd.build_stage_model(tiny["sos1"], "stage3")
+
+
 def test_stage_error_reports_status_nodes_bound_and_gap(tiny, monkeypatch):
     solve = milp.solve_milp
     monkeypatch.setattr(dd.milp, "solve_milp",

@@ -8,6 +8,11 @@ from conftest import (three_bus_chain_dict, two_bus_dict,
                       unbalanced_four_bus_dict, z3)
 
 
+def four_bus_observing(ids):
+    """The unbalanced four-bus feeder with ``ids`` as its observable list."""
+    return feeder.load_feeder({**unbalanced_four_bus_dict(), "observable": list(ids)})
+
+
 def hand_two_bus_vmag(z, s_load, v1=1.0):
     """Exact |V2| for a constant-power load on one line (quadratic in |V2|^2)."""
     r, x = z.real, z.imag
@@ -50,6 +55,12 @@ class TestLoadFeeder:
         doc = two_bus_dict()
         doc["ders"] = [{"bus": "nowhere", "phase": "a", "inverter_id": "i"}]
         with pytest.raises(ValidationError):
+            feeder.load_feeder(doc)
+
+    def test_unknown_observable_id(self):
+        doc = two_bus_dict()
+        doc["observable"] = ["b1.b"]   # make_partition relies on this check
+        with pytest.raises(ValidationError, match="observable id b1.b"):
             feeder.load_feeder(doc)
 
     def test_missing_phase_fed_from_upstream(self):
@@ -284,9 +295,9 @@ class TestBfmOracle:
 
 class TestPartition:
     def test_full_observability_degenerate(self, four_bus_model):
-        m = four_bus_model
+        m = four_bus_observing(four_bus_model.node_ids)
         blocks = feeder.build_blocks(m)
-        part = feeder.make_partition(m, m.node_ids)
+        part = feeder.make_partition(m)
         pb = feeder.partition_blocks(blocks, part)
         assert pb.k1.shape == (m.n_nodes, 0)
         np.testing.assert_allclose(pb.koo, blocks.kb)
@@ -315,19 +326,19 @@ class TestPartition:
         np.testing.assert_array_equal(pb.koo, kb[np.ix_(o, o)])
         np.testing.assert_array_equal(pb.kou, kb[np.ix_(u, o)])
 
-    def test_controllable_must_be_observable(self, four_bus_model):
-        m = four_bus_model
+    def test_controllable_must_be_observable(self):
+        m = four_bus_observing(["t1.a", "t1.b"])  # excludes DER nodes
         blocks = feeder.build_blocks(m)
-        part = feeder.make_partition(m, ["t1.a", "t1.b"])  # excludes DER nodes
+        part = feeder.make_partition(m)
         with pytest.raises(InvalidPartition):
             feeder.partition_blocks(blocks, part)
 
 
 class TestObservableVoltages:
     def test_full_observability_matches_lindist(self, four_bus_model):
-        m = four_bus_model
+        m = four_bus_observing(four_bus_model.node_ids)
         blocks = feeder.build_blocks(m)
-        pb = feeder.partition_blocks(blocks, feeder.make_partition(m, m.node_ids))
+        pb = feeder.partition_blocks(blocks, feeder.make_partition(m))
         rng = np.random.default_rng(3)
         p_g = rng.uniform(-0.2, 0.3, m.n_nodes)
         q_g = rng.uniform(-0.2, 0.2, m.n_nodes)

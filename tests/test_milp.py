@@ -491,14 +491,15 @@ class TestBruteForce:
         assert sol.status == milp.UNBOUNDED
         assert sol.x is None and sol.node_count == 2
 
-    def test_iteration_cap_is_not_an_optimum(self):
+    def test_iteration_cap_is_not_an_optimum(self, monkeypatch):
         m = milp.MilpModel()
         x = m.add_variable(0, 4)
         z = m.add_variable(kind=milp.BINARY)
         m.add_constraint({x: 1.0, z: 1.0}, milp.LE, 3.0)
         m.set_objective(milp.MAX, {x: 1.0, z: 2.0})
         assert milp.brute_force(m).objective == pytest.approx(4.0)
-        sol = milp.brute_force(m, milp.MilpOptions(iter_factor=0))
+        monkeypatch.setattr(milp, "ITER_FACTOR", 0)
+        sol = milp.brute_force(m)
         assert sol.status == milp.ITER_LIMIT
         assert sol.x is None and sol.gap == np.inf
 

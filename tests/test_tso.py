@@ -68,7 +68,7 @@ def test_vq_sensitivity_matches_central_difference(cases, name):
     case = cases[name]
     itf = [i.bus for i in case.interfaces]
     mon = tso.monitored_buses(case)
-    sens = tso.vq_sensitivity(case, tso.newton_powerflow(case), itf, mon)
+    sens = tso.vq_sensitivity(case, tso.newton_powerflow(case))
     h_mvar = 0.5
     fd = np.empty_like(sens)
     for col, bus in enumerate(itf):
