@@ -136,7 +136,11 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
 
     transmission = None
     if tx_rel:
-        transmission = load_transmission(_read_json(root, tx_rel))
+        tx_doc = _read_json(root, tx_rel)
+        try:
+            transmission = load_transmission(tx_doc)
+        except ParseError as exc:
+            raise ParseError(f"{tx_rel}: {exc}") from exc
 
     return Scenario(name=str(doc.get("name", name)),
                     description=str(doc.get("description", "")),

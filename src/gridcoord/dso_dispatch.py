@@ -35,7 +35,7 @@ from .errors import DegenerateSensitivity, GridcoordError, InfeasibleStage
 OPTIMIZED = "optimized"
 PQ_FREE = "pq_free"
 POLICIES = (OPTIMIZED, PQ_FREE)
-ENCODINGS = ("sos1", "bigm")
+ENCODINGS = inverter.ENCODINGS
 STAGES = ("stage1", "stage2a", "stage2b")
 
 V_LIMITS = (0.95, 1.05)   # planning voltage band on observable bus-phases, pu

@@ -27,6 +27,7 @@ WATT_VAR = "watt_var"
 MODES = (VOLT_VAR, VOLT_WATT, WATT_VAR)
 # each mode's (input, output): "v" terminal voltage, "p"/"q" active/reactive power
 MODE_IO = {VOLT_VAR: ("v", "q"), VOLT_WATT: ("v", "p"), WATT_VAR: ("p", "q")}
+ENCODINGS = ("sos1", "bigm")   # the droop-mode encodings encode_modes builds
 
 DEFAULT_PROFILE = {
     "vv": {"v1": 0.92, "v2": 0.98, "v3": 1.02, "v4": 1.08, "q_frac": 0.44,
@@ -54,6 +55,10 @@ class InverterSpec:
     def __post_init__(self):
         if self.q_min is None:
             object.__setattr__(self, "q_min", -self.q_max)
+        values = (self.s_rated, self.p_max, self.q_max, self.p_min, self.q_min,
+                  self.m_pq, self.b_pq)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"{self.inverter_id}: ratings and slope must be finite")
         if self.s_rated <= 0:
             raise ValidationError(f"{self.inverter_id}: s_rated must be positive")
         if not self.p_min <= self.p_max <= self.s_rated:
@@ -401,8 +406,10 @@ def encode_modes(model: milp.MilpModel, curves: dict, ids: dict, encoding: str,
     one continuous variable per mode, summing to one in an SOS1 set that
     is registered before the per-mode segment sets so branching resolves
     the hierarchy top-down.  bigm: one sum-to-one row over all of the
-    DER's binaries.
+    DER's binaries.  Any other encoding raises ``ValueError``.
     """
+    if encoding not in ENCODINGS:
+        raise ValueError(f"unknown encoding {encoding!r}; have {ENCODINGS}")
     sos = encoding == "sos1"
     if sos:
         mode_vars = {mode: model.add_variable(0.0, 1.0, name=f"s_{mode}_{sfx}")

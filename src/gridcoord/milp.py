@@ -32,28 +32,39 @@ that pivots only on the rows the branch made primal infeasible.
   (int32, one entry per row) and variable statuses (int8, one per
   structural or slack).  Siblings share those two arrays.  No node stores a tableau.
 - **One working tableau.**  A node whose parent was the last node
-  solved re-optimizes in that tableau in place.  Any other node rebuilds
-  it from the stored basis.  A cold solve's tableau becomes the working
-  one; when its node branches, it drops the artificial columns (a basic
-  artificial gives way to its row's slack), so every stored basis
-  indexes structurals and slacks only.
+  solved re-optimizes in that tableau in place.  Any other node is
+  rebased: Jordan exchanges that move no value pivot the working
+  tableau onto its stored basis, a few rank-1 updates where a refactor
+  would rebuild every column.  A cold solve's tableau becomes the
+  working one; when its node branches, it drops the artificial columns
+  (a basic artificial gives way to its row's slack), so every stored
+  basis indexes structurals and slacks only.
 - **Refactor.**  Slack and artificial columns are signed unit columns,
   so B^-1 needs only an LU of the block of basic structural columns on
   the rows no basic unit column covers (at most n_struct square).  The
   refactor renumbers the nonbasic columns in variable order and rebuilds
-  them in place, a few at a time.  It runs when a node is loaded from
-  its stored basis and after every ``_REFACTOR_PERIOD`` pivots, in the
-  primal and the dual simplex alike.
+  them in place, a few at a time.  It runs after every
+  ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike,
+  and when a node is loaded from its stored basis instead of rebased:
+  after a cold solve, at the period, when an exchange finds no pivot
+  above ``_REBASE_TOL``, and to retry a node whose rebased solve ended
+  without a verdict.
 - **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
   tableau: its column of T when the slack is nonbasic, else the unit
   column of the row it is basic in.  The dual steepest-edge weights and
-  the Farkas check rebuild the rows they need from that.
+  the Farkas check rebuild the rows they need from that.  The squared
+  norm of each row is kept across pivots.  A pivot marks stale only
+  the pivot row and the rows with a nonzero in the entering column: a
+  row with a zero there is unchanged bit for bit.  A refactor or the
+  drop of the artificials marks every row stale.
 - **Verdicts.**  A node is optimal only after a primal pricing pass on
   the dual simplex's end point finds nothing to improve.  It is pruned
   as infeasible only when a Farkas check recomputed from the original
   rows (row r of B^-1 applied to A and b) proves the bounds infeasible.
-  An unconfirmed verdict, a singular refactor or a dual stall (more than
-  max(64, rows) pivots) falls back to a cold solve of that node.
+  An unconfirmed verdict or a dual stall (more than max(64, rows)
+  pivots) after a rebase retries once from the refactored stored basis;
+  one after any other start, or a singular refactor, falls back to a
+  cold solve of that node.
 - **Memory.**  The search holds one m x n_struct tableau, never a copy
   per node.  A cold fallback first releases it, dropping artificials
   reuses its buffer, and the refactor works in blocks of columns, so the
@@ -271,6 +282,7 @@ class MilpSolution:
 
 _AT_LO, _AT_HI, _BASIC, _FREE = 0, 1, 2, 3
 _PIV_TOL = 1e-9
+_REBASE_TOL = 1e-7       # smallest |pivot| an exchange toward a stored basis takes
 _D_TOL = 1e-9
 _REFACTOR_PERIOD = 500   # pivots between two refactors of a tableau
 _REFACTOR_BLOCK = 64     # tableau columns (or rows) gathered at a time
@@ -408,6 +420,9 @@ class _Simplex:
         self.pos = np.full(self.N, -1)
         self.pos[self.nb] = np.arange(self.nb.size)
         self.fixed = self.hi - self.lo <= 0.0
+        # |row i of B^-1|^2, valid where norm_stale is False
+        self.row_norm = np.empty(m)
+        self.norm_stale = np.ones(m, dtype=bool)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -423,6 +438,7 @@ class _Simplex:
         leaving T and x_B as they were, when A[R, S] is singular.
         """
         self.since_refactor = 0
+        self.norm_stale[:] = True
         m, n = self.m, self.n_tot - self.m
         basis = self.basis
         pos_s = np.flatnonzero(basis < n)
@@ -498,6 +514,7 @@ class _Simplex:
         self.pos[self.nb] = np.arange(n)
         self.N, self.n_art = n_tot, 0
         self.art_rows, self.art_signs = self.art_rows[:0], self.art_signs[:0]
+        self.norm_stale[:] = True
 
     def _place_nonbasic(self):
         """Put every nonbasic column at the bound its status names, or at
@@ -538,6 +555,38 @@ class _Simplex:
         self._set_struct_bounds(lo_s, hi_s)
         self._place_nonbasic()
         return self.refactor() is not None
+
+    def rebase(self, basis, status, lo_s, hi_s):
+        """Adopt a stored basis under new structural bounds by Jordan
+        exchanges from the current one, with no artificials present.
+
+        Each variable of the stored basis that is not basic enters, in
+        ascending id, at the row with the largest |T[r, k]| among the
+        rows whose variable must leave (the first on a tie).  No value
+        moves: the leaving variable keeps its basic value until the
+        stored statuses are applied, and x_B then follows as in
+        ``set_bounds``.  The basic variables are then the stored ones,
+        though not necessarily on the same rows.  Returns False, leaving
+        the tableau for ``load``, when an exchange finds no pivot above
+        ``_REBASE_TOL``.
+        """
+        in_stored = np.zeros(self.N, dtype=bool)
+        in_stored[basis] = True
+        leaving = ~in_stored[self.basis]
+        for q in np.flatnonzero(in_stored & (self.pos >= 0)):
+            rows = np.flatnonzero(leaving)
+            col = np.abs(self.T[rows, self.pos[q]])
+            i = int(np.argmax(col))
+            if not col[i] > _REBASE_TOL:
+                return False
+            r = int(rows[i])
+            leave, value = self.basis[r], self.xB[r]
+            self._pivot(r, self.pos[q], 0.0, _AT_LO)
+            self.xval[leave] = value
+            leaving[r] = False
+        self.status[:] = status
+        self.set_bounds(lo_s, hi_s)
+        return True
 
     def solution_x(self):
         x = self.xval[:self.n_tot].copy()
@@ -580,6 +629,10 @@ class _Simplex:
         T[:, k] = 0.0
         T[r] = Trow
         _rank1_update(T, colv, Trow)
+        # a row with colv == 0 keeps its B^-1 row bit for bit (up to the sign
+        # of a zero), and with it its norm
+        self.norm_stale[colv != 0.0] = True
+        self.norm_stale[r] = True
         self.xB[r] = enter_val
         self.iters += 1
         self.since_refactor += 1
@@ -601,12 +654,16 @@ class _Simplex:
         return out
 
     def _binv_row_norms(self, rows):
-        """|row i of B^-1|^2 for each given row, a few rows at a time."""
-        out = np.empty(rows.size)
-        for c0 in range(0, rows.size, _REFACTOR_BLOCK):
-            b_inv = self._binv_rows(rows[c0:c0 + _REFACTOR_BLOCK])
-            out[c0:c0 + _REFACTOR_BLOCK] = np.einsum("ij,ij->i", b_inv, b_inv)
-        return out
+        """|row i of B^-1|^2 for each given row.  Kept across pivots:
+        only the rows a pivot or refactor touched since their last use
+        are recomputed, a few rows at a time."""
+        stale = rows[self.norm_stale[rows]]
+        for c0 in range(0, stale.size, _REFACTOR_BLOCK):
+            part = stale[c0:c0 + _REFACTOR_BLOCK]
+            b_inv = self._binv_rows(part)
+            self.row_norm[part] = np.einsum("ij,ij->i", b_inv, b_inv)
+        self.norm_stale[stale] = False
+        return self.row_norm[rows]
 
     def _farkas(self, r):
         """Whether row r of B^-1, applied to the original A and b, proves
@@ -794,9 +851,10 @@ class _Simplex:
         return self._optimal()
 
     def reoptimize(self):
-        """Warm solve after ``set_bounds`` or ``load``: dual simplex, then a
-        primal pass that confirms optimality.  None asks for a cold solve."""
-        self.iters = 0
+        """Warm solve after ``set_bounds``, ``rebase`` or ``load``: dual
+        simplex, then a primal pass that confirms optimality.  None asks
+        for another start.  ``iters`` keeps counting from where the
+        caller left it."""
         st = self.run_dual()
         if st == INFEASIBLE:
             return _SimplexResult(INFEASIBLE, None, None, self.iters)
@@ -845,24 +903,42 @@ class _Node:
 
 
 class _NodeLp:
-    """Node LP solves of one search around its single working tableau."""
+    """Node LP solves of one search around its single working tableau.
+
+    A node starts from its parent's optimal basis: by ``set_bounds`` when
+    the tableau holds its parent, else by ``rebase`` when the tableau
+    comes out of a warm solve, else by ``load`` (a refactor).  Rebasing
+    and the in-place change need the tableau within ``_REFACTOR_PERIOD``
+    pivots of its last refactor.  A rebased solve that ends without a
+    verdict is retried once from ``load``; any other node without one,
+    or whose basis the refactor finds singular, is solved cold.
+    """
 
     def __init__(self, arrs: _Arrays):
         self.arrs = arrs
         self.lp = None       # _Simplex over structural and slack columns
         self.holds = None    # id of the node whose optimal basis lp holds
+        self.warm = False    # lp comes out of a warm solve, not a cold one
 
     def solve(self, node, nid):
-        res, spent = None, 0
-        if node.basis is not None and self.lp is not None:
-            if node.parent == self.holds and self.lp.since_refactor < _REFACTOR_PERIOD:
-                self.lp.set_bounds(node.lo, node.hi)
-                ready = True
+        res, spent, lp = None, 0, self.lp
+        if node.basis is not None and lp is not None:
+            lp.iters = 0
+            fresh = lp.since_refactor < _REFACTOR_PERIOD
+            stored = (node.basis, node.status, node.lo, node.hi)
+            if node.parent == self.holds and fresh:
+                lp.set_bounds(node.lo, node.hi)
+                res = lp.reoptimize()
             else:
-                ready = self.lp.load(node.basis, node.status, node.lo, node.hi)
-            if ready:
-                res = self.lp.reoptimize()
-                spent = self.lp.iters
+                # a warm tableau has no artificials: basis_of_last dropped them
+                if self.warm and fresh and lp.rebase(*stored):
+                    res = lp.reoptimize()
+                # a failed rebase, or a rebased solve that ended without a
+                # verdict, starts again from the refactored stored basis
+                if res is None and lp.load(*stored):
+                    res = lp.reoptimize()
+            spent = lp.iters
+        self.warm = res is not None
         if res is None:
             res = self._cold(node)
             res.iterations += spent
@@ -893,11 +969,15 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
 
     The root LP is a cold primal solve.  Every other node re-optimizes
     from its parent's optimal basis with the dual simplex: in place when
-    its parent was the last node solved, otherwise after a refactor from
-    the basis it stores (see the module docstring for the node storage,
-    refactor policy, infeasibility confirmation and memory rule).  A
-    node whose warm solve cannot reach a confirmed verdict is solved
-    cold.  ``simplex_iterations`` counts every primal and dual pivot.
+    its parent was the last node solved, otherwise after Jordan
+    exchanges onto the basis it stores, or a refactor from it where the
+    exchanges cannot be used (see the module docstring for the node
+    storage, refactor policy, infeasibility confirmation and memory
+    rule).  A rebased node whose warm solve cannot reach a confirmed
+    verdict is retried once from a refactor; a node still without one
+    is solved cold.
+    ``simplex_iterations`` counts every primal and dual pivot and every
+    exchange of a rebase.
 
     Deterministic for fixed inputs and options.  Open nodes are keyed on
     ``floor(bound / GAP)``, their relaxation bound rounded down to the

@@ -156,6 +156,15 @@ class TransmissionCase:
         return Y
 
 
+def _whole(value) -> int:
+    """An interface multiplicity as an int; a bool, a fraction or a
+    non-number raises ``ParseError`` instead of being truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ParseError(f"interface multiplicity must be a whole number, not {value!r}")
+    return int(value)
+
+
 def load_transmission(doc: dict) -> TransmissionCase:
     """Parse a transmission case from its JSON document, already decoded."""
     if not isinstance(doc, dict):
@@ -170,7 +179,7 @@ def load_transmission(doc: dict) -> TransmissionCase:
         gens = [TGen(str(g["bus"]), float(g["p_mw"]), float(g["v_pu"]))
                 for g in doc.get("gens", [])]
         interfaces = [Interface(str(i["bus"]), str(i.get("feeder_ref", "")),
-                                int(i.get("multiplicity", 1)))
+                                _whole(i.get("multiplicity", 1)))
                       for i in doc.get("interfaces", [])]
         return TransmissionCase(buses, branches, gens, interfaces,
                                 float(doc.get("s_base_mva", 100.0)))

@@ -119,6 +119,30 @@ class TestBundle:
         with pytest.raises(ValidationError, match="multiplicity"):
             bundle.load_scenario("tx9-outage", root=root)
 
+    @pytest.mark.parametrize("multiplicity", [1.9, True, "2", None],
+                             ids=["fraction", "bool", "string", "null"])
+    def test_multiplicity_not_whole_is_parse_error(self, tmp_path, multiplicity):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        rel = "transmission/tx9.json"
+        doc = json.loads((root / rel).read_text())
+        doc["interfaces"][0]["multiplicity"] = multiplicity
+        rewrite_checked(root, rel, json.dumps(doc).encode())
+        with pytest.raises(ParseError, match=rel):
+            bundle.load_scenario("tx9-outage", root=root)
+
+    @pytest.mark.parametrize("value", [float("nan"), "nan", float("inf")],
+                             ids=["json-nan", "string-nan", "json-inf"])
+    def test_non_finite_inverter_rejected(self, tmp_path, value):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        rel = "inverters/default.json"
+        doc = json.loads((root / rel).read_text())
+        doc["inverters"][0]["q_max_kvar"] = value
+        rewrite_checked(root, rel, json.dumps(doc).encode())
+        with pytest.raises(ValidationError, match="finite"):
+            bundle.load_scenario("tiny-2bus", root=root)
+
     def test_non_utf8_file_is_parse_error(self, tmp_path):
         root = tmp_path / "data"
         shutil.copytree(bundle.data_root(), root)

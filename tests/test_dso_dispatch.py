@@ -151,6 +151,48 @@ def test_feeder13_highpv_stage_models(enc):
         assert sol.node_count <= 100, mm.name
 
 
+def test_warm_nodes_rebase_instead_of_refactoring(monkeypatch):
+    """Warm nodes reach their parent's basis by exchanges.  On the
+    benchmark round's bigm stage 2a MAX, the tableau is refactored only
+    after a cold solve, at the refactor period, after a failed rebase,
+    or to retry a rebased node whose solve ended without a verdict."""
+    ctx = dd.make_context(data.load_scenario("feeder13-highpv"), encoding="bigm")
+    simplex, node_lp = milp._Simplex, milp._NodeLp
+    rebase, reoptimize = simplex.rebase, simplex.reoptimize
+    refactor, cold = simplex.refactor, node_lp._cold
+    log, refactors = [], []
+
+    def logged_rebase(self, *args):
+        ok = rebase(self, *args)
+        log.append("rebased" if ok else "no rebase")
+        return ok
+
+    def logged_reoptimize(self):
+        res = reoptimize(self)
+        log.append("verdict" if res is not None else "no verdict")
+        return res
+
+    def logged_cold(self, node):
+        log.append("cold")
+        return cold(self, node)
+
+    def checked_refactor(self):
+        refactors.append(self.since_refactor >= milp._REFACTOR_PERIOD
+                         or log[-1:] in (["cold"], ["no rebase"])
+                         or log[-2:] == ["rebased", "no verdict"])
+        return refactor(self)
+
+    monkeypatch.setattr(simplex, "rebase", logged_rebase)
+    monkeypatch.setattr(simplex, "reoptimize", logged_reoptimize)
+    monkeypatch.setattr(simplex, "refactor", checked_refactor)
+    monkeypatch.setattr(node_lp, "_cold", logged_cold)
+    sol = milp.solve_milp(stage2a_model(ctx, 2700.0, milp.MAX))
+    assert sol.status == milp.OPTIMAL
+    assert sol.objective == pytest.approx(96.186799, abs=1e-6)
+    assert "rebased" in log
+    assert all(refactors), f"{refactors.count(False)} of {len(refactors)} refactors unneeded"
+
+
 @pytest.mark.parametrize("name", ["tiny-2bus", "feeder13-highpv", "feeder40-highpv"])
 def test_sensitivity_weights_match_finite_difference(name):
     """The closed-form weights against a finite difference of the linear

@@ -35,6 +35,17 @@ def three_modes(encoding):
     return m, ids, encs
 
 
+@pytest.mark.parametrize("encoding", ["SOS1", "big-m", ""])
+def test_encode_modes_rejects_unknown_encoding(encoding):
+    with pytest.raises(ValueError, match="unknown encoding"):
+        three_modes(encoding)
+
+
+def test_dispatch_shares_the_encoding_names():
+    from gridcoord import dso_dispatch
+    assert dso_dispatch.ENCODINGS is inverter.ENCODINGS == ("sos1", "bigm")
+
+
 def var_id(model, name):
     return next(i for i, v in enumerate(model.variables) if v.name == name)
 
@@ -50,6 +61,15 @@ class TestInverterSpec:
             inverter.InverterSpec("bad", s_rated=100.0, p_max=150.0, q_max=40.0)
         with pytest.raises(ValidationError):
             inverter.InverterSpec("bad", s_rated=-1.0, p_max=0.0, q_max=0.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"q_max": np.nan}, {"q_min": np.nan}, {"s_rated": np.inf},
+        {"m_pq": np.nan}, {"b_pq": np.inf}, {"p_min": -np.inf},
+    ], ids=["q_max-nan", "q_min-nan", "s_rated-inf", "m_pq-nan", "b_pq-inf", "p_min-inf"])
+    def test_non_finite_fields_rejected(self, fields):
+        args = {"s_rated": 100.0, "p_max": 50.0, "q_max": 40.0, **fields}
+        with pytest.raises(ValidationError, match="finite"):
+            inverter.InverterSpec("x", **args)
 
 
 class TestCapability:

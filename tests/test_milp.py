@@ -657,7 +657,8 @@ class TestWarmSearch:
         """nb, pos and basis partition the variables, T is B^-1 [A | I | art]
         on the nonbasic columns and the B^-1 rows that the dual pricing and
         the Farkas check read are the explicit inverse's: after a cold
-        solve, after a bound change and its warm solve, and after a load."""
+        solve, after a bound change and its warm solve, after a rebase
+        back onto the first basis and after a load."""
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
@@ -678,8 +679,55 @@ class TestWarmSearch:
             check_condensed(lp)
             lp.reoptimize()
             check_condensed(lp)
+        if lp.rebase(basis, status, arrs.lo[:n], arrs.hi[:n]):
+            assert np.array_equal(np.sort(lp.basis), np.sort(basis))
+            check_condensed(lp)
         if lp.load(basis, status, arrs.lo[:n], arrs.hi[:n]):
             check_condensed(lp)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps(), st.data())
+    def test_binv_row_norms_cached_exactly(self, model, data):
+        """The B^-1 row norms kept across pivots are bit for bit the ones
+        a fresh computation gives, after a cold solve and after each of
+        a few bound changes, its warm solve and a rebase."""
+        arrs = milp._Arrays(model)
+        if arrs.trivially_infeasible or arrs.m == 0:
+            return
+        lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+        rows = np.arange(arrs.m)
+        lp._binv_row_norms(rows)   # every row cached before the first pivot
+        lp.solve()
+        check_norms_exact(lp)
+        lp.drop_artificials()
+        if lp.refactor() is None:
+            return
+        check_norms_exact(lp)
+        basis, status = lp.basis.copy(), lp.status.copy()
+        n = arrs.n_struct
+        lo, hi = arrs.lo[:n].copy(), arrs.hi[:n].copy()
+        for _ in range(data.draw(st.integers(1, 3))):
+            boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+            if boxed.size == 0:
+                break
+            j = data.draw(st.sampled_from(boxed.tolist()))
+            if data.draw(st.booleans()):
+                lo[j] = hi[j]
+            else:
+                hi[j] = lo[j]
+            lp.set_bounds(lo, hi)
+            lp._binv_row_norms(rows)
+            lp.reoptimize()
+            check_norms_exact(lp)
+            if not lp.rebase(basis, status, arrs.lo[:n], arrs.hi[:n]):
+                break
+            check_norms_exact(lp)
+
+
+def check_norms_exact(lp):
+    rows = np.arange(lp.m)
+    b_inv = lp._binv_rows(rows)
+    assert np.array_equal(lp._binv_row_norms(rows), np.einsum("ij,ij->i", b_inv, b_inv))
 
 
 def check_condensed(lp):
