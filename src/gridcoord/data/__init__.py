@@ -101,6 +101,11 @@ def load_scenario(name: str, root: Path | None = None) -> Scenario:
         outage = doc.get("outage")
     except FIELD_ERRORS as exc:
         raise ParseError(f"{rel}: missing or malformed field ({exc!r})") from exc
+    if not 0.0 <= irradiance <= 1.0:
+        raise ParseError(f"{rel}: irradiance must be in [0, 1], not {irradiance!r}")
+    if not 0.0 <= load_scale < np.inf:
+        raise ParseError(f"{rel}: load_scale must be finite and non-negative, "
+                         f"not {load_scale!r}")
     refs = {"feeder": feeder_rel, "inverters": inv_rel}
     if tx_rel is not None:
         refs["transmission"] = tx_rel

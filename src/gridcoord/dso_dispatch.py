@@ -8,6 +8,17 @@ substation.  All stages share one MILP skeleton: per-DER capability
 rows, droop-mode encodings with mode exclusivity, the observable
 voltage map, and the substation reactive-flow expression.
 
+Stage 2a's model is stage 1's plus one ``pstar`` row, and its MIN and
+MAX solves share every row and bound.  So stage 1 leaves its optimal
+root basis on the context, stage 2a MIN starts its root from it
+(``milp.solve_milp(start=...)``) and MAX from MIN's; each start is
+solved by primal phase 2 alone when it is feasible, else cold.  A 2a
+optimum may then be a different vertex, with the same objective, than a
+cold solve gives, and where the optimum is not unique its substation
+flow (the envelope end) may differ too; on the bundled scenarios the
+envelopes agree within 1e-8.  Stage 1 and stage 2b start cold: 2b adds
+structural variables, and its ``qreq`` row is violated at any 2a vertex.
+
 Per-DER power variables are in device per-unit (fractions of the
 inverter rating); stage objectives and reported quantities are in
 kW/kvar; network coupling converts through the feeder power base.  The
@@ -51,6 +62,13 @@ class ModePolicy:
 
 @dataclass
 class DispatchContext:
+    """One feeder's dispatch inputs, shared by its stages.
+
+    ``stage1_max_power`` leaves its optimal root basis in
+    ``stage1_root_basis`` (None when its root did not branch), before
+    it raises any error; ``stage2a_aggregate`` starts from it, so
+    stage 2a run after stage 1 on the same context skips phase 1.
+    """
     model: feeder_mod.FeederModel
     blocks: feeder_mod.SensitivityBlocks       # partitioned, k1/c2 current
     specs: list[inverter.InverterSpec]         # per DER placement
@@ -59,6 +77,7 @@ class DispatchContext:
     encoding: str = "sos1"
     policy: ModePolicy = field(default_factory=ModePolicy)
     q_sub_offset_kvar: float | None = None     # None: flat-voltage estimate
+    stage1_root_basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.encoding not in ENCODINGS:
@@ -73,6 +92,8 @@ class DispatchContext:
                 if mode not in curve_set:
                     raise ValueError(f"missing {mode} curve")
         self.p_available_kw = np.asarray(self.p_available_kw, dtype=float)
+        if not np.all(np.isfinite(self.p_available_kw) & (self.p_available_kw >= 0.0)):
+            raise ValueError("available power must be finite and non-negative")
         for k, spec in enumerate(self.specs):
             if self.p_available_kw[k] > spec.p_max + 1e-9:
                 raise ValueError("available power above inverter rating")
@@ -270,19 +291,23 @@ class DispatchResult:
         }
 
 
-def _solve_stage(mm, stage):
+def _solve_stage(mm, start=None):
+    """Solve one stage model, its root from ``start`` (an earlier root
+    basis, or None for a cold root); returns (solution, stats)."""
     t0 = time.perf_counter()
-    sol = milp.solve_milp(mm)
+    sol = milp.solve_milp(mm, start=start)
     wall_ms = 1e3 * (time.perf_counter() - t0)
+    return sol, {"status": sol.status, "nodes": sol.node_count,
+                 "simplex_iterations": sol.simplex_iterations, "wall_ms": wall_ms}
+
+
+def _require_optimal(sol, stage):
     if sol.status == milp.INFEASIBLE:
         raise InfeasibleStage(f"{stage}: no feasible mode/setting assignment")
     if sol.status != milp.OPTIMAL:
         raise GridcoordError(f"{stage}: solver returned {sol.status} after "
                              f"{sol.node_count} nodes (best bound {sol.best_bound:.6g}, "
                              f"gap {sol.gap:.3g})")
-    stats = {"status": sol.status, "nodes": sol.node_count,
-             "simplex_iterations": sol.simplex_iterations, "wall_ms": wall_ms}
-    return sol, stats
 
 
 def _extract(ctx, handles, sol, stage, stats) -> DispatchResult:
@@ -318,7 +343,9 @@ def stage1_max_power(ctx: DispatchContext):
     mm, handles = build_stage_model(ctx, "stage1")
     mm.set_objective(milp.MAX, {handles.p[i]: ctx.specs[i].s_rated
                                 for i in range(len(handles.p))})
-    sol, stats = _solve_stage(mm, "stage1")
+    sol, stats = _solve_stage(mm)
+    ctx.stage1_root_basis = sol.root_basis
+    _require_optimal(sol, "stage1")
     result = _extract(ctx, handles, sol, "stage1", stats)
     return result.p_star_kw, result
 
@@ -328,15 +355,20 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
 
     Objective follows the total DER reactive sum; the reported envelope
     endpoints are the substation reactive flows of the two extreme
-    solutions, which is what the TSO interface consumes.
+    solutions, which is what the TSO interface consumes.  MIN's root
+    starts from ``ctx.stage1_root_basis`` and MAX's from MIN's root
+    basis.
     """
     mm, handles = build_stage_model(ctx, "stage2a", p_star_kw=p_star_kw)
     q_total = {handles.q[i]: ctx.specs[i].s_rated for i in range(len(handles.q))}
     results = {}
+    start = ctx.stage1_root_basis
     for sense, tag in ((milp.MIN, "stage2a_min"), (milp.MAX, "stage2a_max")):
         mm.set_objective(sense, q_total)
-        sol, stats = _solve_stage(mm, tag)
+        sol, stats = _solve_stage(mm, start)
+        _require_optimal(sol, tag)
         results[tag] = _extract(ctx, handles, sol, tag, stats)
+        start = sol.root_basis
     q_lo = min(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     q_hi = max(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     for r in results.values():
@@ -382,7 +414,8 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
         obj[handles.qp[i]] = weights[i] * s
         obj[handles.qm[i]] = weights[i] * s
     mm.set_objective(milp.MIN, obj)
-    sol, stats = _solve_stage(mm, "stage2b")
+    sol, stats = _solve_stage(mm)
+    _require_optimal(sol, "stage2b")
     stats["weights"] = [float(w) for w in weights]
     return _extract(ctx, handles, sol, "stage2b", stats)
 

@@ -4,9 +4,20 @@ The LP engine is a bounded-variable tableau simplex over the structural
 columns and one slack column per row.  A cold solve starts from the
 slack basis: phase 1 drives artificial columns out, phase 2 optimizes,
 both with Devex-weighted Dantzig pricing and a Bland anti-cycling
-fallback.  ``solve_lp``, ``brute_force`` and the root node of
-``solve_milp`` are cold solves.
+fallback.  ``solve_lp`` and ``brute_force`` are cold solves, and so is
+the root node of ``solve_milp`` unless it is given a start.
 
+- **Start basis.**  ``solve_milp(start=...)`` takes an earlier solve's
+  optimal root basis (``MilpSolution.root_basis``) from a model with the
+  same structural variables and rows that are a prefix of this model's;
+  each extra row starts with its slack basic.  The root loads it (a
+  refactor) and, when every basic value is within ``FEAS_TOL`` of its
+  bounds, runs primal phase 2 only.  Phase 2 from a primal feasible
+  basis ends on the same verdict a cold solve's does: confirmed by
+  primal pricing.  Wrong lengths, a singular refactor, an infeasible
+  start or a phase 2 that does not end optimal go to the cold solve,
+  and the pivots spent count.  Rows here are the constraints with
+  coefficients; empty ones never enter the LP.
 - **Condensed tableau.**  The m basic columns of B^-1 [A | I] are unit
   columns, so only the nonbasic ones are stored: T is m x n_struct (plus
   one column per artificial during phase 1), never m x (n_struct + m).
@@ -251,16 +262,23 @@ class MilpModel:
 
 @dataclass
 class MilpSolution:
+    """A solve's outcome, in the model's objective sense.
+
+    ``best_bound`` is the best objective any solution can reach, as far
+    as the search proved it, and ``gap`` is |objective - best_bound|
+    (inf without an incumbent).  ``root_basis`` is the root LP's optimal
+    (basis int32[m], status int8[n + m]) over structurals and slacks,
+    kept when the root branched (None otherwise, and from ``solve_lp``
+    and ``brute_force``); ``solve_milp(start=...)`` takes it.
+    """
     status: str
     objective: float | None
     x: np.ndarray | None
     node_count: int = 0
     simplex_iterations: int = 0
-    # best_bound: the best objective any solution can reach, as far as the
-    # search proved it (objective sense).  gap: |objective - best_bound|,
-    # inf without an incumbent.
     best_bound: float = np.nan
     gap: float = np.inf
+    root_basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def value(self, vid: int) -> float:
         return float(self.x[vid])
@@ -329,14 +347,32 @@ class _Arrays:
         self.iter_cap = ITER_FACTOR * (m + n)
         self.obj_sign, self.obj_const = sign, model.objective_const
 
-    def solution(self, status, objective, x, bound, nodes=0, iterations=0):
+    def solution(self, status, objective, x, bound, nodes=0, iterations=0, root_basis=None):
         """A MilpSolution in the model's sense from internal (min-sense) values."""
         gap = np.inf
         if objective is not None:
             gap = abs(objective - bound)
             objective = self.obj_sign * objective + self.obj_const
         return MilpSolution(status, objective, x, nodes, iterations,
-                            self.obj_sign * bound + self.obj_const, gap)
+                            self.obj_sign * bound + self.obj_const, gap, root_basis)
+
+    def start_basis(self, start):
+        """An earlier model's (basis, status) as a basis of these rows, or
+        None when it cannot be one.  The earlier model must have the same
+        structural variables and rows that are a prefix of these; each
+        extra row starts with its slack basic.  The basis must name
+        exactly the variables its statuses mark basic."""
+        if start is None:
+            return None
+        basis, status = (np.asarray(a) for a in start)
+        n, m = self.n_struct, self.m
+        m0 = basis.size
+        if basis.ndim != 1 or status.ndim != 1 or status.size != n + m0 or m0 > m:
+            return None
+        if not np.array_equal(np.sort(basis), np.flatnonzero(status == _BASIC)):
+            return None
+        return (np.concatenate([basis, np.arange(n + m0, n + m)]).astype(np.int32),
+                np.concatenate([status, np.full(m - m0, _BASIC)]).astype(np.int8))
 
 
 class _SimplexResult:
@@ -898,7 +934,8 @@ class _Node:
     lo: np.ndarray = field(compare=False)
     hi: np.ndarray = field(compare=False)
     parent: int = field(default=-1, compare=False)
-    basis: np.ndarray | None = field(default=None, compare=False)    # parent's, int32
+    # the parent's optimal basis (at the root, the start's), int32
+    basis: np.ndarray | None = field(default=None, compare=False)
     status: np.ndarray | None = field(default=None, compare=False)   # parent's, int8
 
 
@@ -911,7 +948,9 @@ class _NodeLp:
     and the in-place change need the tableau within ``_REFACTOR_PERIOD``
     pivots of its last refactor.  A rebased solve that ends without a
     verdict is retried once from ``load``; any other node without one,
-    or whose basis the refactor finds singular, is solved cold.
+    or whose basis the refactor finds singular, is solved cold.  The
+    root is solved cold, or by ``_primal_start`` when it carries a start
+    basis.
     """
 
     def __init__(self, arrs: _Arrays):
@@ -922,7 +961,9 @@ class _NodeLp:
 
     def solve(self, node, nid):
         res, spent, lp = None, 0, self.lp
-        if node.basis is not None and lp is not None:
+        if node.parent < 0 and node.basis is not None:
+            res, spent = self._primal_start(node)
+        elif node.basis is not None and lp is not None:
             lp.iters = 0
             fresh = lp.since_refactor < _REFACTOR_PERIOD
             stored = (node.basis, node.status, node.lo, node.hi)
@@ -938,12 +979,30 @@ class _NodeLp:
                 if res is None and lp.load(*stored):
                     res = lp.reoptimize()
             spent = lp.iters
-        self.warm = res is not None
+        self.warm = res is not None and node.parent >= 0
         if res is None:
             res = self._cold(node)
             res.iterations += spent
         self.holds = nid if res.status == OPTIMAL and self.lp is not None else None
         return res
+
+    def _primal_start(self, node):
+        """The root from a start basis: load it, and when every basic
+        value is within ``FEAS_TOL`` of its bounds run primal phase 2.
+        Returns (result or None, pivots spent); None when the basis is
+        singular or infeasible or phase 2 does not end optimal."""
+        arrs = self.arrs
+        self.lp = None
+        lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
+                      arrs.iter_cap)
+        lp.drop_artificials()
+        if lp.load(node.basis, node.status, node.lo, node.hi):
+            lb, ub = lp.lo[lp.basis], lp.hi[lp.basis]
+            if (np.all((lp.xB >= lb - FEAS_TOL) & (lp.xB <= ub + FEAS_TOL))
+                    and lp.run_phase(lp.c_user, phase1=False) == OPTIMAL):
+                self.lp = lp
+                return lp._optimal(), lp.iters
+        return None, lp.iters
 
     def _cold(self, node):
         arrs = self.arrs
@@ -964,10 +1023,16 @@ class _NodeLp:
         return self.lp.basis.astype(np.int32), self.lp.status.copy()
 
 
-def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolution:
+def solve_milp(model: MilpModel, options: MilpOptions | None = None,
+               start: tuple | None = None) -> MilpSolution:
     """Best-first branch and bound over binaries and SOS1 sets.
 
-    The root LP is a cold primal solve.  Every other node re-optimizes
+    The root LP is a cold primal solve, or with ``start`` (an earlier
+    solve's ``root_basis``; see the module docstring for which models
+    may share one) primal phase 2 from that basis when it is feasible,
+    else the cold solve.  A solution from a start may be another
+    optimal vertex than the cold solve's, with the same objective
+    within ``GAP``.  Every other node re-optimizes
     from its parent's optimal basis with the dual simplex: in place when
     its parent was the last node solved, otherwise after Jordan
     exchanges onto the basis it stores, or a refactor from it where the
@@ -977,7 +1042,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     verdict is retried once from a refactor; a node still without one
     is solved cold.
     ``simplex_iterations`` counts every primal and dual pivot and every
-    exchange of a rebase.
+    exchange of a rebase, and those of a start that fell back to cold.
 
     Deterministic for fixed inputs and options.  Open nodes are keyed on
     ``floor(bound / GAP)``, their relaxation bound rounded down to the
@@ -1016,7 +1081,10 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     dropped_bound = np.inf  # best bound among nodes dropped at the simplex cap
     stopped = False
 
-    heap = [_Node(-np.inf, 0, -np.inf, arrs.lo[:n].copy(), arrs.hi[:n].copy())]
+    basis, status = arrs.start_basis(start) or (None, None)
+    heap = [_Node(-np.inf, 0, -np.inf, arrs.lo[:n].copy(), arrs.hi[:n].copy(),
+                  basis=basis, status=status)]
+    root_basis = None
 
     while heap:
         node = heapq.heappop(heap)
@@ -1086,6 +1154,8 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
                 hi_c[zero_ids] = 0.0
                 bounds.append((lo_c, hi_c))
         basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
+        if nid == 0 and basis is not None:
+            root_basis = (basis, status)
         key = np.floor(res.objective / GAP)
         for lo_c, hi_c in bounds:
             heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
@@ -1100,7 +1170,8 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None) -> MilpSolu
     else:
         status = OPTIMAL if incumbent_x is not None else INFEASIBLE
     objective = incumbent_obj if incumbent_x is not None else None
-    return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters)
+    return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters,
+                         root_basis)
 
 
 def brute_force(model: MilpModel) -> MilpSolution:

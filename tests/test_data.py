@@ -131,6 +131,22 @@ class TestBundle:
         with pytest.raises(ParseError, match=rel):
             bundle.load_scenario("tx9-outage", root=root)
 
+    @pytest.mark.parametrize("key, value", [
+        ("irradiance", "nan"), ("irradiance", -0.5), ("irradiance", 1.5),
+        ("irradiance", float("inf")), ("load_scale", "inf"), ("load_scale", "nan"),
+        ("load_scale", -0.1)],
+        ids=["irradiance-nan", "irradiance-negative", "irradiance-above-one",
+             "irradiance-inf", "load_scale-inf", "load_scale-nan", "load_scale-negative"])
+    def test_scenario_scalar_out_of_range_is_parse_error(self, tmp_path, key, value):
+        root = tmp_path / "data"
+        shutil.copytree(bundle.data_root(), root)
+        rel = "scenarios/tiny-2bus.json"
+        doc = json.loads((root / rel).read_text())
+        doc[key] = value
+        rewrite_checked(root, rel, json.dumps(doc).encode())
+        with pytest.raises(ParseError, match=f"{rel}: {key}"):
+            bundle.load_scenario("tiny-2bus", root=root)
+
     @pytest.mark.parametrize("value", [float("nan"), "nan", float("inf")],
                              ids=["json-nan", "string-nan", "json-inf"])
     def test_non_finite_inverter_rejected(self, tmp_path, value):

@@ -120,15 +120,20 @@ def test_unknown_stage_rejected(tiny):
         dd.build_stage_model(tiny["sos1"], "stage3")
 
 
-def test_stage_error_reports_status_nodes_bound_and_gap(tiny, monkeypatch):
+def test_stage_error_reports_status_nodes_bound_and_gap(monkeypatch):
+    """The error names the stopped search; stage 1's root basis is kept
+    on the context all the same."""
     solve = milp.solve_milp
     monkeypatch.setattr(dd.milp, "solve_milp",
-                        lambda mm: solve(mm, milp.MilpOptions(node_limit=1)))
+                        lambda mm, **kw: solve(mm, milp.MilpOptions(node_limit=1), **kw))
+    ctx = dd.make_context(data.load_scenario("tiny-2bus"), encoding="bigm")
     with pytest.raises(GridcoordError) as err:
-        dd.stage1_max_power(tiny["bigm"])
+        dd.stage1_max_power(ctx)
     text = str(err.value)
     for part in ("stage1", milp.NODE_LIMIT, "1 nodes", "best bound 300", "gap inf"):
         assert part in text
+    basis, status = ctx.stage1_root_basis
+    assert np.array_equal(np.sort(basis), np.flatnonzero(status == milp._BASIC))
 
 
 @pytest.mark.parametrize("enc", ENCODINGS)
@@ -191,6 +196,41 @@ def test_warm_nodes_rebase_instead_of_refactoring(monkeypatch):
     assert sol.objective == pytest.approx(96.186799, abs=1e-6)
     assert "rebased" in log
     assert all(refactors), f"{refactors.count(False)} of {len(refactors)} refactors unneeded"
+
+
+def test_stage2a_roots_start_from_earlier_bases(monkeypatch):
+    """Stage 2a MIN starts from stage 1's root basis and MAX from MIN's,
+    so after stage 1 the whole of stage 2a solves without a cold start
+    (phase 1 included).  On a fresh context only MIN's root is cold.
+    Both give the same envelope."""
+    p_star = 2700.0
+    colds = []
+    cold = milp._NodeLp._cold
+
+    def logged_cold(self, node):
+        colds.append(node.parent < 0)
+        return cold(self, node)
+
+    monkeypatch.setattr(milp._NodeLp, "_cold", logged_cold)
+    scenario = data.load_scenario("feeder13-highpv")
+    ctx = dd.make_context(scenario, encoding="bigm")
+    assert dd.stage1_max_power(ctx)[0] == pytest.approx(p_star, abs=TOL)
+    assert ctx.stage1_root_basis is not None
+    colds.clear()
+    warm_envelope = dd.stage2a_aggregate(ctx, p_star)[0]
+    assert colds == []
+
+    fresh = dd.make_context(scenario, encoding="bigm")
+    cold_envelope = dd.stage2a_aggregate(fresh, p_star)[0]
+    assert colds == [True]
+    np.testing.assert_allclose(warm_envelope, cold_envelope, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("p_kw", [np.nan, -1.0], ids=["nan", "negative"])
+def test_available_power_must_be_finite_and_non_negative(tiny, p_kw):
+    ctx = tiny["sos1"]
+    with pytest.raises(ValueError, match="available power"):
+        dd.DispatchContext(ctx.model, ctx.blocks, ctx.specs, ctx.curves, [p_kw])
 
 
 @pytest.mark.parametrize("name", ["tiny-2bus", "feeder13-highpv", "feeder40-highpv"])

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from unittest import mock
 
@@ -722,6 +723,95 @@ class TestWarmSearch:
             if not lp.rebase(basis, status, arrs.lo[:n], arrs.hi[:n]):
                 break
             check_norms_exact(lp)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps(), st.data())
+    def test_start_basis_matches_brute_force(self, model, data):
+        """A root started from another solve's optimal root basis: on the
+        same rows with the objective negated (always feasible, so the
+        root is not cold) and with one row appended.  Bad starts fall
+        back to a cold root: wrong lengths, a singular basis, and a
+        shuffled basic set whenever it is singular or infeasible."""
+        sol = milp.solve_milp(model)
+        if sol.root_basis is None:
+            return
+        basis, status = sol.root_basis
+        flipped = copy.deepcopy(model)
+        flipped.set_objective(milp.MAX if model.objective_sense == milp.MIN else milp.MIN,
+                              model.objective)
+        assert not check_start(flipped, sol.root_basis)
+        extended = copy.deepcopy(flipped)
+        n = len(model.variables)
+        coeffs = {j: float(c) for j in range(n) if (c := data.draw(small_int))} or {0: 1.0}
+        extended.add_constraint(coeffs, data.draw(st.sampled_from([milp.LE, milp.GE])),
+                                float(data.draw(st.integers(-4, 4))))
+        check_start(extended, sol.root_basis)
+
+        arrs = milp._Arrays(flipped)
+        m = arrs.m
+        if m == 0:
+            return
+        for bad in ((basis[:-1], status), (basis, status[:-1]),
+                    (np.append(basis, n + m), np.append(status, milp._BASIC))):
+            assert check_start(flipped, bad)
+        zeros = np.argwhere(arrs.A == 0.0)
+        if zeros.size:
+            r, j = zeros[0]
+            singular = np.arange(n, n + m)
+            singular[r] = j
+            st_s = np.full(n + m, milp._AT_LO, dtype=np.int8)
+            st_s[singular] = milp._BASIC
+            assert check_start(flipped, (singular, st_s))
+        shuffled = np.array(data.draw(st.permutations(range(n + m))))[:m]
+        st_sh = np.where(status == milp._BASIC, milp._AT_LO, status).astype(np.int8)
+        st_sh[shuffled] = milp._BASIC
+        usable = start_usable(arrs, shuffled, st_sh)
+        cold = check_start(flipped, (shuffled, st_sh))
+        if usable is not None:
+            assert cold != usable
+
+
+def check_start(model, start):
+    """Solve ``model`` from ``start`` and check it against brute force;
+    returns whether the root was solved cold."""
+    roots = []
+    cold = milp._NodeLp._cold
+
+    def logged_cold(self, node):
+        roots.append(node.parent < 0)
+        return cold(self, node)
+
+    with mock.patch.object(milp._NodeLp, "_cold", logged_cold):
+        sol = milp.solve_milp(model, start=start)
+    bf = milp.brute_force(model)
+    assert sol.status == bf.status
+    if bf.status == milp.OPTIMAL:
+        assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
+        assert sol.gap <= milp.GAP + 1e-9
+    return any(roots)
+
+
+def start_usable(arrs, basis, status):
+    """Whether a start basis of ``arrs`` is nonsingular and primal
+    feasible, from an explicit inverse; None when round-off could tip
+    the solver's verdict either way."""
+    n, m = arrs.n_struct, arrs.m
+    B = np.hstack([arrs.A, np.eye(m)])[:, basis]
+    if np.linalg.matrix_rank(B) < m:
+        return False
+    if np.linalg.cond(B) > 1e8:
+        return None
+    lo, hi = arrs.lo, arrs.hi
+    x = np.zeros(n + m)
+    to_hi = np.isfinite(hi) & ((status == milp._AT_HI) | ~np.isfinite(lo))
+    to_lo = np.isfinite(lo) & ~to_hi
+    x[to_hi], x[to_lo] = hi[to_hi], lo[to_lo]
+    x[basis] = 0.0
+    xB = np.linalg.solve(B, arrs.b - arrs.A @ x[:n] - x[n:])
+    viol = np.max(np.maximum(lo[basis] - xB, xB - hi[basis]), initial=0.0)
+    if viol > 1e-6:
+        return False
+    return True if viol <= 1e-9 else None
 
 
 def check_norms_exact(lp):
