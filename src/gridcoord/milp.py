@@ -323,9 +323,14 @@ class _Arrays:
         hi = np.empty(n + m)
         for j, v in enumerate(model.variables):
             lo[j], hi[j] = v.lo, v.hi
+        # add.at sums repeated (row, column) entries in list order, as a
+        # loop of A[i, vid] += coef would
+        entries = [item for con in rows for item in con.coeffs]
+        if entries:
+            vids, coefs = zip(*entries)
+            np.add.at(A, (np.repeat(np.arange(m), [len(con.coeffs) for con in rows]),
+                          np.array(vids, dtype=np.intp)), np.array(coefs, dtype=float))
         for i, con in enumerate(rows):
-            for vid, coef in con.coeffs:
-                A[i, vid] += coef
             b[i] = con.rhs
             if con.sense == LE:
                 lo[n + i], hi[n + i] = 0.0, np.inf
@@ -552,35 +557,49 @@ class _Simplex:
         self.art_rows, self.art_signs = self.art_rows[:0], self.art_signs[:0]
         self.norm_stale[:] = True
 
-    def _place_nonbasic(self):
-        """Put every nonbasic column at the bound its status names, or at
-        the finite one when that bound is gone (0 when both are)."""
-        st, lo, hi = self.status, self.lo, self.hi
-        nb = st != _BASIC
+    def _place_nonbasic(self, cols):
+        """Put the given nonbasic columns (ascending ids) at the bound their
+        status names, or at the finite one when that bound is gone (0 when
+        both are).  Returns how far each moved."""
+        st, lo, hi = self.status[cols], self.lo[cols], self.hi[cols]
         lo_f, hi_f = np.isfinite(lo), np.isfinite(hi)
-        to_hi = nb & hi_f & ((st == _AT_HI) | ~lo_f)
-        to_lo = nb & lo_f & ~to_hi
-        to_free = nb & ~to_hi & ~to_lo
-        st[to_hi], st[to_lo], st[to_free] = _AT_HI, _AT_LO, _FREE
-        self.xval[to_hi] = hi[to_hi]
-        self.xval[to_lo] = lo[to_lo]
-        self.xval[to_free] = 0.0
+        to_hi = hi_f & ((st == _AT_HI) | ~lo_f)
+        to_lo = lo_f & ~to_hi
+        self.status[cols] = np.where(to_hi, _AT_HI, np.where(to_lo, _AT_LO, _FREE))
+        new = np.where(to_hi, hi, np.where(to_lo, lo, 0.0))
+        delta = new - self.xval[cols]
+        self.xval[cols] = new
+        return delta
+
+    def _shift_basic(self, cols, delta):
+        """x_B follows nonbasic columns ``cols`` (ascending ids) moved by
+        ``delta``."""
+        moved = delta != 0.0
+        if moved.any():
+            self.xB -= self.T[:, self.pos[cols[moved]]] @ delta[moved]
 
     def _set_struct_bounds(self, lo_s, hi_s):
         n = self.n_tot - self.m
         self.lo[:n], self.hi[:n] = lo_s, hi_s
         self.fixed = self.hi - self.lo <= 0.0
 
+    def _place_all(self, lo_s, hi_s):
+        """New structural bounds with every nonbasic column placed anew;
+        x_B follows the ones that moved."""
+        self._set_struct_bounds(lo_s, hi_s)
+        cols = (self.status != _BASIC).nonzero()[0]
+        self._shift_basic(cols, self._place_nonbasic(cols))
+
     def set_bounds(self, lo_s, hi_s):
         """New structural bounds on the same basis; x_B follows the moved
-        nonbasic columns."""
+        nonbasic columns.  Only the columns whose bounds changed are
+        placed: every other nonbasic column already sits where its status
+        puts it."""
+        n = self.n_tot - self.m
+        changed = ((lo_s != self.lo[:n]) | (hi_s != self.hi[:n])).nonzero()[0]
         self._set_struct_bounds(lo_s, hi_s)
-        old = self.xval.copy()
-        self._place_nonbasic()
-        delta = self.xval - old
-        moved = np.flatnonzero(delta)
-        if moved.size:
-            self.xB -= self.T[:, self.pos[moved]] @ delta[moved]
+        cols = changed[self.status[changed] != _BASIC]
+        self._shift_basic(cols, self._place_nonbasic(cols))
 
     def load(self, basis, status, lo_s, hi_s):
         """Adopt a stored basis under new structural bounds; refactors."""
@@ -589,7 +608,7 @@ class _Simplex:
         self.basis[:] = basis
         self.status[:] = status
         self._set_struct_bounds(lo_s, hi_s)
-        self._place_nonbasic()
+        self._place_nonbasic((self.status != _BASIC).nonzero()[0])
         return self.refactor() is not None
 
     def rebase(self, basis, status, lo_s, hi_s):
@@ -600,19 +619,19 @@ class _Simplex:
         ascending id, at the row with the largest |T[r, k]| among the
         rows whose variable must leave (the first on a tie).  No value
         moves: the leaving variable keeps its basic value until the
-        stored statuses are applied, and x_B then follows as in
-        ``set_bounds``.  The basic variables are then the stored ones,
-        though not necessarily on the same rows.  Returns False, leaving
-        the tableau for ``load``, when an exchange finds no pivot above
-        ``_REBASE_TOL``.
+        stored statuses are applied, and x_B then follows every nonbasic
+        column placed at its stored bound.  The basic variables are then
+        the stored ones, though not necessarily on the same rows.  Returns
+        False, leaving the tableau for ``load``, when an exchange finds no
+        pivot above ``_REBASE_TOL``.
         """
         in_stored = np.zeros(self.N, dtype=bool)
         in_stored[basis] = True
         leaving = ~in_stored[self.basis]
-        for q in np.flatnonzero(in_stored & (self.pos >= 0)):
-            rows = np.flatnonzero(leaving)
+        for q in (in_stored & (self.pos >= 0)).nonzero()[0]:
+            rows = leaving.nonzero()[0]
             col = np.abs(self.T[rows, self.pos[q]])
-            i = int(np.argmax(col))
+            i = int(col.argmax())
             if not col[i] > _REBASE_TOL:
                 return False
             r = int(rows[i])
@@ -621,7 +640,7 @@ class _Simplex:
             self.xval[leave] = value
             leaving[r] = False
         self.status[:] = status
-        self.set_bounds(lo_s, hi_s)
+        self._place_all(lo_s, hi_s)
         return True
 
     def solution_x(self):
@@ -649,16 +668,16 @@ class _Simplex:
         T, basis = self.T, self.basis
         q, leave = self.nb[k], basis[r]
         enter_val = self.xval[q] + step
-        self.xB -= step * T[:, k]
+        colv = T[:, k].copy()
+        self.xB -= step * colv
         self.status[leave] = leave_status
         self.xval[leave] = self.hi[leave] if leave_status == _AT_HI else self.lo[leave]
         basis[r] = q
         self.status[q] = _BASIC
         self.nb[k], self.pos[leave], self.pos[q] = leave, k, -1
-        piv = T[r, k]
+        piv = colv[r]
         Trow = T[r] / piv
         Trow[k] = 1.0 / piv
-        colv = T[:, k].copy()
         colv[r] = 0.0
         # from a zero column the update leaves the leaving variable's column,
         # -colv / piv off row r and 1 / piv on it
@@ -718,38 +737,53 @@ class _Simplex:
 
     # -- core loops --------------------------------------------------------------
 
+    def _pricing_signs(self):
+        """Per tableau column, the sign s that makes d * s the gain of
+        moving the column off its bound: -1 at the lower bound, +1 at the
+        upper, 0 when fixed.  Also whether it is free, where the gain is
+        |d|."""
+        st, fixed = self.status[self.nb], self.fixed[self.nb]
+        sign = np.where(st == _AT_HI, 1.0, -1.0)
+        sign[fixed] = 0.0
+        return sign, (st == _FREE) & ~fixed
+
+    def _movable(self):
+        """Per tableau column, whether its variable may rise from where it
+        sits and whether it may fall; a fixed one may do neither."""
+        st, free = self.status[self.nb], ~self.fixed[self.nb]
+        return free & (st != _AT_HI), free & (st != _AT_LO)
+
     def run_phase(self, cost, phase1):
-        """Primal simplex on ``cost`` from a primal feasible basis."""
+        """Primal simplex on ``cost`` from a primal feasible basis.
+
+        The pricing signs and the basic rows' bounds are kept across
+        pivots and bound flips, updated at the column and row that
+        change."""
         T, lo, hi = self.T, self.lo, self.hi
         status, xval, basis, nb = self.status, self.xval, self.basis, self.nb
-        d = self._reduced_costs(cost) if np.any(cost[basis]) else cost[nb]
+        d = self._reduced_costs(cost) if cost[basis].any() else cost[nb]
         devex = np.ones(nb.size)   # reference weights, approximate steepest edge
+        sign, free = self._pricing_signs()
+        lb, ub = lo[basis], hi[basis]
         stall = 0
         bland = False
         while True:
             if self.iters >= self.iter_cap:
                 return ITER_LIMIT
-            st = status[nb]
-            at_lo = st == _AT_LO
-            at_hi = st == _AT_HI
-            free = st == _FREE
-            viol = np.zeros(nb.size)
-            viol[at_lo] = -d[at_lo]
-            viol[at_hi] = d[at_hi]
-            viol[free] = np.abs(d[free])
-            viol[self.fixed[nb]] = 0.0
+            viol = d * sign
+            np.abs(d, out=viol, where=free)
             if bland:
-                elig = np.flatnonzero(viol > _D_TOL)
+                elig = (viol > _D_TOL).nonzero()[0]
                 if elig.size == 0:
                     return OPTIMAL
-                k = int(elig[np.argmin(nb[elig])])
+                k = int(elig[nb[elig].argmin()])
             else:
                 score = np.where(viol > _D_TOL, viol * viol / devex, 0.0)
-                k = int(np.argmax(score))
+                k = int(score.argmax())
                 if score[k] <= 0.0:
                     return OPTIMAL
-                ties = np.flatnonzero(score == score[k])
-                k = int(ties[np.argmin(nb[ties])])
+                ties = (score == score[k]).nonzero()[0]
+                k = int(ties[nb[ties].argmin()])
             q = nb[k]
             if status[q] == _AT_HI:
                 sgn = -1.0
@@ -763,21 +797,21 @@ class _Simplex:
             if not np.isfinite(t_flip):
                 t_flip = np.inf
             t_best, r_best = t_flip, -1
-            cand = np.where(np.abs(w) > _PIV_TOL)[0]
+            cand = (np.abs(w) > _PIV_TOL).nonzero()[0]
             if cand.size:
                 wc = w[cand]
-                tgt = np.where(wc > 0, lo[basis[cand]], hi[basis[cand]])
+                tgt = np.where(wc > 0, lb[cand], ub[cand])
                 with np.errstate(invalid="ignore"):
                     tt = (self.xB[cand] - tgt) / wc
                 tt[~np.isfinite(tgt)] = np.inf
                 tt = np.maximum(tt, 0.0)
-                tmin = float(np.min(tt)) if tt.size else np.inf
+                tmin = float(tt.min())
                 if tmin < t_best:
-                    ties = np.where(tt <= tmin + 1e-12)[0]
+                    ties = (tt <= tmin + 1e-12).nonzero()[0]
                     if bland:
-                        sel = ties[np.argmin(basis[cand[ties]])]
+                        sel = ties[basis[cand[ties]].argmin()]
                     else:
-                        sel = ties[np.argmax(np.abs(wc[ties]))]
+                        sel = ties[np.abs(wc[ties]).argmax()]
                     t_best, r_best = float(tt[sel]), int(cand[sel])
             if not np.isfinite(t_best):
                 # phase 1 objective is bounded below; treat as numerical stop
@@ -796,10 +830,15 @@ class _Simplex:
                 self.xB -= (t_best * sgn) * T[:, k]
                 status[q] = _AT_HI if status[q] == _AT_LO else _AT_LO
                 xval[q] = hi[q] if status[q] == _AT_HI else lo[q]
+                sign[k] = 1.0 if status[q] == _AT_HI else -1.0
                 continue
 
-            Trow, piv = self._pivot(r_best, k, t_best * sgn,
-                                    _AT_LO if w[r_best] > 0 else _AT_HI)
+            leave, leave_status = basis[r_best], _AT_LO if w[r_best] > 0 else _AT_HI
+            Trow, piv = self._pivot(r_best, k, t_best * sgn, leave_status)
+            sign[k] = (0.0 if self.fixed[leave] else
+                       1.0 if leave_status == _AT_HI else -1.0)
+            free[k] = False
+            lb[r_best], ub[r_best] = lo[q], hi[q]
             d_q, d[k] = d[k], 0.0
             d -= d_q * Trow
             # Devex reference update from the (normalized) pivot row; column
@@ -807,61 +846,74 @@ class _Simplex:
             wq = devex[k]
             np.maximum(devex, (Trow * Trow) * wq, out=devex)
             devex[k] = max(wq / (piv * piv), 1.0)
-            if np.max(devex) > 1e8:
+            if devex.max() > 1e8:
                 devex[:] = 1.0
             if self.since_refactor >= _REFACTOR_PERIOD:
                 perm = self.refactor()
                 if perm is not None:
                     devex = devex[perm]
                 d = self._reduced_costs(cost)
+                sign, free = self._pricing_signs()
 
-    def run_dual(self):
-        """Bounded dual simplex on the user cost from a dual feasible basis.
+    def run_dual(self, limit=None):
+        """Bounded dual simplex on the user cost from a dual feasible basis,
+        for at most ``limit`` pivots (default max(64, rows)).
 
         Returns OPTIMAL once x_B is within its bounds (to ``FEAS_TOL``),
         INFEASIBLE when the leaving row admits no entering column and the
         Farkas check confirms it, and None on a stall or an unconfirmed
-        verdict.
+        verdict.  The basic rows' bounds and each column's eligibility to
+        rise or fall are kept across pivots, updated at the row and column
+        that change.
         """
         T, lo, hi = self.T, self.lo, self.hi
-        status, basis, nb = self.status, self.basis, self.nb
+        basis, nb = self.basis, self.nb
         d = self._reduced_costs(self.c_user)
-        for _ in range(max(64, self.m)):
+        lb, ub = lo[basis], hi[basis]
+        can_rise, can_fall = self._movable()
+        xB = self.xB
+        for _ in range(max(64, self.m) if limit is None else limit):
             if self.iters >= self.iter_cap:
                 return None
-            xB, lb, ub = self.xB, lo[basis], hi[basis]
             infeas = np.maximum(lb - xB, xB - ub)
-            rows = np.flatnonzero(infeas > FEAS_TOL)
+            rows = (infeas > FEAS_TOL).nonzero()[0]
             if rows.size == 0:
                 return OPTIMAL
             # dual steepest edge pricing with exact weights
-            r = int(rows[np.argmax(infeas[rows] ** 2 / self._binv_row_norms(rows))])
+            r = int(rows[(infeas[rows] ** 2 / self._binv_row_norms(rows)).argmax()])
             above = xB[r] > ub[r]
-            # a > 0 marks the direction in which a nonbasic column moves x_B[r]
-            # back toward the violated bound
-            a = T[r] if above else -T[r]
-            st = status[nb]
-            cand = np.flatnonzero(~self.fixed[nb] & (
-                ((st == _AT_LO) & (a > _PIV_TOL))
-                | ((st == _AT_HI) & (a < -_PIV_TOL))
-                | ((st == _FREE) & (np.abs(a) > _PIV_TOL))))
+            # the columns that move x_B[r] back toward its violated bound:
+            # above it, a rising column with T[r] > 0 or a falling one with
+            # T[r] < 0; below it, the reverse
+            Tr = T[r]
+            pos_r, neg_r = Tr > _PIV_TOL, Tr < -_PIV_TOL
+            if above:
+                cand = ((can_rise & pos_r) | (can_fall & neg_r)).nonzero()[0]
+            else:
+                cand = ((can_rise & neg_r) | (can_fall & pos_r)).nonzero()[0]
             if cand.size == 0:
                 return INFEASIBLE if self._farkas(r) else None
             # Harris two-pass ratio test: the largest pivot among the columns
             # whose dual ratio is within tolerance of the smallest
-            ac, dc = np.abs(a[cand]), np.abs(d[cand])
-            t_max = float(np.min((dc + _D_TOL) / ac))
-            near = np.flatnonzero(dc / ac <= t_max)
-            best = cand[near[ac[near] == np.max(ac[near])]]
-            k = int(best[np.argmin(nb[best])])
+            ac, dc = np.abs(Tr[cand]), np.abs(d[cand])
+            t_max = float(((dc + _D_TOL) / ac).min())
+            near = (dc / ac <= t_max).nonzero()[0]
+            best = cand[near[ac[near] == ac[near].max()]]
+            k = int(best[nb[best].argmin()])
+            q, leave = nb[k], basis[r]
             bound = ub[r] if above else lb[r]
-            Trow, _ = self._pivot(r, k, (xB[r] - bound) / T[r, k],
+            Trow, _ = self._pivot(r, k, (xB[r] - bound) / Tr[k],
                                   _AT_HI if above else _AT_LO)
+            movable = not self.fixed[leave]
+            can_rise[k], can_fall[k] = movable and not above, movable and above
+            lb[r], ub[r] = lo[q], hi[q]
             d_q, d[k] = d[k], 0.0
             d -= d_q * Trow
             if self.since_refactor >= _REFACTOR_PERIOD:
                 self.refactor()
                 d = self._reduced_costs(self.c_user)
+                can_rise, can_fall = self._movable()
+                xB = self.xB   # the refactor replaces x_B
         return None
 
     def solve(self):

@@ -724,6 +724,37 @@ class TestWarmSearch:
                 break
             check_norms_exact(lp)
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps(), st.data())
+    def test_set_bounds_matches_full_placement(self, model, data):
+        """``set_bounds`` places only the columns whose bounds changed.
+        After a cold solve (narrowed to structurals and slacks, as before
+        any warm node) and each of a few structural bound changes and the
+        warm solve that may follow, its statuses, values and x_B are bit
+        for bit those of placing every nonbasic column, as ``rebase``
+        does."""
+        arrs = milp._Arrays(model)
+        if arrs.trivially_infeasible or arrs.m == 0:
+            return
+        lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+        lp.solve()
+        lp.drop_artificials()
+        if lp.refactor() is None:
+            return
+        n = arrs.n_struct
+        lo, hi = arrs.lo[:n].copy(), arrs.hi[:n].copy()
+        bound = st.one_of(st.just(np.inf), st.integers(-2, 3).map(float))
+        for _ in range(data.draw(st.integers(1, 4))):
+            for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+                lo[j], hi[j] = sorted((-data.draw(bound), data.draw(bound)))
+            full = copy.deepcopy(lp)
+            full._place_all(lo, hi)
+            lp.set_bounds(lo, hi)
+            for name in ("status", "xval", "xB"):
+                assert np.array_equal(getattr(lp, name), getattr(full, name)), name
+            if data.draw(st.booleans()):
+                lp.reoptimize()
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(oracle_milps(), st.data())
     def test_start_basis_matches_brute_force(self, model, data):
