@@ -16,8 +16,15 @@ solved by primal phase 2 alone when it is feasible, else cold.  A 2a
 optimum may then be a different vertex, with the same objective, than a
 cold solve gives, and where the optimum is not unique its substation
 flow (the envelope end) may differ too; on the bundled scenarios the
-envelopes agree within 1e-8.  Stage 1 and stage 2b start cold: 2b adds
-structural variables, and its ``qreq`` row is violated at any 2a vertex.
+envelopes agree within 1e-8.
+
+Stage 2b's model is stage 2a's with the ``qp``/``qm`` structurals and
+the ``qreq`` and ``qsplit`` rows appended.  Its ``qreq`` row is violated
+at a 2a vertex, but its cost sits only on ``qp``/``qm``, which start
+nonbasic at 0 with nonnegative weights, so a 2a basis extended by them
+is dual feasible.  Stage 2a leaves both root bases on the context, each
+with its envelope end, and stage 2b starts the dual simplex from the one
+whose end is nearer its request.  Only stage 1 starts cold.
 
 Per-DER power variables are in device per-unit (fractions of the
 inverter rating); stage objectives and reported quantities are in
@@ -68,6 +75,11 @@ class DispatchContext:
     ``stage1_root_basis`` (None when its root did not branch), before
     it raises any error; ``stage2a_aggregate`` starts from it, so
     stage 2a run after stage 1 on the same context skips phase 1.
+    ``stage2a_aggregate`` leaves MAX's and MIN's root bases in
+    ``stage2a_root_bases``, each as (its q_sub_kvar, basis), skipping a
+    root that did not branch; ``stage2b_disaggregate`` starts from the
+    one whose q_sub is nearer its request (MAX's on a tie), and cold
+    when the list is empty.
     """
     model: feeder_mod.FeederModel
     blocks: feeder_mod.SensitivityBlocks       # partitioned, k1/c2 current
@@ -78,6 +90,8 @@ class DispatchContext:
     policy: ModePolicy = field(default_factory=ModePolicy)
     q_sub_offset_kvar: float | None = None     # None: flat-voltage estimate
     stage1_root_basis: tuple | None = field(default=None, repr=False, compare=False)
+    # stage 2a MAX's and MIN's (q_sub_kvar, root basis), in that order
+    stage2a_root_bases: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self.encoding not in ENCODINGS:
@@ -357,18 +371,21 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
     endpoints are the substation reactive flows of the two extreme
     solutions, which is what the TSO interface consumes.  MIN's root
     starts from ``ctx.stage1_root_basis`` and MAX's from MIN's root
-    basis.
+    basis; both root bases are left in ``ctx.stage2a_root_bases``.
     """
     mm, handles = build_stage_model(ctx, "stage2a", p_star_kw=p_star_kw)
     q_total = {handles.q[i]: ctx.specs[i].s_rated for i in range(len(handles.q))}
     results = {}
     start = ctx.stage1_root_basis
+    ctx.stage2a_root_bases = []
     for sense, tag in ((milp.MIN, "stage2a_min"), (milp.MAX, "stage2a_max")):
         mm.set_objective(sense, q_total)
         sol, stats = _solve_stage(mm, start)
         _require_optimal(sol, tag)
         results[tag] = _extract(ctx, handles, sol, tag, stats)
         start = sol.root_basis
+        if start is not None:
+            ctx.stage2a_root_bases.insert(0, (results[tag].q_sub_kvar, start))
     q_lo = min(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     q_hi = max(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     for r in results.values():
@@ -402,6 +419,9 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
     (weights are nonnegative, so no simultaneous positive parts at the
     optimum).  ``weights`` defaults to ``sensitivity_weights``; it stays
     a parameter because a caller that computed them passes them in.
+    The root starts from the stage 2a root basis in
+    ``ctx.stage2a_root_bases`` whose envelope end is nearer
+    ``q_req_kvar``, or cold when there is none.
     """
     if weights is None:
         weights = sensitivity_weights(ctx.blocks, ctx.model.der_nodes)
@@ -414,7 +434,10 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
         obj[handles.qp[i]] = weights[i] * s
         obj[handles.qm[i]] = weights[i] * s
     mm.set_objective(milp.MIN, obj)
-    sol, stats = _solve_stage(mm)
+    # min() keeps the first of equal distances: MAX's basis on a tie
+    start = min(ctx.stage2a_root_bases, key=lambda end: abs(end[0] - q_req_kvar),
+                default=(None, None))[1]
+    sol, stats = _solve_stage(mm, start)
     _require_optimal(sol, "stage2b")
     stats["weights"] = [float(w) for w in weights]
     return _extract(ctx, handles, sol, "stage2b", stats)

@@ -8,16 +8,22 @@ fallback.  ``solve_lp`` and ``brute_force`` are cold solves, and so is
 the root node of ``solve_milp`` unless it is given a start.
 
 - **Start basis.**  ``solve_milp(start=...)`` takes an earlier solve's
-  optimal root basis (``MilpSolution.root_basis``) from a model with the
-  same structural variables and rows that are a prefix of this model's;
-  each extra row starts with its slack basic.  The root loads it (a
-  refactor) and, when every basic value is within ``FEAS_TOL`` of its
-  bounds, runs primal phase 2 only.  Phase 2 from a primal feasible
-  basis ends on the same verdict a cold solve's does: confirmed by
-  primal pricing.  Wrong lengths, a singular refactor, an infeasible
-  start or a phase 2 that does not end optimal go to the cold solve,
-  and the pivots spent count.  Rows here are the constraints with
-  coefficients; empty ones never enter the LP.
+  optimal root basis (``MilpSolution.root_basis``) from a model whose
+  structural variables and rows are prefixes of this model's.  Slack
+  ids shift past the appended structurals; each appended structural
+  starts nonbasic at a finite bound (free when it has none), and each
+  appended row with its slack basic.  The root loads the basis (a
+  refactor).  When every basic value is within ``FEAS_TOL`` of its
+  bounds it runs primal phase 2 only, which ends on the verdict a cold
+  solve's does: confirmed by primal pricing.  Otherwise each nonbasic
+  column moves to the bound its reduced cost favours, which makes the
+  basis dual feasible, and the dual simplex runs (capped at the LP's
+  ``iter_cap``), then the primal pass that confirms it.  Wrong
+  lengths, a singular refactor, a column that would need an infinite
+  bound, or a solve that ends neither optimal nor Farkas-confirmed
+  infeasible go to the cold solve, and the pivots spent count.  Rows
+  here are the constraints with coefficients; empty ones never enter
+  the LP.
 - **Condensed tableau.**  The m basic columns of B^-1 [A | I] are unit
   columns, so only the nonbasic ones are stored: T is m x n_struct (plus
   one column per artificial during phase 1), never m x (n_struct + m).
@@ -269,7 +275,8 @@ class MilpSolution:
     (inf without an incumbent).  ``root_basis`` is the root LP's optimal
     (basis int32[m], status int8[n + m]) over structurals and slacks,
     kept when the root branched (None otherwise, and from ``solve_lp``
-    and ``brute_force``); ``solve_milp(start=...)`` takes it.
+    and ``brute_force``); ``solve_milp(start=...)`` takes it for this
+    model or one that appends structurals and rows to it.
     """
     status: str
     objective: float | None
@@ -362,22 +369,30 @@ class _Arrays:
                             self.obj_sign * bound + self.obj_const, gap, root_basis)
 
     def start_basis(self, start):
-        """An earlier model's (basis, status) as a basis of these rows, or
-        None when it cannot be one.  The earlier model must have the same
-        structural variables and rows that are a prefix of these; each
-        extra row starts with its slack basic.  The basis must name
-        exactly the variables its statuses mark basic."""
+        """An earlier model's (basis, status) as a basis of this model, or
+        None when it cannot be one.  The earlier model's structural
+        variables and rows must be prefixes of these.  Its slack ids shift
+        by the number of appended structurals.  Each appended structural
+        starts nonbasic at its lower bound, or at its upper bound when
+        only that one is finite, else free; each appended row starts with
+        its slack basic.  The basis must name exactly the variables its
+        statuses mark basic."""
         if start is None:
             return None
         basis, status = (np.asarray(a) for a in start)
         n, m = self.n_struct, self.m
         m0 = basis.size
-        if basis.ndim != 1 or status.ndim != 1 or status.size != n + m0 or m0 > m:
+        n0 = status.size - m0
+        if basis.ndim != 1 or status.ndim != 1 or not (0 <= n0 <= n and m0 <= m):
             return None
         if not np.array_equal(np.sort(basis), np.flatnonzero(status == _BASIC)):
             return None
-        return (np.concatenate([basis, np.arange(n + m0, n + m)]).astype(np.int32),
-                np.concatenate([status, np.full(m - m0, _BASIC)]).astype(np.int8))
+        lo_f, hi_f = np.isfinite(self.lo[n0:n]), np.isfinite(self.hi[n0:n])
+        appended = np.where(lo_f, _AT_LO, np.where(hi_f, _AT_HI, _FREE))
+        return (np.concatenate([np.where(basis < n0, basis, basis + (n - n0)),
+                                np.arange(n + m0, n + m)]).astype(np.int32),
+                np.concatenate([status[:n0], appended, status[n0:],
+                                np.full(m - m0, _BASIC)]).astype(np.int8))
 
 
 class _SimplexResult:
@@ -938,6 +953,23 @@ class _Simplex:
             return _SimplexResult(st, None, None, self.iters)
         return self._optimal()
 
+    def place_dual_feasible(self):
+        """Move each nonbasic column whose reduced cost favours its other
+        bound to that bound, so the basis is dual feasible; x_B follows.
+        Returns False, moving nothing, when one would need an infinite
+        bound."""
+        d = self._reduced_costs(self.c_user)
+        st, fixed = self.status[self.nb], self.fixed[self.nb]
+        to_lo = ~fixed & (d > _D_TOL) & (st != _AT_LO)
+        to_hi = ~fixed & (d < -_D_TOL) & (st != _AT_HI)
+        lo_ids, hi_ids = self.nb[to_lo], self.nb[to_hi]
+        if not (np.isfinite(self.lo[lo_ids]).all() and np.isfinite(self.hi[hi_ids]).all()):
+            return False
+        self.status[lo_ids], self.status[hi_ids] = _AT_LO, _AT_HI
+        cols = np.sort(np.concatenate([lo_ids, hi_ids]))
+        self._shift_basic(cols, self._place_nonbasic(cols))
+        return True
+
     def reoptimize(self):
         """Warm solve after ``set_bounds``, ``rebase`` or ``load``: dual
         simplex, then a primal pass that confirms optimality.  None asks
@@ -1001,8 +1033,10 @@ class _NodeLp:
     pivots of its last refactor.  A rebased solve that ends without a
     verdict is retried once from ``load``; any other node without one,
     or whose basis the refactor finds singular, is solved cold.  The
-    root is solved cold, or by ``_primal_start`` when it carries a start
-    basis.
+    root is solved cold, or by ``_start`` when it carries a start basis:
+    primal phase 2 from a primal feasible one, else the dual simplex
+    after each nonbasic column moves to the bound its reduced cost
+    favours.
     """
 
     def __init__(self, arrs: _Arrays):
@@ -1014,7 +1048,7 @@ class _NodeLp:
     def solve(self, node, nid):
         res, spent, lp = None, 0, self.lp
         if node.parent < 0 and node.basis is not None:
-            res, spent = self._primal_start(node)
+            res, spent = self._start(node)
         elif node.basis is not None and lp is not None:
             lp.iters = 0
             fresh = lp.since_refactor < _REFACTOR_PERIOD
@@ -1038,23 +1072,34 @@ class _NodeLp:
         self.holds = nid if res.status == OPTIMAL and self.lp is not None else None
         return res
 
-    def _primal_start(self, node):
-        """The root from a start basis: load it, and when every basic
-        value is within ``FEAS_TOL`` of its bounds run primal phase 2.
-        Returns (result or None, pivots spent); None when the basis is
-        singular or infeasible or phase 2 does not end optimal."""
+    def _start(self, node):
+        """The root from a start basis, loaded by a refactor.  A primal
+        feasible basis (every basic value within ``FEAS_TOL`` of its
+        bounds) runs primal phase 2.  Otherwise each nonbasic column goes
+        to the bound its reduced cost favours, and the dual simplex runs
+        for up to the LP's ``iter_cap`` pivots, then the primal pass that
+        confirms it.  Returns (result or None, pivots spent); None when
+        the basis is singular, a column would need an infinite bound, or
+        the solve ends without an optimum or a Farkas-confirmed
+        infeasibility."""
         arrs = self.arrs
         self.lp = None
         lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
                       arrs.iter_cap)
         lp.drop_artificials()
+        res, primal = None, False
         if lp.load(node.basis, node.status, node.lo, node.hi):
             lb, ub = lp.lo[lp.basis], lp.hi[lp.basis]
-            if (np.all((lp.xB >= lb - FEAS_TOL) & (lp.xB <= ub + FEAS_TOL))
-                    and lp.run_phase(lp.c_user, phase1=False) == OPTIMAL):
-                self.lp = lp
-                return lp._optimal(), lp.iters
-        return None, lp.iters
+            primal = np.all((lp.xB >= lb - FEAS_TOL) & (lp.xB <= ub + FEAS_TOL))
+            if not primal and lp.place_dual_feasible():
+                st = lp.run_dual(arrs.iter_cap)
+                if st == INFEASIBLE:
+                    res = _SimplexResult(INFEASIBLE, None, None, lp.iters)
+                primal = st == OPTIMAL
+        if primal and lp.run_phase(lp.c_user, phase1=False) == OPTIMAL:
+            res = lp._optimal()
+            self.lp = lp
+        return res, lp.iters
 
     def _cold(self, node):
         arrs = self.arrs
@@ -1080,11 +1125,14 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     """Best-first branch and bound over binaries and SOS1 sets.
 
     The root LP is a cold primal solve, or with ``start`` (an earlier
-    solve's ``root_basis``; see the module docstring for which models
-    may share one) primal phase 2 from that basis when it is feasible,
-    else the cold solve.  A solution from a start may be another
-    optimal vertex than the cold solve's, with the same objective
-    within ``GAP``.  Every other node re-optimizes
+    solve's ``root_basis``, from this model or one whose structurals and
+    rows are prefixes of its own; see the module docstring) primal
+    phase 2 from that basis when it is primal feasible, else the dual
+    simplex from it once each nonbasic column sits at the bound its
+    reduced cost favours; the cold solve when neither applies or
+    reaches a verdict.  A solution from a start may be another optimal
+    vertex than the cold solve's, with the same objective within
+    ``GAP``.  Every other node re-optimizes
     from its parent's optimal basis with the dual simplex: in place when
     its parent was the last node solved, otherwise after Jordan
     exchanges onto the basis it stores, or a refactor from it where the

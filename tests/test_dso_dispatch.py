@@ -226,6 +226,34 @@ def test_stage2a_roots_start_from_earlier_bases(monkeypatch):
     np.testing.assert_allclose(warm_envelope, cold_envelope, rtol=0.0, atol=1e-6)
 
 
+def test_stage2b_root_starts_from_a_stage2a_basis(monkeypatch):
+    """After stage 2a, stage 2b starts its root from the stage 2a root
+    basis whose envelope end is nearer the request, by the dual simplex,
+    at both ends of the envelope and its midpoint.  It meets the request
+    and matches a cold 2b's objective; on a fresh context 2b is cold."""
+    p_star = 2700.0
+    colds = []
+    cold = milp._NodeLp._cold
+
+    def logged_cold(self, node):
+        colds.append(node.parent < 0)
+        return cold(self, node)
+
+    monkeypatch.setattr(milp._NodeLp, "_cold", logged_cold)
+    scenario = data.load_scenario("feeder13-highpv")
+    ctx = dd.make_context(scenario, encoding="bigm")
+    (q_lo, q_hi), _, _ = dd.stage2a_aggregate(ctx, p_star)
+    fresh = dd.make_context(scenario, encoding="bigm")
+    for q_req in (q_lo, 0.5 * (q_lo + q_hi), q_hi):
+        colds.clear()
+        warm = dd.stage2b_disaggregate(ctx, p_star, q_req)
+        assert True not in colds
+        assert warm.q_sub_kvar == pytest.approx(q_req, abs=TOL)
+        cold_2b = dd.stage2b_disaggregate(fresh, p_star, q_req)
+        assert colds.count(True) == 1
+        assert warm.objective == pytest.approx(cold_2b.objective, abs=milp.GAP)
+
+
 @pytest.mark.parametrize("p_kw", [np.nan, -1.0], ids=["nan", "negative"])
 def test_available_power_must_be_finite_and_non_negative(tiny, p_kw):
     ctx = tiny["sos1"]

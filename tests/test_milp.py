@@ -760,9 +760,25 @@ class TestWarmSearch:
     def test_start_basis_matches_brute_force(self, model, data):
         """A root started from another solve's optimal root basis: on the
         same rows with the objective negated (always feasible, so the
-        root is not cold) and with one row appended.  Bad starts fall
+        root is not cold), with one row appended, and from the model
+        without its last structural and its last row.  That last start
+        is not cold whenever it is usable: nonsingular, and primal
+        feasible or dual feasible after bound placement.  Bad starts fall
         back to a cold root: wrong lengths, a singular basis, and a
-        shuffled basic set whenever it is singular or infeasible."""
+        shuffled basic set whenever it is not usable."""
+        if len(model.variables) > 1 and model.constraints:
+            sub = milp.solve_milp(drop_last(model))
+            if sub.root_basis is not None:
+                arrs = milp._Arrays(model)
+                n = arrs.n_struct
+                b0, s0 = sub.root_basis
+                ext_basis, ext_status = arrs.start_basis(sub.root_basis)
+                # slack ids shift past the appended structural, which is nonbasic
+                assert np.array_equal(ext_basis[:b0.size], np.where(b0 < n - 1, b0, b0 + 1))
+                assert ext_status[n - 1] != milp._BASIC
+                cold = check_start(model, sub.root_basis)
+                if start_usable(arrs, ext_basis, ext_status):
+                    assert not cold
         sol = milp.solve_milp(model)
         if sol.root_basis is None:
             return
@@ -782,9 +798,10 @@ class TestWarmSearch:
         m = arrs.m
         if m == 0:
             return
-        for bad in ((basis[:-1], status), (basis, status[:-1]),
+        for bad in ((basis[:-1], status),
                     (np.append(basis, n + m), np.append(status, milp._BASIC))):
             assert check_start(flipped, bad)
+        check_start(flipped, (basis, status[:-1]))   # a start with one structural fewer
         zeros = np.argwhere(arrs.A == 0.0)
         if zeros.size:
             r, j = zeros[0]
@@ -823,11 +840,14 @@ def check_start(model, start):
 
 
 def start_usable(arrs, basis, status):
-    """Whether a start basis of ``arrs`` is nonsingular and primal
-    feasible, from an explicit inverse; None when round-off could tip
-    the solver's verdict either way."""
+    """Whether a start basis of ``arrs`` is nonsingular, and primal
+    feasible or dual feasible once each nonbasic column sits at the bound
+    its reduced cost favours (no column needing an infinite one), from an
+    explicit inverse; None when round-off could tip the solver's verdict
+    either way."""
     n, m = arrs.n_struct, arrs.m
-    B = np.hstack([arrs.A, np.eye(m)])[:, basis]
+    full = np.hstack([arrs.A, np.eye(m)])
+    B = full[:, basis]
     if np.linalg.matrix_rank(B) < m:
         return False
     if np.linalg.cond(B) > 1e8:
@@ -840,9 +860,33 @@ def start_usable(arrs, basis, status):
     x[basis] = 0.0
     xB = np.linalg.solve(B, arrs.b - arrs.A @ x[:n] - x[n:])
     viol = np.max(np.maximum(lo[basis] - xB, xB - hi[basis]), initial=0.0)
-    if viol > 1e-6:
-        return False
-    return True if viol <= 1e-9 else None
+    if viol <= 1e-9:
+        return True
+    d = arrs.c - full.T @ np.linalg.solve(B.T, arrs.c[basis])
+    movable = hi - lo > 0.0
+    movable[basis] = False
+    needs_inf = movable & (((d > 0.0) & ~np.isfinite(lo)) | ((d < 0.0) & ~np.isfinite(hi)))
+    if np.any(needs_inf & (np.abs(np.abs(d) - milp._D_TOL) < 1e-10)):
+        return None
+    if not np.any(needs_inf & (np.abs(d) > milp._D_TOL)):
+        return True
+    return False if viol > 1e-6 else None
+
+
+def drop_last(model):
+    """``model`` without its last structural variable and its last row."""
+    last = len(model.variables) - 1
+    out = milp.MilpModel()
+    for v in model.variables[:-1]:
+        out.add_variable(v.lo, v.hi, v.kind)
+    for con in model.constraints[:-1]:
+        out.add_constraint([(j, c) for j, c in con.coeffs if j != last], con.sense, con.rhs)
+    for members in model.sos1_sets:
+        if len(members) > (last in members):
+            out.add_sos1([j for j in members if j != last])
+    out.set_objective(model.objective_sense,
+                      {j: c for j, c in model.objective.items() if j != last})
+    return out
 
 
 def check_norms_exact(lp):
