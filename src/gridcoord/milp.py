@@ -82,6 +82,15 @@ that pivots only on the rows the branch made primal infeasible.
   pivots) after a rebase retries once from the refactored stored basis;
   one after any other start, or a singular refactor, falls back to a
   cold solve of that node.
+- **Settled children.**  At branching, each child's rows with a nonzero
+  on a variable the branch changed (the branched binary, or the SOS1
+  members it zeroes) are tested against the child's box.  A row whose
+  activity range over that box misses its bound by more than
+  ``_FARKAS_TOL`` is a Farkas proof with itself as the multiplier, so
+  the child is stored as settled: when it pops it counts as a node,
+  keeping node ids, order and ``node_limit`` as they were, but no LP
+  runs.  The working tableau then still holds the parent, and the
+  sibling re-optimizes in place.
 - **Memory.**  The search holds one m x n_struct tableau, never a copy
   per node.  A cold fallback first releases it, dropping artificials
   reuses its buffer, and the refactor works in blocks of columns, so the
@@ -277,6 +286,9 @@ class MilpSolution:
     kept when the root branched (None otherwise, and from ``solve_lp``
     and ``brute_force``); ``solve_milp(start=...)`` takes it for this
     model or one that appends structurals and rows to it.
+    ``lp_rows`` is the number of rows the LP kept.  ``settled_nodes``
+    counts the nodes, included in ``node_count``, that one row proved
+    infeasible without an LP solve.
     """
     status: str
     objective: float | None
@@ -286,6 +298,8 @@ class MilpSolution:
     best_bound: float = np.nan
     gap: float = np.inf
     root_basis: tuple | None = field(default=None, repr=False, compare=False)
+    lp_rows: int = 0
+    settled_nodes: int = 0
 
     def value(self, vid: int) -> float:
         return float(self.x[vid])
@@ -312,6 +326,16 @@ _D_TOL = 1e-9
 _REFACTOR_PERIOD = 500   # pivots between two refactors of a tableau
 _REFACTOR_BLOCK = 64     # tableau columns (or rows) gathered at a time
 _FARKAS_TOL = 1e-6       # infeasibility margin a Farkas row must show
+
+
+def _activity_range(A, lo, hi):
+    """Least and greatest value of each row of A x over the box
+    lo <= x <= hi (along A's last axis); -inf or inf where a nonzero
+    coefficient meets an infinite bound."""
+    with np.errstate(invalid="ignore"):   # 0 * inf, in the branch not taken
+        low = np.where(A > 0, A * lo, np.where(A < 0, A * hi, 0.0)).sum(axis=-1)
+        high = np.where(A > 0, A * hi, np.where(A < 0, A * lo, 0.0)).sum(axis=-1)
+    return low, high
 
 
 class _Arrays:
@@ -359,14 +383,16 @@ class _Arrays:
         self.iter_cap = ITER_FACTOR * (m + n)
         self.obj_sign, self.obj_const = sign, model.objective_const
 
-    def solution(self, status, objective, x, bound, nodes=0, iterations=0, root_basis=None):
+    def solution(self, status, objective, x, bound, nodes=0, iterations=0, root_basis=None,
+                 settled=0):
         """A MilpSolution in the model's sense from internal (min-sense) values."""
         gap = np.inf
         if objective is not None:
             gap = abs(objective - bound)
             objective = self.obj_sign * objective + self.obj_const
         return MilpSolution(status, objective, x, nodes, iterations,
-                            self.obj_sign * bound + self.obj_const, gap, root_basis)
+                            self.obj_sign * bound + self.obj_const, gap, root_basis,
+                            self.m, settled)
 
     def start_basis(self, start):
         """An earlier model's (basis, status) as a basis of this model, or
@@ -393,6 +419,16 @@ class _Arrays:
                                 np.arange(n + m0, n + m)]).astype(np.int32),
                 np.concatenate([status[:n0], appended, status[n0:],
                                 np.full(m - m0, _BASIC)]).astype(np.int8))
+
+    def rules_out(self, changed, lo, hi):
+        """Whether one row with a nonzero on a ``changed`` structural
+        proves the box lo <= x <= hi infeasible on its own: the Farkas
+        proof with that row as its multiplier, to ``_FARKAS_TOL``."""
+        rows = self.A[:, changed].any(axis=1).nonzero()[0]
+        low, high = _activity_range(self.A[rows], lo, hi)
+        b, slack = self.b[rows], self.n_struct + rows
+        return bool(np.any((b < low + self.lo[slack] - _FARKAS_TOL)
+                           | (b > high + self.hi[slack] + _FARKAS_TOL)))
 
 
 class _SimplexResult:
@@ -745,9 +781,7 @@ class _Simplex:
         lo, hi = self.lo[:n_tot], self.hi[:n_tot]
         # round-off on a column with an infinite bound would void the proof
         alpha[(np.abs(alpha) < 1e-11) & ~(np.isfinite(lo) & np.isfinite(hi))] = 0.0
-        with np.errstate(invalid="ignore"):
-            low = np.sum(np.where(alpha > 0, alpha * lo, np.where(alpha < 0, alpha * hi, 0.0)))
-            high = np.sum(np.where(alpha > 0, alpha * hi, np.where(alpha < 0, alpha * lo, 0.0)))
+        low, high = _activity_range(alpha, lo, hi)
         return beta < low - _FARKAS_TOL or beta > high + _FARKAS_TOL
 
     # -- core loops --------------------------------------------------------------
@@ -1021,6 +1055,7 @@ class _Node:
     # the parent's optimal basis (at the root, the start's), int32
     basis: np.ndarray | None = field(default=None, compare=False)
     status: np.ndarray | None = field(default=None, compare=False)   # parent's, int8
+    settled: bool = field(default=False, compare=False)   # infeasible by one row
 
 
 class _NodeLp:
@@ -1140,7 +1175,9 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     storage, refactor policy, infeasibility confirmation and memory
     rule).  A rebased node whose warm solve cannot reach a confirmed
     verdict is retried once from a refactor; a node still without one
-    is solved cold.
+    is solved cold.  A child that one row proves infeasible over its
+    box is settled without an LP: it still counts in ``node_count``
+    (and in ``settled_nodes``) when it pops, as its LP solve did.
     ``simplex_iterations`` counts every primal and dual pivot and every
     exchange of a rebase, and those of a start that fell back to cold.
 
@@ -1175,6 +1212,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
 
     total_iters = 0
     node_count = 0
+    settled_count = 0
     next_id = 1
     incumbent_obj = np.inf  # internal min sense
     incumbent_x = None
@@ -1195,8 +1233,11 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             stopped = True
             break
         nid = -node.neg_nid
-        res = node_lp.solve(node, nid)
         node_count += 1
+        if node.settled:
+            settled_count += 1
+            continue
+        res = node_lp.solve(node, nid)
         total_iters += res.iterations
         if res.status == ITER_LIMIT:
             dropped_bound = min(dropped_bound, node.bound)
@@ -1237,6 +1278,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             lo_u[branch_var] = 1.0
             up = (lo_u, hi_u)
             bounds = (down, up) if x[branch_var] >= 0.5 else (up, down)
+            changed = ([branch_var], [branch_var])
         else:
             members = sos_sets[viol_sos]
             weights = np.arange(1.0, len(members) + 1.0)
@@ -1247,6 +1289,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             zero_sets = [members[split:], members[:split]]
             if top >= split:   # dominant member lives in the tail: keep it last
                 zero_sets.reverse()
+            changed = zero_sets
             bounds = []
             for zero_ids in zero_sets:
                 lo_c, hi_c = node.lo.copy(), node.hi.copy()
@@ -1257,9 +1300,9 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         if nid == 0 and basis is not None:
             root_basis = (basis, status)
         key = np.floor(res.objective / GAP)
-        for lo_c, hi_c in bounds:
+        for (lo_c, hi_c), ids in zip(bounds, changed):
             heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
-                                       status))
+                                       status, arrs.rules_out(ids, lo_c, hi_c)))
             next_id += 1
 
     bound = min([incumbent_obj, dropped_bound] + [nd.bound for nd in heap])
@@ -1271,7 +1314,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         status = OPTIMAL if incumbent_x is not None else INFEASIBLE
     objective = incumbent_obj if incumbent_x is not None else None
     return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters,
-                         root_basis)
+                         root_basis, settled_count)
 
 
 def brute_force(model: MilpModel) -> MilpSolution:

@@ -915,3 +915,93 @@ def check_condensed(lp):
     np.testing.assert_allclose(lp._binv_rows(rows), b_inv, atol=tol)
     np.testing.assert_allclose(lp._binv_row_norms(rows), np.sum(b_inv * b_inv, axis=1),
                                rtol=1e-7, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# row activity over a box: settled children
+# ---------------------------------------------------------------------------
+
+
+def box_extremes(model, coeffs):
+    """Least and greatest value of sum(c * x) over the model's variable box."""
+    low = high = 0.0
+    for j, c in coeffs.items():
+        v = model.variables[j]
+        low += c * (v.lo if c > 0 else v.hi)
+        high += c * (v.hi if c > 0 else v.lo)
+    return low, high
+
+
+@st.composite
+def settling_milps(draw):
+    """``oracle_milps`` plus rows that one branch child breaks on its own
+    box.  For a binary z: 2 z plus a boxed part, against one past that
+    part's least value (z = 1 breaks it) or its greatest (z = 0 breaks
+    it).  For an SOS1 set: a floor of 0.25 on one member, which every
+    child that zeroes the member breaks."""
+    model = draw(oracle_milps())
+    boxed = [j for j, v in enumerate(model.variables)
+             if v.kind == milp.CONTINUOUS and np.isfinite(v.lo) and np.isfinite(v.hi)]
+    for z in model.binary_ids:
+        rest = {j: float(c) for j in boxed if (c := draw(small_int))}
+        low, high = box_extremes(model, rest)
+        if draw(st.booleans()):
+            model.add_constraint({z: 2.0, **rest}, milp.LE, low + 1.0)
+        else:
+            model.add_constraint({z: 2.0, **rest}, milp.GE, high + 1.0)
+    for members in model.sos1_sets:
+        model.add_constraint({draw(st.sampled_from(members)): 1.0}, milp.GE, 0.25)
+    return model
+
+
+class TestSettledChildren:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(settling_milps())
+    def test_settled_children_are_infeasible(self, model):
+        """Every child one row rules out is infeasible as an LP at its
+        bounds, and the search that settles such children without an LP
+        still matches the oracle."""
+        settled = []
+        rules_out = milp._Arrays.rules_out
+
+        def logged(self, changed, lo, hi):
+            out = rules_out(self, changed, lo, hi)
+            if out:
+                settled.append((lo.copy(), hi.copy()))
+            return out
+
+        with mock.patch.object(milp._Arrays, "rules_out", logged):
+            sol = milp.solve_milp(model)
+        bf = milp.brute_force(model)
+        assert sol.status == bf.status
+        if bf.status == milp.OPTIMAL:
+            assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
+        assert sol.settled_nodes <= len(settled)
+        for lo, hi in settled:
+            child = copy.deepcopy(model)
+            for v, lo_j, hi_j in zip(child.variables, lo, hi):
+                v.lo, v.hi = float(lo_j), float(hi_j)
+            assert milp.solve_lp(child).status == milp.INFEASIBLE
+
+    def test_settled_child_runs_no_lp(self, monkeypatch):
+        """max x + 3 z with x + 2 z <= 1.5: the root has z = 0.75, its
+        up child breaks the row at any x >= 0, pops first, and counts as
+        a node without an LP; the down child re-optimizes in place."""
+        model = milp.MilpModel()
+        x = model.add_variable(0.0, 1.0)
+        z = model.add_variable(kind=milp.BINARY)
+        model.add_constraint({x: 1.0, z: 2.0}, milp.LE, 1.5)
+        model.set_objective(milp.MAX, {x: 1.0, z: 3.0})
+        solved = []
+        solve = milp._NodeLp.solve
+
+        def logged(self, node, nid):
+            solved.append(nid)
+            return solve(self, node, nid)
+
+        monkeypatch.setattr(milp._NodeLp, "solve", logged)
+        sol = milp.solve_milp(model)
+        assert sol.status == milp.OPTIMAL and sol.objective == pytest.approx(1.0)
+        assert (sol.node_count, sol.settled_nodes) == (3, 1)
+        assert solved == [0, 1]   # node 2, the up child, is settled
+        assert sol.objective == pytest.approx(milp.brute_force(model).objective)
