@@ -275,18 +275,12 @@ def add_capability_rows(model: milp.MilpModel, spec: InverterSpec, p_id: int, q_
                         sfx: str):
     """Capability rows of one DER over its (P, Q) variables.
 
-    The boxes live on the variable bounds, and rows that cannot bind
-    anywhere inside those boxes are not emitted.
+    The boxes live on the variable bounds.  Every other row is emitted;
+    the solver keeps out of its LP those that the variable boxes already
+    satisfy.
     """
-    p, q = model.variables[p_id], model.variables[q_id]
     for row in capability_constraints(spec):
         if row.name.startswith("box"):
-            continue
-        ext_p = row.coef_p * (p.hi if (row.coef_p > 0) == (row.sense == milp.LE) else p.lo)
-        ext_q = row.coef_q * (q.hi if (row.coef_q > 0) == (row.sense == milp.LE) else q.lo)
-        if row.sense == milp.LE and ext_p + ext_q <= row.rhs - 1e-12:
-            continue
-        if row.sense == milp.GE and ext_p + ext_q >= row.rhs + 1e-12:
             continue
         model.add_constraint({p_id: row.coef_p, q_id: row.coef_q},
                              row.sense, row.rhs, name=f"cap_{row.name}_{sfx}")
@@ -323,7 +317,11 @@ def _bounds(model, vid):
 
 
 def _segment_rows(model, curve, input_id, output_id, setting_id, indicator_ids):
-    """Domain and value rows for every segment, with per-row tight M."""
+    """Domain and value rows for every segment, with per-row tight M.
+
+    A row whose tight M is 0 holds over the variable boxes whatever its
+    indicator is; it is emitted all the same, and the solver keeps it
+    out of its LP, as it does every row the boxes already satisfy."""
     in_lo, in_hi = _bounds(model, input_id)
     out_lo, out_hi = _bounds(model, output_id)
     s_lo, s_hi = _bounds(model, setting_id)

@@ -7,23 +7,31 @@ both with Devex-weighted Dantzig pricing and a Bland anti-cycling
 fallback.  ``solve_lp`` and ``brute_force`` are cold solves, and so is
 the root node of ``solve_milp`` unless it is given a start.
 
+- **Rows the LP keeps.**  A row enters the LP when it has coefficients
+  and the variable bounds do not already satisfy it: an LE or GE row
+  whose activity range over the model's variable box lies inside its
+  bound (an exact test, with no tolerance) is left out.  Node bounds
+  only tighten, so such a row holds at every node, and the search
+  never needs it.  EQ rows with coefficients are always kept.
 - **Start basis.**  ``solve_milp(start=...)`` takes an earlier solve's
   optimal root basis (``MilpSolution.root_basis``) from a model whose
-  structural variables and rows are prefixes of this model's.  Slack
-  ids shift past the appended structurals; each appended structural
-  starts nonbasic at a finite bound (free when it has none), and each
-  appended row with its slack basic.  The root loads the basis (a
-  refactor).  When every basic value is within ``FEAS_TOL`` of its
-  bounds it runs primal phase 2 only, which ends on the verdict a cold
-  solve's does: confirmed by primal pricing.  Otherwise each nonbasic
+  structural variables, and rows the LP keeps, are prefixes of this
+  model's.  Slack ids shift past the appended structurals; each
+  appended structural starts nonbasic at a finite bound (free when it
+  has none), and each appended row with its slack basic.  The root
+  loads the basis (a refactor).  When every basic value is within
+  ``FEAS_TOL`` of its bounds it runs primal phase 2 only, which ends on
+  the verdict a cold solve's does: confirmed by primal pricing.  Otherwise each nonbasic
   column moves to the bound its reduced cost favours, which makes the
   basis dual feasible, and the dual simplex runs (capped at the LP's
   ``iter_cap``), then the primal pass that confirms it.  Wrong
   lengths, a singular refactor, a column that would need an infinite
   bound, or a solve that ends neither optimal nor Farkas-confirmed
-  infeasible go to the cold solve, and the pivots spent count.  Rows
-  here are the constraints with coefficients; empty ones never enter
-  the LP.
+  infeasible go to the cold solve, and the pivots spent count.  A
+  later model that appends rows and structurals but keeps the earlier
+  variable bounds keeps the same earlier rows, so the prefix holds;
+  a start that does not match is only a worse basis, never a wrong
+  answer.
 - **Condensed tableau.**  The m basic columns of B^-1 [A | I] are unit
   columns, so only the nonbasic ones are stored: T is m x n_struct (plus
   one column per artificial during phase 1), never m x (n_struct + m).
@@ -64,8 +72,8 @@ that pivots only on the rows the branch made primal infeasible.
   ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike,
   and when a node is loaded from its stored basis instead of rebased:
   after a cold solve, at the period, when an exchange finds no pivot
-  above ``_REBASE_TOL``, and to retry a node whose rebased solve ended
-  without a verdict.
+  above ``_REBASE_TOL``, and to retry a node whose warm solve (in place
+  or rebased) ended without a verdict.
 - **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
   tableau: its column of T when the slack is nonbasic, else the unit
   column of the row it is basic in.  The dual steepest-edge weights and
@@ -79,9 +87,9 @@ that pivots only on the rows the branch made primal infeasible.
   as infeasible only when a Farkas check recomputed from the original
   rows (row r of B^-1 applied to A and b) proves the bounds infeasible.
   An unconfirmed verdict or a dual stall (more than max(64, rows)
-  pivots) after a rebase retries once from the refactored stored basis;
-  one after any other start, or a singular refactor, falls back to a
-  cold solve of that node.
+  pivots) after an in-place change or a rebase retries once from the
+  refactored stored basis; one after that retry or a refactored start,
+  or a singular refactor, falls back to a cold solve of that node.
 - **Settled children.**  At branching, each child's rows with a nonzero
   on a variable the branch changed (the branched binary, or the SOS1
   members it zeroes) are tested against the child's box.  A row whose
@@ -108,8 +116,13 @@ Fixed settings (module constants no caller changes): the tolerances
 against cycling far above what the stage LPs take.
 
 Scale notes: models in this package stay below roughly two thousand
-rows and a few hundred structural columns, so T is kept dense and no
-presolve is attempted beyond skipping empty rows.
+rows and a few hundred structural columns, so T is kept dense.  The
+only presolve is the row-activity test above, which keeps out of the
+LP the rows the variable box already satisfies (about a quarter of the
+bundled feeders' stage rows, among them the zero-M Big-M rows and the
+capability rows the boxes cover), and at branching settles the
+children that one row rules out.  Neither tightens bounds or changes
+the feasible set.
 """
 
 from __future__ import annotations
@@ -282,10 +295,11 @@ class MilpSolution:
     ``best_bound`` is the best objective any solution can reach, as far
     as the search proved it, and ``gap`` is |objective - best_bound|
     (inf without an incumbent).  ``root_basis`` is the root LP's optimal
-    (basis int32[m], status int8[n + m]) over structurals and slacks,
-    kept when the root branched (None otherwise, and from ``solve_lp``
-    and ``brute_force``); ``solve_milp(start=...)`` takes it for this
-    model or one that appends structurals and rows to it.
+    (basis int32[m], status int8[n + m]) over structurals and the
+    slacks of the rows the LP kept, kept when the root branched (None
+    otherwise, and from ``solve_lp`` and ``brute_force``);
+    ``solve_milp(start=...)`` takes it for this model or one that
+    appends structurals and rows to it under the same variable bounds.
     ``lp_rows`` is the number of rows the LP kept.  ``settled_nodes``
     counts the nodes, included in ``node_count``, that one row proved
     infeasible without an LP solve.
@@ -328,47 +342,58 @@ _REFACTOR_BLOCK = 64     # tableau columns (or rows) gathered at a time
 _FARKAS_TOL = 1e-6       # infeasibility margin a Farkas row must show
 
 
-def _activity_range(A, lo, hi):
-    """Least and greatest value of each row of A x over the box
-    lo <= x <= hi (along A's last axis); -inf or inf where a nonzero
-    coefficient meets an infinite bound."""
-    with np.errstate(invalid="ignore"):   # 0 * inf, in the branch not taken
-        low = np.where(A > 0, A * lo, np.where(A < 0, A * hi, 0.0)).sum(axis=-1)
-        high = np.where(A > 0, A * hi, np.where(A < 0, A * lo, 0.0)).sum(axis=-1)
-    return low, high
+def _activity_terms(a, lo, hi):
+    """Least and greatest value of each term a * x over lo <= x <= hi,
+    elementwise; -inf or inf where a nonzero coefficient meets an
+    infinite bound.  A row's activity range is the sum of its terms."""
+    pos, neg = a > 0, a < 0
+    # a zero coefficient takes the bound 0, never an infinite one
+    at_low = np.where(pos, lo, np.where(neg, hi, 0.0))
+    at_high = np.where(pos, hi, np.where(neg, lo, 0.0))
+    return a * at_low, a * at_high
 
 
 class _Arrays:
     """Standardized arrays: A x + s = b with bounded structurals x and
     slacks s.  ``A`` holds the structural columns only; the slack block
     is the identity and stays implicit, as do lo, hi and c of the
-    columns after A's (the slacks)."""
+    columns after A's (the slacks).
+
+    Rows are the model's constraints with coefficients, less each LE or
+    GE row whose activity range over the variable bounds already lies
+    inside its bound (tested exactly): node bounds only tighten, so such
+    a row holds at every node.  ``rows`` holds the model's ids of the
+    rows kept."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
-        rows = [c for c in model.constraints if c.coeffs]
-        m = len(rows)
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        lo = np.empty(n + m)
-        hi = np.empty(n + m)
-        for j, v in enumerate(model.variables):
-            lo[j], hi[j] = v.lo, v.hi
-        # add.at sums repeated (row, column) entries in list order, as a
-        # loop of A[i, vid] += coef would
+        lo_s = np.array([v.lo for v in model.variables])
+        hi_s = np.array([v.hi for v in model.variables])
+        ids = np.array([i for i, con in enumerate(model.constraints) if con.coeffs],
+                       dtype=np.intp)
+        rows = [model.constraints[i] for i in ids]
+        # the nonzeros as (row, column) keys, with repeated entries summed
+        # in list order, as a loop of A[i, vid] += coef would
         entries = [item for con in rows for item in con.coeffs]
-        if entries:
-            vids, coefs = zip(*entries)
-            np.add.at(A, (np.repeat(np.arange(m), [len(con.coeffs) for con in rows]),
-                          np.array(vids, dtype=np.intp)), np.array(coefs, dtype=float))
-        for i, con in enumerate(rows):
-            b[i] = con.rhs
-            if con.sense == LE:
-                lo[n + i], hi[n + i] = 0.0, np.inf
-            elif con.sense == GE:
-                lo[n + i], hi[n + i] = -np.inf, 0.0
-            else:
-                lo[n + i], hi[n + i] = 0.0, 0.0
+        vids, coefs = zip(*entries) if entries else ((), ())
+        keys = (np.repeat(np.arange(ids.size), [len(con.coeffs) for con in rows]) * n
+                + np.array(vids, dtype=np.intp))
+        keys, inverse = np.unique(keys, return_inverse=True)
+        vals = np.bincount(inverse, np.array(coefs, dtype=float), minlength=keys.size)
+        r, j = np.divmod(keys, n)
+        low, high = (np.bincount(r, t, minlength=ids.size)
+                     for t in _activity_terms(vals, lo_s[j], hi_s[j]))
+        b = np.array([con.rhs for con in rows], dtype=float)
+        sense = np.array([con.sense for con in rows], dtype=object)
+        keep = ~(((sense == LE) & (high <= b)) | ((sense == GE) & (low >= b)))
+        b, sense = b[keep], sense[keep]
+        m = b.size
+        self.rows = ids[keep]
+        A = np.zeros((m, n))
+        nz = keep[r]
+        A[(np.cumsum(keep) - 1)[r[nz]], j[nz]] = vals[nz]
+        lo = np.concatenate([lo_s, np.where(sense == GE, -np.inf, 0.0)])
+        hi = np.concatenate([hi_s, np.where(sense == LE, np.inf, 0.0)])
         self.trivially_infeasible = any(
             not {LE: 0.0 <= con.rhs + 1e-12,
                  GE: 0.0 >= con.rhs - 1e-12,
@@ -425,7 +450,7 @@ class _Arrays:
         proves the box lo <= x <= hi infeasible on its own: the Farkas
         proof with that row as its multiplier, to ``_FARKAS_TOL``."""
         rows = self.A[:, changed].any(axis=1).nonzero()[0]
-        low, high = _activity_range(self.A[rows], lo, hi)
+        low, high = (t.sum(axis=1) for t in _activity_terms(self.A[rows], lo, hi))
         b, slack = self.b[rows], self.n_struct + rows
         return bool(np.any((b < low + self.lo[slack] - _FARKAS_TOL)
                            | (b > high + self.hi[slack] + _FARKAS_TOL)))
@@ -781,7 +806,7 @@ class _Simplex:
         lo, hi = self.lo[:n_tot], self.hi[:n_tot]
         # round-off on a column with an infinite bound would void the proof
         alpha[(np.abs(alpha) < 1e-11) & ~(np.isfinite(lo) & np.isfinite(hi))] = 0.0
-        low, high = _activity_range(alpha, lo, hi)
+        low, high = (t.sum() for t in _activity_terms(alpha, lo, hi))
         return beta < low - _FARKAS_TOL or beta > high + _FARKAS_TOL
 
     # -- core loops --------------------------------------------------------------
@@ -1065,13 +1090,13 @@ class _NodeLp:
     the tableau holds its parent, else by ``rebase`` when the tableau
     comes out of a warm solve, else by ``load`` (a refactor).  Rebasing
     and the in-place change need the tableau within ``_REFACTOR_PERIOD``
-    pivots of its last refactor.  A rebased solve that ends without a
-    verdict is retried once from ``load``; any other node without one,
-    or whose basis the refactor finds singular, is solved cold.  The
-    root is solved cold, or by ``_start`` when it carries a start basis:
-    primal phase 2 from a primal feasible one, else the dual simplex
-    after each nonbasic column moves to the bound its reduced cost
-    favours.
+    pivots of its last refactor.  An in-place or rebased solve that ends
+    without a verdict is retried once from ``load``; a node still
+    without one, or whose basis the refactor finds singular, is solved
+    cold.  The root is solved cold, or by ``_start`` when it carries a
+    start basis: primal phase 2 from a primal feasible one, else the
+    dual simplex after each nonbasic column moves to the bound its
+    reduced cost favours.
     """
 
     def __init__(self, arrs: _Arrays):
@@ -1091,14 +1116,13 @@ class _NodeLp:
             if node.parent == self.holds and fresh:
                 lp.set_bounds(node.lo, node.hi)
                 res = lp.reoptimize()
-            else:
-                # a warm tableau has no artificials: basis_of_last dropped them
-                if self.warm and fresh and lp.rebase(*stored):
-                    res = lp.reoptimize()
-                # a failed rebase, or a rebased solve that ended without a
-                # verdict, starts again from the refactored stored basis
-                if res is None and lp.load(*stored):
-                    res = lp.reoptimize()
+            # a warm tableau has no artificials: basis_of_last dropped them
+            elif self.warm and fresh and lp.rebase(*stored):
+                res = lp.reoptimize()
+            # a failed rebase, or a warm solve that ended without a verdict,
+            # starts again from the refactored stored basis
+            if res is None and lp.load(*stored):
+                res = lp.reoptimize()
             spent = lp.iters
         self.warm = res is not None and node.parent >= 0
         if res is None:
@@ -1173,11 +1197,12 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     exchanges onto the basis it stores, or a refactor from it where the
     exchanges cannot be used (see the module docstring for the node
     storage, refactor policy, infeasibility confirmation and memory
-    rule).  A rebased node whose warm solve cannot reach a confirmed
-    verdict is retried once from a refactor; a node still without one
-    is solved cold.  A child that one row proves infeasible over its
-    box is settled without an LP: it still counts in ``node_count``
-    (and in ``settled_nodes``) when it pops, as its LP solve did.
+    rule).  A node whose in-place or rebased warm solve cannot reach a
+    confirmed verdict is retried once from a refactor; a node still
+    without one is solved cold.  A child that one row proves infeasible
+    over its box is settled without an LP: it still counts in
+    ``node_count`` (and in ``settled_nodes``) when it pops, as its LP
+    solve did.
     ``simplex_iterations`` counts every primal and dual pivot and every
     exchange of a rebase, and those of a start that fell back to cold.
 

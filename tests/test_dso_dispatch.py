@@ -254,6 +254,39 @@ def test_stage2b_root_starts_from_a_stage2a_basis(monkeypatch):
         assert warm.objective == pytest.approx(cold_2b.objective, abs=milp.GAP)
 
 
+def test_implied_rows_stay_out_of_the_lp(monkeypatch):
+    """On feeder13-highpv bigm the LP leaves out the rows the variable
+    boxes already satisfy (the capability rows and the zero-M Big-M
+    rows among them): stage 1's LP keeps 409 of its rows, stage 2a's
+    410 and stage 2b's 420.  The rows each stage appends stay at the
+    end of the kept ones, so stage 2a and 2b still start warm."""
+    p_star = 2700.0
+    colds = []
+    cold = milp._NodeLp._cold
+
+    def logged_cold(self, node):
+        colds.append(node.parent < 0)
+        return cold(self, node)
+
+    monkeypatch.setattr(milp._NodeLp, "_cold", logged_cold)
+    ctx = dd.make_context(data.load_scenario("feeder13-highpv"), encoding="bigm")
+    mm = stage1_model(ctx)
+    arrs = milp._Arrays(mm)
+    assert (len(mm.constraints), arrs.m) == (661, 409)
+    p1, r1 = dd.stage1_max_power(ctx)
+    assert p1 == pytest.approx(p_star, abs=TOL)
+    assert r1.stats["lp_rows"] == 409
+    colds.clear()
+    (q_lo, q_hi), r_min, r_max = dd.stage2a_aggregate(ctx, p_star)
+    r2b = dd.stage2b_disaggregate(ctx, p_star, 0.5 * (q_lo + q_hi))
+    assert colds.count(True) == 0
+    assert [r.stats["lp_rows"] for r in (r_min, r_max, r2b)] == [410, 410, 420]
+    # stage 2a keeps stage 1's rows, then its pstar row
+    arrs_2a = milp._Arrays(stage2a_model(ctx, p_star, milp.MIN))
+    assert np.array_equal(arrs_2a.rows[:409], arrs.rows)
+    assert arrs_2a.rows[409] == len(mm.constraints)
+
+
 @pytest.mark.parametrize("p_kw", [np.nan, -1.0], ids=["nan", "negative"])
 def test_available_power_must_be_finite_and_non_negative(tiny, p_kw):
     ctx = tiny["sos1"]

@@ -917,9 +917,13 @@ def check_condensed(lp):
                                rtol=1e-7, atol=tol)
 
 
+
 # ---------------------------------------------------------------------------
-# row activity over a box: settled children
+# row activity over a box: settled children and implied rows
 # ---------------------------------------------------------------------------
+
+
+FAR = 1e6   # stands in for an infinite bound when corners are enumerated
 
 
 def box_extremes(model, coeffs):
@@ -932,56 +936,104 @@ def box_extremes(model, coeffs):
     return low, high
 
 
+def row_vector(model, con):
+    a = np.zeros(len(model.variables))
+    for j, c in con.coeffs:
+        a[j] += c
+    return a
+
+
+def corner_activities(a, lo, hi):
+    """a @ x at every corner of the box lo <= x <= hi over the variables
+    a touches, an infinite bound taken as +/- ``FAR``."""
+    support = np.flatnonzero(a)
+    sides = [(max(lo[j], -FAR), min(hi[j], FAR)) for j in support]
+    corners = np.array(list(itertools.product(*sides))).reshape(-1, support.size)
+    return corners @ a[support]
+
+
 @st.composite
 def settling_milps(draw):
     """``oracle_milps`` plus rows that one branch child breaks on its own
     box.  For a binary z: 2 z plus a boxed part, against one past that
     part's least value (z = 1 breaks it) or its greatest (z = 0 breaks
-    it).  For an SOS1 set: a floor of 0.25 on one member, which every
-    child that zeroes the member breaks."""
+    it), or against the extreme itself (no child breaks it).  For an
+    SOS1 set: a floor of 0.25 on one member, which every child that
+    zeroes the member breaks."""
     model = draw(oracle_milps())
     boxed = [j for j, v in enumerate(model.variables)
              if v.kind == milp.CONTINUOUS and np.isfinite(v.lo) and np.isfinite(v.hi)]
     for z in model.binary_ids:
         rest = {j: float(c) for j in boxed if (c := draw(small_int))}
         low, high = box_extremes(model, rest)
+        step = float(draw(st.sampled_from([0, 1])))
         if draw(st.booleans()):
-            model.add_constraint({z: 2.0, **rest}, milp.LE, low + 1.0)
+            model.add_constraint({z: 2.0, **rest}, milp.LE, low + 1.0 + step)
         else:
-            model.add_constraint({z: 2.0, **rest}, milp.GE, high + 1.0)
+            model.add_constraint({z: 2.0, **rest}, milp.GE, high + 1.0 - step)
     for members in model.sos1_sets:
         model.add_constraint({draw(st.sampled_from(members)): 1.0}, milp.GE, 0.25)
     return model
+
+
+def branch_children(model):
+    """Every child of the root box a branch can make: each binary fixed
+    to 0 and to 1, and each SOS1 set's head or tail zeroed at each
+    split; as (changed ids, lo, hi)."""
+    lo0 = np.array([v.lo for v in model.variables])
+    hi0 = np.array([v.hi for v in model.variables])
+    for j in model.binary_ids:
+        for value in (0.0, 1.0):
+            lo, hi = lo0.copy(), hi0.copy()
+            lo[j] = hi[j] = value
+            yield [j], lo, hi
+    for members in model.sos1_sets:
+        for split in range(1, len(members)):
+            for zero_ids in (members[split:], members[:split]):
+                lo, hi = lo0.copy(), hi0.copy()
+                lo[zero_ids] = hi[zero_ids] = 0.0
+                yield zero_ids, lo, hi
+
+
+def one_row_rules_out(model, changed, lo, hi):
+    """Whether a row with a nonzero on a changed variable misses its
+    bound by more than the Farkas margin at every corner of the box."""
+    tol = milp._FARKAS_TOL
+    for con in model.constraints:
+        a = row_vector(model, con)
+        if not a[changed].any():
+            continue
+        act = corner_activities(a, lo, hi)
+        if con.sense != milp.GE and (act > con.rhs + tol).all():
+            return True
+        if con.sense != milp.LE and (act < con.rhs - tol).all():
+            return True
+    return False
 
 
 class TestSettledChildren:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(settling_milps())
     def test_settled_children_are_infeasible(self, model):
-        """Every child one row rules out is infeasible as an LP at its
-        bounds, and the search that settles such children without an LP
-        still matches the oracle."""
-        settled = []
-        rules_out = milp._Arrays.rules_out
-
-        def logged(self, changed, lo, hi):
-            out = rules_out(self, changed, lo, hi)
-            if out:
-                settled.append((lo.copy(), hi.copy()))
-            return out
-
-        with mock.patch.object(milp._Arrays, "rules_out", logged):
-            sol = milp.solve_milp(model)
+        """A branch child is settled exactly when one of its rows with a
+        changed variable misses its bound at every corner of the child's
+        box, and every settled child is infeasible as an LP at its
+        bounds.  The search that settles them still matches the oracle."""
+        arrs = milp._Arrays(model)
+        for changed, lo, hi in branch_children(model):
+            settled = arrs.rules_out(changed, lo, hi)
+            assert settled == one_row_rules_out(model, changed, lo, hi)
+            if settled:
+                child = copy.deepcopy(model)
+                for v, lo_j, hi_j in zip(child.variables, lo, hi):
+                    v.lo, v.hi = float(lo_j), float(hi_j)
+                assert milp.solve_lp(child).status == milp.INFEASIBLE
         bf = milp.brute_force(model)
+        sol = milp.solve_milp(model)
         assert sol.status == bf.status
         if bf.status == milp.OPTIMAL:
             assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
-        assert sol.settled_nodes <= len(settled)
-        for lo, hi in settled:
-            child = copy.deepcopy(model)
-            for v, lo_j, hi_j in zip(child.variables, lo, hi):
-                v.lo, v.hi = float(lo_j), float(hi_j)
-            assert milp.solve_lp(child).status == milp.INFEASIBLE
+        assert sol.settled_nodes <= sol.node_count
 
     def test_settled_child_runs_no_lp(self, monkeypatch):
         """max x + 3 z with x + 2 z <= 1.5: the root has z = 0.75, its
@@ -996,12 +1048,72 @@ class TestSettledChildren:
         solve = milp._NodeLp.solve
 
         def logged(self, node, nid):
-            solved.append(nid)
+            solved.append((nid, self.holds))
             return solve(self, node, nid)
 
         monkeypatch.setattr(milp._NodeLp, "solve", logged)
         sol = milp.solve_milp(model)
         assert sol.status == milp.OPTIMAL and sol.objective == pytest.approx(1.0)
         assert (sol.node_count, sol.settled_nodes) == (3, 1)
-        assert solved == [0, 1]   # node 2, the up child, is settled
+        # node 2, the up child, is settled; node 1 finds its parent in the tableau
+        assert solved == [(0, None), (1, 0)]
         assert sol.objective == pytest.approx(milp.brute_force(model).objective)
+
+
+@st.composite
+def padded_milps(draw):
+    """``oracle_milps`` plus rows the variable box may already satisfy:
+    copies of finite bounds (x_j <= hi_j or x_j >= lo_j, scaled by 1 or
+    2), and rows over random coefficients whose right-hand side sits a
+    drawn step from the box's extreme activity, from half a unit inside
+    (the row can bind) to a unit outside (it cannot)."""
+    model = draw(oracle_milps())
+    n = len(model.variables)
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, n - 1))
+        v, scale = model.variables[j], float(draw(st.sampled_from([1, 2])))
+        if draw(st.booleans()) and np.isfinite(v.hi):
+            model.add_constraint({j: scale}, milp.LE, scale * v.hi)
+        elif np.isfinite(v.lo):
+            model.add_constraint({j: scale}, milp.GE, scale * v.lo)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = {j: float(c) for j in range(n) if (c := draw(small_int))}
+        if not coeffs:
+            continue
+        low, high = box_extremes(model, coeffs)
+        step = draw(st.integers(-1, 2)) / 2.0
+        if draw(st.booleans()) and np.isfinite(high):
+            model.add_constraint(coeffs, milp.LE, high + step)
+        elif np.isfinite(low):
+            model.add_constraint(coeffs, milp.GE, low - step)
+    return model
+
+
+class TestImpliedRows:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(padded_milps())
+    def test_dropped_rows_hold_at_every_corner(self, model):
+        """Every LE/GE row ``_Arrays`` leaves out holds at every corner of
+        the variable box, and every LE/GE row it keeps whose variables
+        are all boxed is violated at some corner.  EQ rows with
+        coefficients are always kept."""
+        arrs = milp._Arrays(model)
+        lo = [v.lo for v in model.variables]
+        hi = [v.hi for v in model.variables]
+        kept = set(arrs.rows.tolist())
+        for i, con in enumerate(model.constraints):
+            if not con.coeffs:
+                assert i not in kept
+                continue
+            if con.sense == milp.EQ:
+                assert i in kept
+                continue
+            a = row_vector(model, con)
+            act = corner_activities(a, lo, hi)
+            holds = act <= con.rhs if con.sense == milp.LE else act >= con.rhs
+            if i not in kept:
+                assert holds.all(), (i, con)
+            elif all(np.isfinite(lo[j]) and np.isfinite(hi[j]) for j in np.flatnonzero(a)):
+                assert not holds.all(), (i, con)
+        assert arrs.m == len(kept)
+        assert np.array_equal(arrs.b, [model.constraints[i].rhs for i in arrs.rows])
