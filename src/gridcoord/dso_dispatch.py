@@ -8,6 +8,23 @@ substation.  All stages share one MILP skeleton: per-DER capability
 rows, droop-mode encodings with mode exclusivity, the observable
 voltage map, and the substation reactive-flow expression.
 
+A context builds that skeleton once.  Its stage 1 model comes from
+``build_stage_model`` on first use; stage 2a's is a copy of it plus the
+``pstar`` row, and stage 2b's a copy of 2a's plus the ``qreq`` and |q|
+split rows.  Copies share the frozen variable and row entries.  The
+context keeps the three models, each with the LP form its solves keep
+(see ``milp``), and the default ``sensitivity_weights``.  A stage call
+then only sets its objective and the right-hand sides of the ``pstar``
+and ``qreq`` rows, so a round assembles nothing and each solve makes
+the pivots a freshly built model would.  Every call first compares the
+inputs the kept models were built from, and rebuilds them all when one
+changed: ``p_available_kw`` (an edit in place too),
+``q_sub_offset_kvar``, ``specs``, ``curves``, ``encoding`` and
+``policy`` by value, the feeder model and ``blocks`` by identity.  The
+context makes the blocks' arrays read-only, so editing them in place
+raises.  A context made by ``dataclasses.replace`` starts with nothing
+kept.  ``build_stage_model`` still returns a fresh model at each call.
+
 Stage 2a's model is stage 1's plus one ``pstar`` row, and its MIN and
 MAX solves share every row and bound.  So stage 1 leaves its optimal
 root basis on the context, stage 2a MIN starts its root from it
@@ -42,7 +59,7 @@ and of the reduced model's K1 and c2, is planned in ROADMAP.md (item
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,6 +97,9 @@ class DispatchContext:
     root that did not branch; ``stage2b_disaggregate`` starts from the
     one whose q_sub is nearer its request (MAX's on a tie), and cold
     when the list is empty.
+
+    The stages keep their models and the default weights on the context
+    while its inputs stay the same (see the module docstring).
     """
     model: feeder_mod.FeederModel
     blocks: feeder_mod.SensitivityBlocks       # partitioned, k1/c2 current
@@ -92,6 +112,8 @@ class DispatchContext:
     stage1_root_basis: tuple | None = field(default=None, repr=False, compare=False)
     # stage 2a MAX's and MIN's (q_sub_kvar, root basis), in that order
     stage2a_root_bases: list = field(default_factory=list, repr=False, compare=False)
+    # stage -> (model, handles) and "weights", as built from "inputs"
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.encoding not in ENCODINGS:
@@ -113,12 +135,67 @@ class DispatchContext:
                 raise ValueError("available power above inverter rating")
         if self.blocks.partition is None:
             raise ValueError("blocks must be partitioned")
+        # the kept models read these arrays: an edit in place must fail
+        for holder in (self.blocks, self.blocks.partition):
+            for f in fields(holder):
+                value = getattr(holder, f.name)
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
         if self.q_sub_offset_kvar is None:
             self.q_sub_offset_kvar = flat_voltage_q_offset(self.model, self.blocks)
 
     @property
     def s_base(self):
         return self.model.s_base_kva
+
+    def _fresh_kept(self):
+        """``_kept``, emptied first when an input changed since its
+        models and weights were built: the feeder model and blocks are
+        compared by identity (the blocks' arrays are read-only),
+        everything else by value."""
+        refs = (self.model, self.blocks)
+        values = (tuple(self.specs), tuple(tuple(c.items()) for c in self.curves),
+                  np.asarray(self.p_available_kw, dtype=float).tobytes(),
+                  self.q_sub_offset_kvar, self.encoding, self.policy.kind)
+        old = self._kept.get("inputs")
+        if old is None or any(a is not b for a, b in zip(refs, old[0])) or values != old[1]:
+            self._kept.clear()
+            self._kept["inputs"] = refs, values
+        return self._kept
+
+    def _stage_model(self, stage, p_star_kw=None, q_req_kvar=None):
+        """This context's model of ``stage`` (built on first use, then
+        kept), with its pstar and qreq rows set to the request."""
+        kept = self._fresh_kept()
+        if stage not in kept:
+            if stage == "stage1":
+                kept[stage] = build_stage_model(self, stage)
+            else:
+                # the model of the stage before plus this stage's rows; the
+                # two share their (frozen) variables and rows
+                before = "stage1" if stage == "stage2a" else "stage2a"
+                mm, handles = self._stage_model(before, p_star_kw)
+                mm, handles = mm.copy(f"{stage}-{self.encoding}"), replace(handles)
+                if stage == "stage2a":
+                    _add_pstar_row(self, mm, handles, stage, p_star_kw)
+                else:
+                    _add_qreq_rows(self, mm, handles, q_req_kvar)
+                kept[stage] = mm, handles
+        mm, handles = kept[stage]
+        if handles.pstar is not None:
+            mm.set_rhs(handles.pstar, p_star_kw)
+        if handles.qreq is not None:
+            mm.set_rhs(handles.qreq, q_req_kvar)
+        return mm, handles
+
+    def _default_weights(self):
+        """``sensitivity_weights`` of this context, computed once."""
+        kept = self._fresh_kept()
+        if "weights" not in kept:
+            weights = sensitivity_weights(self.blocks, self.model.der_nodes)
+            weights.flags.writeable = False
+            kept["weights"] = weights
+        return kept["weights"]
 
 
 def make_context(scenario, encoding="sos1",
@@ -157,16 +234,20 @@ class StageHandles:
     q_sub: int
     qp: list[int] | None = None
     qm: list[int] | None = None
+    pstar: int | None = None       # row ids of the stage's request rows
+    qreq: int | None = None
 
 
 def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
                       p_star_kw: float | None = None,
                       q_req_kvar: float | None = None):
-    """Assemble the MILP for one stage; returns (model, handles).
+    """Assemble a fresh MILP for one stage; returns (model, handles).
 
     ``stage`` is one of stage1 / stage2a / stage2b.  Stage 2a gets the
     total-power row; stage 2b additionally pins the substation reactive
-    flow and adds the absolute-value split variables.
+    flow and adds the absolute-value split variables.  The stage
+    functions build stage 1's model with it once per context and keep
+    it; the caller owns what this returns.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; have {STAGES}")
@@ -235,28 +316,36 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
     mm.add_constraint(coeffs, milp.EQ, rhs, name="qsub_def")
 
     handles = StageHandles(p_ids, q_ids, v_ids, encodings, y_ids, q_sub)
-
     if stage in ("stage2a", "stage2b"):
-        if p_star_kw is None:
-            raise ValueError(f"{stage} needs p_star_kw")
-        mm.add_constraint({p_ids[i]: ctx.specs[i].s_rated for i in range(n_der)},
-                          milp.EQ, float(p_star_kw), name="pstar")
+        _add_pstar_row(ctx, mm, handles, stage, p_star_kw)
     if stage == "stage2b":
-        if q_req_kvar is None:
-            raise ValueError("stage2b needs q_req_kvar")
-        mm.add_constraint({q_sub: 1.0}, milp.EQ, float(q_req_kvar), name="qreq")
-        qp_ids, qm_ids = [], []
-        for i in range(n_der):
-            spec = ctx.specs[i]
-            qp = mm.add_variable(0.0, max(spec.q_max_pu, 0.0), name=f"qp_d{i}")
-            qm = mm.add_variable(0.0, max(-spec.q_min_pu, 0.0), name=f"qm_d{i}")
-            mm.add_constraint({q_ids[i]: 1.0, qp: -1.0, qm: 1.0}, milp.EQ, 0.0,
-                              name=f"qsplit_d{i}")
-            qp_ids.append(qp)
-            qm_ids.append(qm)
-        handles.qp, handles.qm = qp_ids, qm_ids
-
+        _add_qreq_rows(ctx, mm, handles, q_req_kvar)
     return mm, handles
+
+
+def _add_pstar_row(ctx, mm, handles, stage, p_star_kw):
+    """Stage 2a's total-power row."""
+    if p_star_kw is None:
+        raise ValueError(f"{stage} needs p_star_kw")
+    handles.pstar = mm.add_constraint(
+        {p: spec.s_rated for p, spec in zip(handles.p, ctx.specs)},
+        milp.EQ, float(p_star_kw), name="pstar")
+
+
+def _add_qreq_rows(ctx, mm, handles, q_req_kvar):
+    """Stage 2b's substation request row and its |q| split per DER."""
+    if q_req_kvar is None:
+        raise ValueError("stage2b needs q_req_kvar")
+    handles.qreq = mm.add_constraint({handles.q_sub: 1.0}, milp.EQ, float(q_req_kvar),
+                                     name="qreq")
+    handles.qp, handles.qm = [], []
+    for i, (q_id, spec) in enumerate(zip(handles.q, ctx.specs)):
+        qp = mm.add_variable(0.0, max(spec.q_max_pu, 0.0), name=f"qp_d{i}")
+        qm = mm.add_variable(0.0, max(-spec.q_min_pu, 0.0), name=f"qm_d{i}")
+        mm.add_constraint({q_id: 1.0, qp: -1.0, qm: 1.0}, milp.EQ, 0.0,
+                          name=f"qsplit_d{i}")
+        handles.qp.append(qp)
+        handles.qm.append(qm)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +444,7 @@ def _extract(ctx, handles, sol, stage, stats) -> DispatchResult:
 
 def stage1_max_power(ctx: DispatchContext):
     """Maximize total DER real power subject to network and controller rows."""
-    mm, handles = build_stage_model(ctx, "stage1")
+    mm, handles = ctx._stage_model("stage1")
     mm.set_objective(milp.MAX, {handles.p[i]: ctx.specs[i].s_rated
                                 for i in range(len(handles.p))})
     sol, stats = _solve_stage(mm)
@@ -374,7 +463,7 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
     starts from ``ctx.stage1_root_basis`` and MAX's from MIN's root
     basis; both root bases are left in ``ctx.stage2a_root_bases``.
     """
-    mm, handles = build_stage_model(ctx, "stage2a", p_star_kw=p_star_kw)
+    mm, handles = ctx._stage_model("stage2a", p_star_kw=p_star_kw)
     q_total = {handles.q[i]: ctx.specs[i].s_rated for i in range(len(handles.q))}
     results = {}
     start = ctx.stage1_root_basis
@@ -418,17 +507,20 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
     Minimizes the sensitivity-weighted sum of absolute DER reactive
     outputs; the absolute value uses the standard nonnegative split
     (weights are nonnegative, so no simultaneous positive parts at the
-    optimum).  ``weights`` defaults to ``sensitivity_weights``; it stays
-    a parameter because a caller that computed them passes them in.
+    optimum).  ``weights`` defaults to ``sensitivity_weights``,
+    computed once per context; it stays a parameter because a caller
+    that computed them passes them in.  They must be one finite,
+    nonnegative value per DER, else ``ValueError``.
     The root starts from the stage 2a root basis in
     ``ctx.stage2a_root_bases`` whose envelope end is nearer
     ``q_req_kvar``, or cold when there is none.
     """
-    if weights is None:
-        weights = sensitivity_weights(ctx.blocks, ctx.model.der_nodes)
-    weights = np.asarray(weights, dtype=float)
-    mm, handles = build_stage_model(ctx, "stage2b", p_star_kw=p_star_kw,
-                                    q_req_kvar=q_req_kvar)
+    n_der = len(ctx.model.der_nodes)
+    weights = ctx._default_weights() if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (n_der,) or not np.all(np.isfinite(weights) & (weights >= 0.0)):
+        raise ValueError(f"weights must be {n_der} finite nonnegative values, "
+                         f"got {weights.tolist()}")
+    mm, handles = ctx._stage_model("stage2b", p_star_kw, q_req_kvar)
     obj = {}
     for i in range(len(handles.p)):
         s = ctx.specs[i].s_rated

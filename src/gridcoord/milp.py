@@ -13,6 +13,20 @@ the root node of ``solve_milp`` unless it is given a start.
   bound (an exact test, with no tolerance) is left out.  Node bounds
   only tighten, so such a row holds at every node, and the search
   never needs it.  EQ rows with coefficients are always kept.
+- **Kept LP form.**  A model keeps its standardized form between solves
+  (``solve_lp``, ``solve_milp`` and ``brute_force`` alike): the kept
+  rows with their summed nonzeros, ``b``, and the bounds of the
+  structurals and of the slacks, which carry the senses (``_LpForm``).
+  Its arrays are read-only, so no solver path can write to them.  The
+  objective is not part of it: ``c``, like the dense A, is filled at
+  each solve and freed after it.  ``set_objective`` keeps the form, and
+  ``set_rhs`` on a kept EQ row replaces that entry of ``b``.  Any other
+  change through the model's methods drops it (``add_variable``,
+  ``add_constraint``, ``add_sos1``, ``fix_variable``, and ``set_rhs``
+  on any other row, whose new bound may move it into or out of the LP),
+  and the next solve builds it again.  The variable and row entries are
+  frozen, so a model changes only through those methods, and a kept
+  form always equals the one a freshly built model would give.
 - **Start basis.**  ``solve_milp(start=...)`` takes an earlier solve's
   optimal root basis (``MilpSolution.root_basis``) from a model whose
   structural variables, and rows the LP keeps, are prefixes of this
@@ -90,15 +104,16 @@ that pivots only on the rows the branch made primal infeasible.
   pivots) after an in-place change or a rebase retries once from the
   refactored stored basis; one after that retry or a refactored start,
   or a singular refactor, falls back to a cold solve of that node.
-- **Settled children.**  At branching, each child's rows with a nonzero
-  on a variable the branch changed (the branched binary, or the SOS1
-  members it zeroes) are tested against the child's box.  A row whose
-  activity range over that box misses its bound by more than
-  ``_FARKAS_TOL`` is a Farkas proof with itself as the multiplier, so
-  the child is stored as settled: when it pops it counts as a node,
-  keeping node ids, order and ``node_limit`` as they were, but no LP
-  runs.  The working tableau then still holds the parent, and the
-  sibling re-optimizes in place.
+- **Settled children.**  A child stores the variables its branch
+  changed (the branched binary, or the SOS1 members it zeroes).  When
+  it pops and the bound does not prune it, its rows with a nonzero on
+  one of them are tested against its box.  A row whose activity range
+  over that box misses its bound by more than ``_FARKAS_TOL`` is a
+  Farkas proof with itself as the multiplier, so the child is settled:
+  it counts as a node, keeping node ids, order and ``node_limit`` as
+  they were, but no LP runs.  The working tableau then still holds the
+  parent, and the sibling re-optimizes in place.  A child the bound
+  prunes is never tested.
 - **Memory.**  The search holds one m x n_struct tableau, never a copy
   per node.  A cold fallback first releases it, dropping artificials
   reuses its buffer, and the refactor works in blocks of columns, so the
@@ -120,16 +135,16 @@ rows and a few hundred structural columns, so T is kept dense.  The
 only presolve is the row-activity test above, which keeps out of the
 LP the rows the variable box already satisfies (about a quarter of the
 bundled feeders' stage rows, among them the zero-M Big-M rows and the
-capability rows the boxes cover), and at branching settles the
-children that one row rules out.  Neither tightens bounds or changes
-the feasible set.
+capability rows the boxes cover), and settles the children that one
+row rules out.  Neither tightens bounds or changes the feasible set.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -171,7 +186,7 @@ class MilpOptions:
     node_limit: int = 10 ** 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Variable:
     name: str
     lo: float
@@ -179,12 +194,26 @@ class _Variable:
     kind: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Constraint:
-    coeffs: list
+    coeffs: tuple      # (variable id, coefficient) pairs, as given
     sense: str
     rhs: float
     name: str
+
+
+def _finite(value, what):
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value} is not finite")
+    return value
+
+
+def _bound(value):
+    value = float(value)
+    if math.isnan(value):
+        raise ValueError("variable bound is NaN")
+    return value
 
 
 class MilpModel:
@@ -193,7 +222,14 @@ class MilpModel:
     Variables and constraints are identified by the integer ids returned
     from the ``add_*`` methods.  Binary variables always carry [0, 1]
     bounds; SOS1 sets are ordered lists of variable ids (duplicates are
-    dropped, keeping first occurrence).
+    dropped, keeping first occurrence).  Bounds may be infinite but not
+    NaN; coefficients and right-hand sides must be finite.
+
+    The entries of ``variables`` and ``constraints`` are frozen: a model
+    changes only through its methods.  A solve keeps the model's
+    standardized LP form for the next one; ``set_objective`` and
+    ``set_rhs`` on a kept EQ row keep it too, and every other change
+    drops it (see "Kept LP form" in the module docstring).
     """
 
     def __init__(self, name: str = "model"):
@@ -204,24 +240,31 @@ class MilpModel:
         self.objective_sense = MIN
         self.objective: dict[int, float] = {}
         self.objective_const = 0.0
+        self._form: _LpForm | None = None
 
     def add_variable(self, lo=0.0, hi=np.inf, kind=CONTINUOUS, name=None) -> int:
         if kind == BINARY:
             lo, hi = 0.0, 1.0
+        lo, hi = _bound(lo), _bound(hi)
         if lo > hi:
             raise ValueError(f"variable lower bound {lo} above upper bound {hi}")
         vid = len(self.variables)
-        self.variables.append(_Variable(name or f"x{vid}", float(lo), float(hi), kind))
+        self.variables.append(_Variable(name or f"x{vid}", lo, hi, kind))
+        self._form = None
         return vid
 
     def add_constraint(self, coeffs, sense, rhs, name=None) -> int:
         if sense not in (LE, GE, EQ):
             raise ValueError(f"unknown sense {sense!r}")
-        items = list(coeffs.items()) if isinstance(coeffs, dict) else list(coeffs)
-        for vid, _ in items:
+        items = tuple(coeffs.items()) if isinstance(coeffs, dict) else tuple(coeffs)
+        for vid, coef in items:
             self._check_var(vid)
+            if not math.isfinite(coef):
+                raise ValueError(f"row coefficient {coef} is not finite")
         cid = len(self.constraints)
-        self.constraints.append(_Constraint(items, sense, float(rhs), name or f"c{cid}"))
+        self.constraints.append(_Constraint(items, sense, _finite(rhs, "right-hand side"),
+                                            name or f"c{cid}"))
+        self._form = None
         return cid
 
     def add_sos1(self, var_ids) -> int:
@@ -232,6 +275,7 @@ class MilpModel:
                 seen.add(vid)
                 members.append(vid)
         self.sos1_sets.append(members)
+        self._form = None
         return len(self.sos1_sets) - 1
 
     def set_objective(self, sense, coeffs, const=0.0):
@@ -241,15 +285,48 @@ class MilpModel:
         obj = {}
         for vid, c in items:
             self._check_var(vid)
-            obj[vid] = obj.get(vid, 0.0) + float(c)
+            obj[vid] = obj.get(vid, 0.0) + _finite(c, "objective coefficient")
         self.objective_sense = sense
         self.objective = obj
-        self.objective_const = float(const)
+        self.objective_const = _finite(const, "objective constant")
+
+    def set_rhs(self, row, value):
+        """Set a row's right-hand side.  On a row the LP keeps with sense
+        EQ the kept LP form stays, with that entry of its ``b`` replaced;
+        on any other row (an LE/GE row may enter or leave the LP with its
+        bound) the form is dropped."""
+        if not isinstance(row, (int, np.integer)) or not 0 <= row < len(self.constraints):
+            raise ValueError(f"row id {row!r} not in model")
+        con = self.constraints[row]
+        value = _finite(value, "right-hand side")
+        self.constraints[row] = replace(con, rhs=value)
+        form = self._form
+        if form is not None and con.sense == EQ:
+            k = int(np.searchsorted(form.rows, row))
+            if k < form.rows.size and form.rows[k] == row:
+                b = form.b.copy()
+                b[k] = value
+                form.b = _read_only(b)
+                return
+        self._form = None
 
     def fix_variable(self, vid, value):
         self._check_var(vid)
-        v = self.variables[vid]
-        v.lo = v.hi = float(value)
+        value = _bound(value)
+        self.variables[vid] = replace(self.variables[vid], lo=value, hi=value)
+        self._form = None
+
+    def copy(self, name=None):
+        """A new model with this one's variables, rows, SOS1 sets and
+        objective.  The two share the frozen variable and row entries, so
+        a copy costs one reference per entry; either model may then
+        change on its own."""
+        out = MilpModel(self.name if name is None else name)
+        out.variables, out.constraints = list(self.variables), list(self.constraints)
+        out.sos1_sets = [list(members) for members in self.sos1_sets]
+        out.objective_sense, out.objective_const = self.objective_sense, self.objective_const
+        out.objective = dict(self.objective)
+        return out
 
     def _check_var(self, vid):
         if not isinstance(vid, (int, np.integer)) or not 0 <= vid < len(self.variables):
@@ -353,17 +430,24 @@ def _activity_terms(a, lo, hi):
     return a * at_low, a * at_high
 
 
-class _Arrays:
-    """Standardized arrays: A x + s = b with bounded structurals x and
-    slacks s.  ``A`` holds the structural columns only; the slack block
-    is the identity and stays implicit, as do lo, hi and c of the
-    columns after A's (the slacks).
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _LpForm:
+    """A model's standardized rows and bounds, which its solves keep
+    between them (``MilpModel._form``); the objective is not part of it.
 
     Rows are the model's constraints with coefficients, less each LE or
     GE row whose activity range over the variable bounds already lies
     inside its bound (tested exactly): node bounds only tighten, so such
     a row holds at every node.  ``rows`` holds the model's ids of the
-    rows kept."""
+    rows kept, ascending; ``r``, ``j`` and ``vals`` their nonzeros, with
+    repeated entries summed and ``r`` counting kept rows; ``b`` their
+    right-hand sides; ``lo`` and ``hi`` the bounds of the structurals,
+    then of each kept row's slack, which carry its sense.  Every array
+    is read-only."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -387,23 +471,44 @@ class _Arrays:
         sense = np.array([con.sense for con in rows], dtype=object)
         keep = ~(((sense == LE) & (high <= b)) | ((sense == GE) & (low >= b)))
         b, sense = b[keep], sense[keep]
-        m = b.size
-        self.rows = ids[keep]
-        A = np.zeros((m, n))
         nz = keep[r]
-        A[(np.cumsum(keep) - 1)[r[nz]], j[nz]] = vals[nz]
-        lo = np.concatenate([lo_s, np.where(sense == GE, -np.inf, 0.0)])
-        hi = np.concatenate([hi_s, np.where(sense == LE, np.inf, 0.0)])
+        self.rows = _read_only(ids[keep])
+        self.r = _read_only((np.cumsum(keep) - 1)[r[nz]])
+        self.j, self.vals = _read_only(j[nz]), _read_only(vals[nz])
+        self.b = _read_only(b)
+        self.lo = _read_only(np.concatenate([lo_s, np.where(sense == GE, -np.inf, 0.0)]))
+        self.hi = _read_only(np.concatenate([hi_s, np.where(sense == LE, np.inf, 0.0)]))
         self.trivially_infeasible = any(
             not {LE: 0.0 <= con.rhs + 1e-12,
                  GE: 0.0 >= con.rhs - 1e-12,
                  EQ: abs(con.rhs) <= 1e-12}[con.sense]
             for con in model.constraints if not con.coeffs)
+
+
+class _Arrays:
+    """Standardized arrays of one solve: A x + s = b with bounded
+    structurals x and slacks s.  ``A`` holds the structural columns only;
+    the slack block is the identity and stays implicit, as do lo, hi and
+    c of the columns after A's (the slacks).
+
+    Everything but ``A`` and ``c`` is read from the model's kept
+    ``_LpForm``, built first when the model has none.  ``A`` is filled
+    from the form's nonzeros and ``c`` from the objective, and both live
+    as long as the solve."""
+
+    def __init__(self, model: MilpModel):
+        if model._form is None:
+            model._form = _LpForm(model)
+        form = model._form
+        n, m = len(model.variables), form.b.size
+        A = np.zeros((m, n))
+        A[form.r, form.j] = form.vals
         c = np.zeros(n + m)
         sign = 1.0 if model.objective_sense == MIN else -1.0
         for vid, coef in model.objective.items():
             c[vid] = sign * coef
-        self.A, self.b, self.lo, self.hi, self.c = A, b, lo, hi, c
+        self.rows, self.trivially_infeasible = form.rows, form.trivially_infeasible
+        self.A, self.b, self.lo, self.hi, self.c = A, form.b, form.lo, form.hi, c
         self.n_struct, self.m = n, m
         self.iter_cap = ITER_FACTOR * (m + n)
         self.obj_sign, self.obj_const = sign, model.objective_const
@@ -1080,7 +1185,8 @@ class _Node:
     # the parent's optimal basis (at the root, the start's), int32
     basis: np.ndarray | None = field(default=None, compare=False)
     status: np.ndarray | None = field(default=None, compare=False)   # parent's, int8
-    settled: bool = field(default=False, compare=False)   # infeasible by one row
+    # the variables the branch changed, whose rows may settle the node
+    changed: list | None = field(default=None, compare=False)
 
 
 class _NodeLp:
@@ -1199,10 +1305,12 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     storage, refactor policy, infeasibility confirmation and memory
     rule).  A node whose in-place or rebased warm solve cannot reach a
     confirmed verdict is retried once from a refactor; a node still
-    without one is solved cold.  A child that one row proves infeasible
-    over its box is settled without an LP: it still counts in
-    ``node_count`` (and in ``settled_nodes``) when it pops, as its LP
-    solve did.
+    without one is solved cold.  A child is tested when it pops, after
+    the bound prune: when one row with a nonzero on a variable its
+    branch changed proves its box infeasible, it is settled without an
+    LP, and still counts in ``node_count`` (and in ``settled_nodes``),
+    as its LP solve did.  The model's LP form is built by the first
+    solve and kept for the next (see ``MilpModel``).
     ``simplex_iterations`` counts every primal and dual pivot and every
     exchange of a rebase, and those of a start that fell back to cold.
 
@@ -1259,7 +1367,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             break
         nid = -node.neg_nid
         node_count += 1
-        if node.settled:
+        if node.changed is not None and arrs.rules_out(node.changed, node.lo, node.hi):
             settled_count += 1
             continue
         res = node_lp.solve(node, nid)
@@ -1327,7 +1435,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         key = np.floor(res.objective / GAP)
         for (lo_c, hi_c), ids in zip(bounds, changed):
             heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
-                                       status, arrs.rules_out(ids, lo_c, hi_c)))
+                                       status, ids))
             next_id += 1
 
     bound = min([incumbent_obj, dropped_bound] + [nd.bound for nd in heap])

@@ -1,11 +1,13 @@
 """DSO dispatch stages on tiny-2bus in both droop encodings, the solver
-on the benchmark's feeder13-highpv stage models, and the stage-2b
-sensitivity weights.
+on the benchmark's feeder13-highpv stage models, the stage models a
+context keeps, and the stage-2b sensitivity weights.
 
 The tiny-2bus tests check invariants, not vertices: the dispatch of a
 stage with several optimal solutions may change with the solver's pivot
 path.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -285,6 +287,109 @@ def test_implied_rows_stay_out_of_the_lp(monkeypatch):
     arrs_2a = milp._Arrays(stage2a_model(ctx, p_star, milp.MIN))
     assert np.array_equal(arrs_2a.rows[:409], arrs.rows)
     assert arrs_2a.rows[409] == len(mm.constraints)
+
+
+def solve_log(monkeypatch):
+    """Every stage solve from here on, as (status, nodes, pivots,
+    objective, x)."""
+    log = []
+    solve = milp.solve_milp
+
+    def logged(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        log.append((sol.status, sol.node_count, sol.simplex_iterations, sol.objective, sol.x))
+        return sol
+
+    monkeypatch.setattr(dd.milp, "solve_milp", logged)
+    return log
+
+
+def dispatch_round(ctx):
+    """Stage 1, stage 2a, and stage 2b at both envelope ends and the
+    midpoint; each stage 2b meets its request."""
+    p_star, _ = dd.stage1_max_power(ctx)
+    (q_lo, q_hi), _, _ = dd.stage2a_aggregate(ctx, p_star)
+    for q_req in (q_lo, 0.5 * (q_lo + q_hi), q_hi):
+        r2b = dd.stage2b_disaggregate(ctx, p_star, q_req)
+        assert r2b.q_sub_kvar == pytest.approx(q_req, abs=TOL)
+
+
+def assert_same_solves(run, reference):
+    assert len(run) == len(reference)
+    for got, want in zip(run, reference):
+        assert got[:3] == want[:3]
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+        assert np.array_equal(got[4], want[4])
+
+
+@pytest.mark.parametrize("enc", ENCODINGS)
+def test_kept_stage_models_solve_as_fresh_ones(monkeypatch, enc):
+    """A context builds each stage model once and then only sets its
+    objective and request rows.  Two rounds on one context and one on a
+    fresh context make the same solves, bit for bit: status, nodes,
+    pivots, objective and x."""
+    log = solve_log(monkeypatch)
+    scenario = data.load_scenario("feeder13-highpv")
+    ctx = dd.make_context(scenario, encoding=enc)
+    runs = []
+    for run_ctx in (ctx, ctx, dd.make_context(scenario, encoding=enc)):
+        log.clear()
+        dispatch_round(run_ctx)
+        runs.append(list(log))
+    assert len(runs[0]) == 6
+    for run in runs[1:]:
+        assert_same_solves(run, runs[0])
+
+
+def test_kept_models_follow_changed_inputs():
+    """After an input changes on a used context, its stages give what a
+    fresh context with the new inputs gives: a new substation offset, an
+    available power edited in place, another encoding.  A context made
+    by ``dataclasses.replace`` keeps nothing, and the blocks the kept
+    models read cannot be edited in place."""
+    ctx = dd.make_context(data.load_scenario("tiny-2bus"), encoding="bigm")
+
+    def results(c):
+        p_star, r1 = dd.stage1_max_power(c)
+        (q_lo, q_hi), r_min, r_max = dd.stage2a_aggregate(c, p_star)
+        r2b = dd.stage2b_disaggregate(c, p_star, 0.5 * (q_lo + q_hi))
+        return [(r.objective, r.q_sub_kvar, [d.p_kw for d in r.per_der],
+                 [d.q_kvar for d in r.per_der]) for r in (r1, r_min, r_max, r2b)]
+
+    def fresh(c):
+        return dataclasses.replace(c, p_available_kw=c.p_available_kw.copy(),
+                                   stage1_root_basis=None, stage2a_root_bases=[])
+
+    before = results(ctx)
+    for change in (lambda: setattr(ctx, "q_sub_offset_kvar", ctx.q_sub_offset_kvar + 25.0),
+                   lambda: ctx.p_available_kw.__setitem__(0, 0.5 * ctx.p_available_kw[0]),
+                   lambda: setattr(ctx, "encoding", "sos1")):
+        change()
+        reference = fresh(ctx)
+        assert reference._kept == {}
+        after = results(ctx)
+        assert after == results(reference)
+        assert after != before or ctx.encoding == "sos1"
+        before = after
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.blocks.y0[0] = 1.0
+
+
+@pytest.mark.parametrize("scenario, weights", [
+    ("feeder13-highpv", lambda n: np.full(n + 3, 0.5)),
+    ("feeder13-highpv", lambda n: -np.ones(n)),
+    ("feeder13-highpv", lambda n: np.ones(n - 1)),
+    ("feeder13-highpv", lambda n: np.full(n, np.nan)),
+    ("tiny-2bus", lambda n: np.full(n, np.nan)),
+], ids=["longer", "negative", "shorter", "nan", "nan-tiny"])
+def test_stage2b_rejects_malformed_weights(scenario, weights):
+    """Weights must be one finite, nonnegative value per DER.  Before the
+    check a longer array was cut short, negative weights broke the |q|
+    split, a shorter one raised IndexError and NaN gave a NaN optimum."""
+    ctx = dd.make_context(data.load_scenario(scenario), encoding="sos1")
+    n_der = len(ctx.model.der_nodes)
+    with pytest.raises(ValueError, match="weights"):
+        dd.stage2b_disaggregate(ctx, 0.0, 0.0, weights=weights(n_der))
 
 
 @pytest.mark.parametrize("p_kw", [np.nan, -1.0], ids=["nan", "negative"])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridcoord import milp
 from gridcoord.errors import TooLarge, UnknownVariable
@@ -185,6 +185,39 @@ class TestBuilders:
         m = milp.MilpModel()
         z = m.add_variable(lo=-5, hi=5, kind=milp.BINARY)
         assert (m.variables[z].lo, m.variables[z].hi) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, x: m.add_variable(np.nan, 1.0),
+        lambda m, x: m.add_variable(0.0, np.nan),
+        lambda m, x: m.add_constraint({x: np.nan}, milp.LE, 1.0),
+        lambda m, x: m.add_constraint({x: np.inf}, milp.LE, 1.0),
+        lambda m, x: m.add_constraint({x: 1.0}, milp.LE, np.nan),
+        lambda m, x: m.add_constraint({x: 1.0}, milp.GE, -np.inf),
+        lambda m, x: m.set_objective(milp.MIN, {x: np.nan}),
+        lambda m, x: m.set_objective(milp.MIN, {x: -np.inf}),
+        lambda m, x: m.fix_variable(x, np.nan),
+        lambda m, x: m.set_rhs(0, np.nan),
+        lambda m, x: m.set_rhs(0, np.inf),
+        lambda m, x: m.set_rhs(1, 1.0),
+    ], ids=["var-lo-nan", "var-hi-nan", "row-coef-nan", "row-coef-inf", "rhs-nan",
+            "rhs-inf", "obj-nan", "obj-inf", "fix-nan", "set-rhs-nan", "set-rhs-inf",
+            "set-rhs-unknown-row"])
+    def test_nan_and_non_finite_inputs_rejected(self, call):
+        """A NaN bound, a non-finite coefficient or right-hand side, and an
+        unknown row raise and leave the model as it was.  Unchecked, a NaN
+        objective coefficient, row coefficient or right-hand side solved
+        to ``Optimal`` with objective nan, and a NaN lower bound passed
+        the lo > hi test.  Infinite bounds stay legal."""
+        m = milp.MilpModel()
+        x = m.add_variable(0.0, 1.0)
+        y = m.add_variable(-np.inf, np.inf)
+        m.add_constraint({x: 1.0, y: 1.0}, milp.EQ, 1.0)
+        m.set_objective(milp.MAX, {x: 2.0, y: 1.0})
+        with pytest.raises(ValueError):
+            call(m, x)
+        m.fix_variable(y, 0.0)
+        sol = milp.solve_milp(m)
+        assert (sol.status, sol.objective) == (milp.OPTIMAL, 2.0)
 
     def test_dump_lp_mentions_sections(self):
         m = milp.MilpModel()
@@ -889,6 +922,23 @@ def drop_last(model):
     return out
 
 
+def rebuilt(model, lo=None, hi=None):
+    """``model`` built again from scratch through its methods; with ``lo``
+    and ``hi``, every variable is continuous over that box instead."""
+    out = milp.MilpModel(model.name)
+    for j, v in enumerate(model.variables):
+        if lo is not None:
+            out.add_variable(lo[j], hi[j], name=v.name)
+        elif out.variables[out.add_variable(v.lo, v.hi, v.kind, v.name)] != v:
+            out.fix_variable(j, v.lo)   # a fixed binary
+    for con in model.constraints:
+        out.add_constraint(con.coeffs, con.sense, con.rhs, con.name)
+    for members in model.sos1_sets:
+        out.add_sos1(members)
+    out.set_objective(model.objective_sense, model.objective, model.objective_const)
+    return out
+
+
 def check_norms_exact(lp):
     rows = np.arange(lp.m)
     b_inv = lp._binv_rows(rows)
@@ -1024,10 +1074,7 @@ class TestSettledChildren:
             settled = arrs.rules_out(changed, lo, hi)
             assert settled == one_row_rules_out(model, changed, lo, hi)
             if settled:
-                child = copy.deepcopy(model)
-                for v, lo_j, hi_j in zip(child.variables, lo, hi):
-                    v.lo, v.hi = float(lo_j), float(hi_j)
-                assert milp.solve_lp(child).status == milp.INFEASIBLE
+                assert milp.solve_lp(rebuilt(model, lo, hi)).status == milp.INFEASIBLE
         bf = milp.brute_force(model)
         sol = milp.solve_milp(model)
         assert sol.status == bf.status
@@ -1058,6 +1105,66 @@ class TestSettledChildren:
         # node 2, the up child, is settled; node 1 finds its parent in the tableau
         assert solved == [(0, None), (1, 0)]
         assert sol.objective == pytest.approx(milp.brute_force(model).objective)
+
+
+FORM_ARRAYS = ("rows", "r", "j", "vals", "b", "lo", "hi")
+MUTATORS = ("add_variable", "add_constraint", "add_sos1", "fix_variable", "set_objective",
+            "set_rhs EQ", "set_rhs LE")
+
+
+def same_solution(sol, ref):
+    assert (sol.status, sol.node_count, sol.simplex_iterations, sol.settled_nodes,
+            sol.lp_rows) == (ref.status, ref.node_count, ref.simplex_iterations,
+                             ref.settled_nodes, ref.lp_rows)
+    assert sol.objective == ref.objective
+    assert (sol.x is None and ref.x is None) or np.array_equal(sol.x, ref.x)
+
+
+class TestKeptForm:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps(), st.sampled_from(MUTATORS), st.data())
+    def test_changed_model_solves_as_rebuilt(self, model, mutator, data):
+        """A solve keeps the model's LP form, read-only.  After one change
+        through a model method, the form and the next solve equal those of
+        the model built again from scratch, bit for bit.  The form object
+        survives exactly the changes that cannot move it: a new objective,
+        and a new right-hand side on an EQ row the LP keeps."""
+        milp.solve_milp(model)
+        form = model._form
+        for name in FORM_ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(form, name)[...] = 0
+        n = len(model.variables)
+        value = float(data.draw(st.integers(-4, 4)))
+        kept = False
+        if mutator == "add_variable":
+            model.add_variable(min(value, 0.0), max(value, 0.0),
+                               data.draw(st.sampled_from([milp.CONTINUOUS, milp.BINARY])))
+        elif mutator == "add_constraint":
+            coeffs = {j: float(c) for j in range(n) if (c := data.draw(small_int))}
+            model.add_constraint(coeffs, data.draw(st.sampled_from([milp.LE, milp.GE, milp.EQ])),
+                                 value)
+        elif mutator == "add_sos1":
+            model.add_sos1(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
+        elif mutator == "fix_variable":
+            model.fix_variable(data.draw(st.integers(0, n - 1)), value / 2.0)
+        elif mutator == "set_objective":
+            model.set_objective(data.draw(st.sampled_from([milp.MIN, milp.MAX])),
+                                {j: float(data.draw(small_int)) for j in range(n)})
+            kept = True
+        else:
+            sense = mutator.split()[1]
+            rows = [i for i, con in enumerate(model.constraints)
+                    if con.sense == {"EQ": milp.EQ, "LE": milp.LE}[sense]]
+            assume(rows)
+            row = data.draw(st.sampled_from(rows))
+            model.set_rhs(row, value)
+            kept = sense == "EQ" and row in form.rows
+        assert (model._form is form) == kept
+        fresh = rebuilt(model)
+        same_solution(milp.solve_milp(model), milp.solve_milp(fresh))
+        for name in FORM_ARRAYS:
+            assert np.array_equal(getattr(model._form, name), getattr(fresh._form, name)), name
 
 
 @st.composite
