@@ -125,7 +125,7 @@ A brute-force enumerator over binary assignments and SOS1 active-member
 choices, made of cold LP solves, serves as the test oracle.
 
 Fixed settings (module constants no caller changes): the tolerances
-``FEAS_TOL = 1e-7``, ``INT_TOL = 1e-6`` and ``GAP = 1e-6``, and
+``FEAS_TOL = 1e-7``, ``INT_TOL = 1e-7`` and ``GAP = 1e-6``, and
 ``ITER_FACTOR = 50``.  An LP solve stops with ``IterLimit`` after
 ``ITER_FACTOR * (rows + cols)`` pivots (``_Arrays.iter_cap``), a guard
 against cycling far above what the stage LPs take.
@@ -174,7 +174,11 @@ MIN, MAX = "min", "max"
 
 
 FEAS_TOL = 1e-7     # primal feasibility of a basic solution
-INT_TOL = 1e-6      # integrality of binaries and SOS1 members
+# integrality of binaries and SOS1 members.  A Big-M row turns a binary
+# INT_TOL off integral into a droop error of up to M * INT_TOL, so the value
+# must stay below the droop check's 1e-6 over the largest M of the stage
+# models (3.25 in the bundled ones)
+INT_TOL = 1e-7
 GAP = 1e-6          # absolute optimality gap at termination
 ITER_FACTOR = 50    # simplex cap per LP solve = ITER_FACTOR * (rows + cols)
 
@@ -394,16 +398,6 @@ class MilpSolution:
 
     def value(self, vid: int) -> float:
         return float(self.x[vid])
-
-    def binary_assignment(self, model: MilpModel) -> dict[int, int]:
-        return {i: int(round(self.x[i])) for i in model.binary_ids}
-
-    def sos_active(self, model: MilpModel, tol: float = 1e-6) -> list[int | None]:
-        out = []
-        for members in model.sos1_sets:
-            active = [v for v in members if abs(self.x[v]) > tol]
-            out.append(active[0] if active else None)
-        return out
 
 
 # ---------------------------------------------------------------------------
