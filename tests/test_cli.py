@@ -21,10 +21,12 @@ def test_run_tiny_2bus(capsys, enc):
     assert report["q_req_kvar"] == [pytest.approx(0.5 * (q_lo + q_hi))]
     assert stages[3]["q_sub_kvar"] == pytest.approx(report["q_req_kvar"][0], abs=1e-6)
     assert all(s["stats"]["status"] == "Optimal" for s in stages)
-    # the LP's rows, and the nodes one row settled without an LP
+    # the LP's rows, the nodes one row settled without an LP, and the
+    # binaries root propagation fixed (the sos1 models have none)
     for s in stages:
         assert 0 < s["stats"]["lp_rows"]
         assert 0 <= s["stats"]["settled_nodes"] <= s["stats"]["nodes"]
+        assert (s["stats"]["root_fixed"] > 0) == (enc == "bigm")
     lp_rows = [s["stats"]["lp_rows"] for s in stages]
     assert lp_rows[1] == lp_rows[2] == lp_rows[0] + 1   # stage 2a adds the pstar row
     assert lp_rows[3] > lp_rows[1]

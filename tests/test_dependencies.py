@@ -1,7 +1,10 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency,
+and importing the package leaves out the test-only ``scipy.optimize``."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -30,3 +33,15 @@ def test_third_party_imports_are_declared():
                    if name not in sys.stdlib_module_names and name != "gridcoord"}
     assert third_party, "no third-party import found; the scan is broken"
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_library_import_leaves_out_scipy_optimize():
+    """Importing the package, its command and the dispatch stages does not
+    load ``scipy.optimize``; only the HiGHS reference test uses it, and it
+    would add to every run's set-up."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, gridcoord, gridcoord.cli, gridcoord.dso_dispatch; "
+            "assert 'scipy.optimize' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -443,7 +443,12 @@ class TestSolveMilp:
         m.add_constraint({z1: 1.0}, milp.GE, 0.5)
         m.add_constraint({z1: 1.0}, milp.LE, 0.5)
         m.set_objective(milp.MIN, {z1: 1.0})
-        assert milp.solve_milp(m).status == milp.INFEASIBLE
+        # z1 >= 0.5 fixes z1 = 1 and z1 <= 0.5 fixes z1 = 0: infeasible
+        # before any LP
+        with mock.patch.object(milp._NodeLp, "solve", side_effect=AssertionError):
+            sol = milp.solve_milp(m)
+        assert (sol.status, sol.node_count) == (milp.INFEASIBLE, 0)
+        assert milp.brute_force(m).status == milp.INFEASIBLE
 
     def test_near_integral_binary_does_not_carry_a_big_m_row(self):
         """The root LP puts z 6.2e-7 off integral, with x = 3.25 z = 2e-6
@@ -518,6 +523,17 @@ class TestBruteForce:
         sol = milp.brute_force(m)
         assert sol.node_count == 6  # 5 member choices plus the all-zero case
         assert sol.objective == pytest.approx(2.0)
+
+    def test_fixed_binary_takes_only_its_value(self):
+        """Fixed at 1, z makes 3 z >= 3 hold over the box, so the LP
+        leaves the row out: enumerating z = 0 as well would find 0."""
+        m = milp.MilpModel()
+        z = m.add_variable(kind=milp.BINARY)
+        m.add_constraint({z: 3.0}, milp.GE, 3.0)
+        m.set_objective(milp.MIN, {z: 2.0})
+        m.fix_variable(z, 1.0)
+        sol = milp.brute_force(m)
+        assert (sol.status, sol.objective, sol.node_count) == (milp.OPTIMAL, 2.0, 1)
 
     def test_too_large(self):
         m = milp.MilpModel()
@@ -1098,14 +1114,17 @@ class TestSettledChildren:
         assert sol.settled_nodes <= sol.node_count
 
     def test_settled_child_runs_no_lp(self, monkeypatch):
-        """max x + 3 z with x + 2 z <= 1.5: the root has z = 0.75, its
-        up child breaks the row at any x >= 0, pops first, and counts as
-        a node without an LP; the down child re-optimizes in place."""
+        """max z1 + z2 with z1 + z2 <= 1.5: neither value of one binary
+        breaks the row, so the root fixes nothing.  The root has z2 = 0.5
+        and its up child (node 2) z1 = 0.5 on the same bound.  Node 2's
+        up child (node 4) breaks the row, pops first, and counts as a
+        node without an LP; its sibling (node 3) re-optimizes in place.
+        Node 1, z2 = 0, is pruned after its LP."""
         model = milp.MilpModel()
-        x = model.add_variable(0.0, 1.0)
-        z = model.add_variable(kind=milp.BINARY)
-        model.add_constraint({x: 1.0, z: 2.0}, milp.LE, 1.5)
-        model.set_objective(milp.MAX, {x: 1.0, z: 3.0})
+        z1 = model.add_variable(kind=milp.BINARY)
+        z2 = model.add_variable(kind=milp.BINARY)
+        model.add_constraint({z1: 1.0, z2: 1.0}, milp.LE, 1.5)
+        model.set_objective(milp.MAX, {z1: 1.0, z2: 1.0})
         solved = []
         solve = milp._NodeLp.solve
 
@@ -1116,10 +1135,42 @@ class TestSettledChildren:
         monkeypatch.setattr(milp._NodeLp, "solve", logged)
         sol = milp.solve_milp(model)
         assert sol.status == milp.OPTIMAL and sol.objective == pytest.approx(1.0)
-        assert (sol.node_count, sol.settled_nodes) == (3, 1)
-        # node 2, the up child, is settled; node 1 finds its parent in the tableau
-        assert solved == [(0, None), (1, 0)]
+        assert (sol.node_count, sol.settled_nodes, sol.root_fixed) == (5, 1, 0)
+        # node 4 is settled; node 3 finds its parent in the tableau
+        assert solved == [(0, None), (2, 0), (3, 2), (1, 3)]
         assert sol.objective == pytest.approx(milp.brute_force(model).objective)
+
+
+class TestRootFixings:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_fixings_keep_the_optimum(self, model):
+        """Root propagation fixes only binaries whose other value no
+        solution takes: with every fixing applied through
+        ``fix_variable``, brute force finds the same status and optimum,
+        and a model that propagation proves infeasible is infeasible to
+        brute force too.  The fixings are a fixed point: propagation on
+        the fixed copy fixes nothing more.  ``solve_milp`` reports the
+        fixings it made."""
+        bf = milp.brute_force(model)
+        box = milp._Arrays(model).root_box(model.binary_ids)
+        if box is None:
+            assert bf.status == milp.INFEASIBLE
+            assert milp.solve_milp(model).node_count == 0
+            return
+        lo, hi, count = box
+        new = [j for j in model.binary_ids
+               if lo[j] == hi[j] and model.variables[j].lo < model.variables[j].hi]
+        assert count == len(new)
+        fixed = model.copy()
+        for j in new:
+            fixed.fix_variable(j, lo[j])
+        assert milp._Arrays(fixed).root_box(fixed.binary_ids)[2] == 0
+        ref = milp.brute_force(fixed)
+        assert ref.status == bf.status
+        if bf.status == milp.OPTIMAL:
+            assert ref.objective == pytest.approx(bf.objective, abs=milp.GAP)
+        assert milp.solve_milp(model).root_fixed == count
 
 
 FORM_ARRAYS = ("rows", "r", "j", "vals", "b", "lo", "hi")
