@@ -29,7 +29,9 @@ EXIT_CODES = ((InputError, 2), (InfeasibleError, 3), (ConvergenceError, 4), (Gri
 def feeder_requests(scenario, q_lo, q_hi):
     """The distinct per-feeder reactive requests (kvar) of the TSO dispatch
     on the scenario's transmission case, its outage applied, for the
-    feeder envelope [q_lo, q_hi]; the midpoint without a case."""
+    feeder envelope [q_lo, q_hi]; the midpoint without a case.  Each
+    request is rounded to 6 decimals, then clipped into the envelope, so
+    rounding never moves it past an end."""
     case = scenario.transmission
     if case is None:
         return [0.5 * (q_lo + q_hi)]
@@ -39,8 +41,9 @@ def feeder_requests(scenario, q_lo, q_hi):
     envelopes = {itf.bus: (q_lo * itf.multiplicity / 1e3, q_hi * itf.multiplicity / 1e3)
                  for itf in case.interfaces}
     dispatch = tso.tso_dispatch(case, envelopes)
-    return sorted({round(dispatch.q_req_mvar[itf.bus] * 1e3 / itf.multiplicity, 6)
-                   for itf in case.interfaces})
+    requests = (round(dispatch.q_req_mvar[itf.bus] * 1e3 / itf.multiplicity, 6)
+                for itf in case.interfaces)
+    return sorted({min(max(q, q_lo), q_hi) for q in requests})
 
 
 def run(name, encoding):

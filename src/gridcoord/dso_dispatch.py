@@ -402,8 +402,7 @@ def _solve_stage(mm, start=None):
     wall_ms = 1e3 * (time.perf_counter() - t0)
     return sol, {"status": sol.status, "nodes": sol.node_count,
                  "simplex_iterations": sol.simplex_iterations, "wall_ms": wall_ms,
-                 "lp_rows": sol.lp_rows, "settled_nodes": sol.settled_nodes,
-                 "root_fixed": sol.root_fixed}
+                 "lp_rows": sol.lp_rows, "root_fixed": sol.root_fixed}
 
 
 def _require_optimal(sol, stage):

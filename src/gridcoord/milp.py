@@ -74,7 +74,7 @@ that pivots only on the rows the branch made primal infeasible.
   ``brute_force`` keep the model's own box.  A row that misses its
   bound over the root box, or a binary with both values ruled out,
   ends the solve ``Infeasible`` with no LP.  Child nodes do not
-  propagate; a child that one row rules out is settled (below).
+  propagate.
 
 - **Node order.**  Open nodes pop in order of their LP bound rounded
   down to ``GAP``, newest first among equal keys.  Stage models often
@@ -120,16 +120,6 @@ that pivots only on the rows the branch made primal infeasible.
   pivots) after an in-place change or a rebase retries once from the
   refactored stored basis; one after that retry or a refactored start,
   or a singular refactor, falls back to a cold solve of that node.
-- **Settled children.**  A child stores the variables its branch
-  changed (the branched binary, or the SOS1 members it zeroes).  When
-  it pops and the bound does not prune it, its rows with a nonzero on
-  one of them are tested against its box.  A row whose activity range
-  over that box misses its bound by more than ``_FARKAS_TOL`` is a
-  Farkas proof with itself as the multiplier, so the child is settled:
-  it counts as a node, keeping node ids, order and ``node_limit`` as
-  they were, but no LP runs.  The working tableau then still holds the
-  parent, and the sibling re-optimizes in place.  A child the bound
-  prunes is never tested.
 - **Memory.**  The search holds one m x n_struct tableau, never a copy
   per node.  A cold fallback first releases it, dropping artificials
   reuses its buffer, and the refactor works in blocks of columns, so the
@@ -151,10 +141,9 @@ rows and a few hundred structural columns, so T is kept dense.  The
 only presolve is the row-activity test above: it keeps out of the LP
 the rows the variable box already satisfies (about a quarter of the
 bundled feeders' stage rows, among them the zero-M Big-M rows and the
-capability rows the boxes cover), fixes binaries at the root (38-62%
-of the bundled Big-M stage models' binaries), and settles the children
-that one row rules out.  Only the root fixings tighten bounds, and
-none of the three removes an integer-feasible point.
+capability rows the boxes cover), and fixes binaries at the root
+(38-62% of the bundled Big-M stage models' binaries).  Only the root
+fixings tighten bounds, and neither removes an integer-feasible point.
 """
 
 from __future__ import annotations
@@ -400,12 +389,10 @@ class MilpSolution:
     otherwise, and from ``solve_lp`` and ``brute_force``);
     ``solve_milp(start=...)`` takes it for this model or one that
     appends structurals and rows to it under the same variable bounds.
-    ``lp_rows`` is the number of rows the LP kept.  ``settled_nodes``
-    counts the nodes, included in ``node_count``, that one row proved
-    infeasible without an LP solve.  ``root_fixed`` counts the binaries
-    that root bound propagation fixed before the root LP (0 from
-    ``solve_lp`` and ``brute_force``, and when propagation proves the
-    model infeasible).
+    ``lp_rows`` is the number of rows the LP kept.  ``root_fixed``
+    counts the binaries that root bound propagation fixed before the
+    root LP (0 from ``solve_lp`` and ``brute_force``, and when
+    propagation proves the model infeasible).
     """
     status: str
     objective: float | None
@@ -416,7 +403,6 @@ class MilpSolution:
     gap: float = np.inf
     root_basis: tuple | None = field(default=None, repr=False, compare=False)
     lp_rows: int = 0
-    settled_nodes: int = 0
     root_fixed: int = 0
 
     def value(self, vid: int) -> float:
@@ -532,7 +518,7 @@ class _Arrays:
         self.obj_sign, self.obj_const = sign, model.objective_const
 
     def solution(self, status, objective, x, bound, nodes=0, iterations=0, root_basis=None,
-                 settled=0, fixed=0):
+                 fixed=0):
         """A MilpSolution in the model's sense from internal (min-sense) values."""
         gap = np.inf
         if objective is not None:
@@ -540,7 +526,7 @@ class _Arrays:
             objective = self.obj_sign * objective + self.obj_const
         return MilpSolution(status, objective, x, nodes, iterations,
                             self.obj_sign * bound + self.obj_const, gap, root_basis,
-                            self.m, settled, fixed)
+                            self.m, fixed)
 
     def root_box(self, binaries):
         """The structural box with every binary fixed that root bound
@@ -611,16 +597,6 @@ class _Arrays:
                                 np.arange(n + m0, n + m)]).astype(np.int32),
                 np.concatenate([status[:n0], appended, status[n0:],
                                 np.full(m - m0, _BASIC)]).astype(np.int8))
-
-    def rules_out(self, changed, lo, hi):
-        """Whether one row with a nonzero on a ``changed`` structural
-        proves the box lo <= x <= hi infeasible on its own: the Farkas
-        proof with that row as its multiplier, to ``_FARKAS_TOL``."""
-        rows = self.A[:, changed].any(axis=1).nonzero()[0]
-        low, high = (t.sum(axis=1) for t in _activity_terms(self.A[rows], lo, hi))
-        b, slack = self.b[rows], self.n_struct + rows
-        return bool(np.any((b < low + self.lo[slack] - _FARKAS_TOL)
-                           | (b > high + self.hi[slack] + _FARKAS_TOL)))
 
 
 class _SimplexResult:
@@ -1247,8 +1223,6 @@ class _Node:
     # the parent's optimal basis (at the root, the start's), int32
     basis: np.ndarray | None = field(default=None, compare=False)
     status: np.ndarray | None = field(default=None, compare=False)   # parent's, int8
-    # the variables the branch changed, whose rows may settle the node
-    changed: list | None = field(default=None, compare=False)
 
 
 class _NodeLp:
@@ -1372,12 +1346,8 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     storage, refactor policy, infeasibility confirmation and memory
     rule).  A node whose in-place or rebased warm solve cannot reach a
     confirmed verdict is retried once from a refactor; a node still
-    without one is solved cold.  A child is tested when it pops, after
-    the bound prune: when one row with a nonzero on a variable its
-    branch changed proves its box infeasible, it is settled without an
-    LP, and still counts in ``node_count`` (and in ``settled_nodes``),
-    as its LP solve did.  The model's LP form is built by the first
-    solve and kept for the next (see ``MilpModel``).
+    without one is solved cold.  The model's LP form is built by the
+    first solve and kept for the next (see ``MilpModel``).
     ``simplex_iterations`` counts every primal and dual pivot and every
     exchange of a rebase, and those of a start that fell back to cold.
 
@@ -1416,7 +1386,6 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
 
     total_iters = 0
     node_count = 0
-    settled_count = 0
     next_id = 1
     incumbent_obj = np.inf  # internal min sense
     incumbent_x = None
@@ -1437,9 +1406,6 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             break
         nid = -node.neg_nid
         node_count += 1
-        if node.changed is not None and arrs.rules_out(node.changed, node.lo, node.hi):
-            settled_count += 1
-            continue
         res = node_lp.solve(node, nid)
         total_iters += res.iterations
         if res.status == ITER_LIMIT:
@@ -1482,7 +1448,6 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             lo_u[branch_var] = 1.0
             up = (lo_u, hi_u)
             bounds = (down, up) if x[branch_var] >= 0.5 else (up, down)
-            changed = ([branch_var], [branch_var])
         else:
             members = sos_sets[viol_sos]
             weights = np.arange(1.0, len(members) + 1.0)
@@ -1493,7 +1458,6 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             zero_sets = [members[split:], members[:split]]
             if top >= split:   # dominant member lives in the tail: keep it last
                 zero_sets.reverse()
-            changed = zero_sets
             bounds = []
             for zero_ids in zero_sets:
                 lo_c, hi_c = node.lo.copy(), node.hi.copy()
@@ -1504,9 +1468,9 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         if nid == 0 and basis is not None:
             root_basis = (basis, status)
         key = np.floor(res.objective / GAP)
-        for (lo_c, hi_c), ids in zip(bounds, changed):
+        for lo_c, hi_c in bounds:
             heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
-                                       status, ids))
+                                       status))
             next_id += 1
 
     bound = min([incumbent_obj, dropped_bound] + [nd.bound for nd in heap])
@@ -1518,7 +1482,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         status = OPTIMAL if incumbent_x is not None else INFEASIBLE
     objective = incumbent_obj if incumbent_x is not None else None
     return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters,
-                         root_basis, settled_count, root_fixed)
+                         root_basis, root_fixed)
 
 
 def brute_force(model: MilpModel) -> MilpSolution:

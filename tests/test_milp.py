@@ -953,14 +953,11 @@ def drop_last(model):
     return out
 
 
-def rebuilt(model, lo=None, hi=None):
-    """``model`` built again from scratch through its methods; with ``lo``
-    and ``hi``, every variable is continuous over that box instead."""
+def rebuilt(model):
+    """``model`` built again from scratch through its methods."""
     out = milp.MilpModel(model.name)
     for j, v in enumerate(model.variables):
-        if lo is not None:
-            out.add_variable(lo[j], hi[j], name=v.name)
-        elif out.variables[out.add_variable(v.lo, v.hi, v.kind, v.name)] != v:
+        if out.variables[out.add_variable(v.lo, v.hi, v.kind, v.name)] != v:
             out.fix_variable(j, v.lo)   # a fixed binary
     for con in model.constraints:
         out.add_constraint(con.coeffs, con.sense, con.rhs, con.name)
@@ -1000,7 +997,7 @@ def check_condensed(lp):
 
 
 # ---------------------------------------------------------------------------
-# row activity over a box: settled children and implied rows
+# row activity over a box: children one row breaks, and implied rows
 # ---------------------------------------------------------------------------
 
 
@@ -1057,88 +1054,17 @@ def settling_milps(draw):
     return model
 
 
-def branch_children(model):
-    """Every child of the root box a branch can make: each binary fixed
-    to 0 and to 1, and each SOS1 set's head or tail zeroed at each
-    split; as (changed ids, lo, hi)."""
-    lo0 = np.array([v.lo for v in model.variables])
-    hi0 = np.array([v.hi for v in model.variables])
-    for j in model.binary_ids:
-        for value in (0.0, 1.0):
-            lo, hi = lo0.copy(), hi0.copy()
-            lo[j] = hi[j] = value
-            yield [j], lo, hi
-    for members in model.sos1_sets:
-        for split in range(1, len(members)):
-            for zero_ids in (members[split:], members[:split]):
-                lo, hi = lo0.copy(), hi0.copy()
-                lo[zero_ids] = hi[zero_ids] = 0.0
-                yield zero_ids, lo, hi
-
-
-def one_row_rules_out(model, changed, lo, hi):
-    """Whether a row with a nonzero on a changed variable misses its
-    bound by more than the Farkas margin at every corner of the box."""
-    tol = milp._FARKAS_TOL
-    for con in model.constraints:
-        a = row_vector(model, con)
-        if not a[changed].any():
-            continue
-        act = corner_activities(a, lo, hi)
-        if con.sense != milp.GE and (act > con.rhs + tol).all():
-            return True
-        if con.sense != milp.LE and (act < con.rhs - tol).all():
-            return True
-    return False
-
-
-class TestSettledChildren:
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(settling_milps())
-    def test_settled_children_are_infeasible(self, model):
-        """A branch child is settled exactly when one of its rows with a
-        changed variable misses its bound at every corner of the child's
-        box, and every settled child is infeasible as an LP at its
-        bounds.  The search that settles them still matches the oracle."""
-        arrs = milp._Arrays(model)
-        for changed, lo, hi in branch_children(model):
-            settled = arrs.rules_out(changed, lo, hi)
-            assert settled == one_row_rules_out(model, changed, lo, hi)
-            if settled:
-                assert milp.solve_lp(rebuilt(model, lo, hi)).status == milp.INFEASIBLE
-        bf = milp.brute_force(model)
-        sol = milp.solve_milp(model)
-        assert sol.status == bf.status
-        if bf.status == milp.OPTIMAL:
-            assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
-        assert sol.settled_nodes <= sol.node_count
-
-    def test_settled_child_runs_no_lp(self, monkeypatch):
-        """max z1 + z2 with z1 + z2 <= 1.5: neither value of one binary
-        breaks the row, so the root fixes nothing.  The root has z2 = 0.5
-        and its up child (node 2) z1 = 0.5 on the same bound.  Node 2's
-        up child (node 4) breaks the row, pops first, and counts as a
-        node without an LP; its sibling (node 3) re-optimizes in place.
-        Node 1, z2 = 0, is pruned after its LP."""
-        model = milp.MilpModel()
-        z1 = model.add_variable(kind=milp.BINARY)
-        z2 = model.add_variable(kind=milp.BINARY)
-        model.add_constraint({z1: 1.0, z2: 1.0}, milp.LE, 1.5)
-        model.set_objective(milp.MAX, {z1: 1.0, z2: 1.0})
-        solved = []
-        solve = milp._NodeLp.solve
-
-        def logged(self, node, nid):
-            solved.append((nid, self.holds))
-            return solve(self, node, nid)
-
-        monkeypatch.setattr(milp._NodeLp, "solve", logged)
-        sol = milp.solve_milp(model)
-        assert sol.status == milp.OPTIMAL and sol.objective == pytest.approx(1.0)
-        assert (sol.node_count, sol.settled_nodes, sol.root_fixed) == (5, 1, 0)
-        # node 4 is settled; node 3 finds its parent in the tableau
-        assert solved == [(0, None), (2, 0), (3, 2), (1, 3)]
-        assert sol.objective == pytest.approx(milp.brute_force(model).objective)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(settling_milps())
+def test_children_that_one_row_breaks_match_brute_force(model):
+    """Branch children that one row proves infeasible on their own box
+    get their LP, which the dual simplex and the Farkas check must
+    prove infeasible; the search still matches the oracle."""
+    bf = milp.brute_force(model)
+    sol = milp.solve_milp(model)
+    assert sol.status == bf.status
+    if bf.status == milp.OPTIMAL:
+        assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
 
 
 class TestRootFixings:
@@ -1179,9 +1105,8 @@ MUTATORS = ("add_variable", "add_constraint", "add_sos1", "fix_variable", "set_o
 
 
 def same_solution(sol, ref):
-    assert (sol.status, sol.node_count, sol.simplex_iterations, sol.settled_nodes,
-            sol.lp_rows) == (ref.status, ref.node_count, ref.simplex_iterations,
-                             ref.settled_nodes, ref.lp_rows)
+    assert (sol.status, sol.node_count, sol.simplex_iterations,
+            sol.lp_rows) == (ref.status, ref.node_count, ref.simplex_iterations, ref.lp_rows)
     assert sol.objective == ref.objective
     assert (sol.x is None and ref.x is None) or np.array_equal(sol.x, ref.x)
 

@@ -3,7 +3,8 @@
 The power flow is checked against the mismatch recomputed from the bus
 admittance matrix, the V-Q sensitivity against a central finite
 difference of the power flow, and the dispatch against its trace, its
-envelopes and the iteration counts it takes today.
+envelopes, the iteration counts it takes today and the box KKT
+conditions of its true objective.
 """
 
 import numpy as np
@@ -91,6 +92,38 @@ def test_dispatch_trace_envelope_and_iterations(cases, name, envelope):
         q_lo, q_hi = env[bus]
         assert q_lo - 1e-9 <= q <= q_hi + 1e-9
     assert (result.outer_iterations, result.pf_iterations) == DISPATCH_ITERS[name, envelope]
+
+
+@pytest.mark.parametrize("name", ["tx9", "tx9-outage"])
+@pytest.mark.parametrize("envelope", ["sym", "round"])
+def test_dispatch_is_box_kkt(cases, name, envelope):
+    """The dispatch is a box-constrained optimum of the true objective:
+    its gradient (per pu of q, by central differences of power flows at
+    1e-3 MVAr), projected onto the box, vanishes.  An interior component
+    must be zero, one at q_lo must not be negative and one at q_hi must
+    not be positive."""
+    case = cases[name]
+    env = envelopes(case, envelope)
+    ids = [itf.bus for itf in case.interfaces]
+    mon = tso.monitored_buses(case)
+    result = tso.tso_dispatch(case, env)
+    q = np.array([result.q_req_mvar[bus] for bus in ids])
+    q_lo, q_hi = np.array([env[bus] for bus in ids]).T
+
+    def objective(q_mvar):
+        pf = tso.newton_powerflow(case, dict(zip(ids, q_mvar)), tol=1e-12)
+        dev = pf.v_mag[mon] - tso.V_SETPOINT
+        return tso.C_V * np.sum(dev ** 2) + tso.C_Q * np.sum((q_mvar / case.s_base_mva) ** 2)
+
+    h_mvar = 1e-3
+    step = h_mvar * np.eye(len(ids))
+    grad = np.array([objective(q + d) - objective(q - d) for d in step]) / (
+        2.0 * h_mvar / case.s_base_mva)
+    at_lo = np.isclose(q, q_lo, rtol=0.0, atol=1e-9)
+    at_hi = np.isclose(q, q_hi, rtol=0.0, atol=1e-9)
+    projected = np.where(at_lo, np.minimum(grad, 0.0), np.where(at_hi, np.maximum(grad, 0.0),
+                                                                 grad))
+    assert np.max(np.abs(projected)) <= 1e-6, (grad, q, q_lo, q_hi)
 
 
 def test_remove_branch_drops_exactly_one(cases):
