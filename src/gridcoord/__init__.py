@@ -6,10 +6,8 @@ encodings (``inverter``), an embedded LP/MILP solver with SOS1
 branching (``milp``), the hierarchical DSO dispatch stages
 (``dso_dispatch``), transmission-side Newton power flow and reactive
 dispatch (``tso``) and the checksummed scenario bundle (``data``).
-Each piece runs once per call.  Recursive least-squares estimation
-under limited observability, and the closed coordination loop that
-would tie the pieces together, are planned in ROADMAP.md (item 3) and
-do not exist yet.
+Each piece runs once per call; the ``gridcoord run`` command (``cli``)
+runs one dispatch round of them.
 """
 
 __version__ = "0.1.0"

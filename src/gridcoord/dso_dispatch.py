@@ -16,14 +16,14 @@ context keeps the three models, each with the LP form its solves keep
 (see ``milp``), and the default ``sensitivity_weights``.  A stage call
 then only sets its objective and the right-hand sides of the ``pstar``
 and ``qreq`` rows, so a round assembles nothing and each solve makes
-the pivots a freshly built model would.  Every call first compares the
-inputs the kept models were built from, and rebuilds them all when one
-changed: ``p_available_kw`` (an edit in place too),
-``q_sub_offset_kvar``, ``specs``, ``curves``, ``encoding`` and
-``policy`` by value, the feeder model and ``blocks`` by identity.  The
-context makes the blocks' arrays read-only, so editing them in place
-raises.  A context made by ``dataclasses.replace`` starts with nothing
-kept.  ``build_stage_model`` still returns a fresh model at each call.
+the pivots a freshly built model would.  A context's inputs are fixed
+when it is made: it is frozen, holds ``specs`` and ``curves`` as tuples
+(each curve set a read-only mapping) and ``p_available_kw`` as a
+read-only copy, and makes the blocks' arrays read-only, so nothing the
+kept models read can change under them.  Other inputs make another
+context, e.g. ``dataclasses.replace(ctx, p_available_kw=...)``, which
+starts with nothing kept.  ``build_stage_model`` still returns a fresh
+model at each call.
 
 Stage 2a's model is stage 1's plus one ``pstar`` row, and its MIN and
 MAX solves share every row and bound.  So stage 1 leaves its optimal
@@ -48,18 +48,16 @@ inverter rating); stage objectives and reported quantities are in
 kW/kvar; network coupling converts through the feeder power base.  The
 substation reactive expression carries a constant offset for the
 unobservable load contribution, evaluated from the linear model at the
-flat voltage profile.  Each stage is solved once, on the model as
-built: nothing here closes a loop against field measurements.  That
-loop, with recursive least-squares (RLS) recalibration of the offset
-and of the reduced model's K1 and c2, is planned in ROADMAP.md (item
-3); ``DispatchContext.q_sub_offset_kvar`` and
-``feeder.observable_matrices(k1, c2)`` stay settable for it.
+flat voltage profile (``flat_voltage_q_offset``).  Each stage is solved
+once, on the model as built: nothing here closes a loop against field
+measurements.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,7 +74,7 @@ STAGES = ("stage1", "stage2a", "stage2b")
 V_LIMITS = (0.95, 1.05)   # planning voltage band on observable bus-phases, pu
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModePolicy:
     """``optimized``: the stages pick each DER's droop mode, segment and
     setting; ``pq_free``: each DER's P and Q are free inside its capability."""
@@ -84,7 +82,7 @@ class ModePolicy:
     kind: str = OPTIMIZED
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispatchContext:
     """One feeder's dispatch inputs, shared by its stages.
 
@@ -96,23 +94,20 @@ class DispatchContext:
     ``stage2a_root_bases``, each as (its q_sub_kvar, basis), skipping a
     root that did not branch; ``stage2b_disaggregate`` starts from the
     one whose q_sub is nearer its request (MAX's on a tie), and cold
-    when the list is empty.
+    when there is none.
 
-    The stages keep their models and the default weights on the context
-    while its inputs stay the same (see the module docstring).
+    The inputs are fixed when the context is made, so the models, the
+    default weights and the root bases the stages keep on it never go
+    stale (see the module docstring).
     """
     model: feeder_mod.FeederModel
-    blocks: feeder_mod.SensitivityBlocks       # partitioned, k1/c2 current
-    specs: list[inverter.InverterSpec]         # per DER placement
-    curves: list[dict]                         # per DER: mode -> DroopCurve
+    blocks: feeder_mod.SensitivityBlocks       # partitioned
+    specs: tuple[inverter.InverterSpec, ...]   # per DER placement
+    curves: tuple                              # per DER: mode -> DroopCurve
     p_available_kw: np.ndarray
     encoding: str = "sos1"
     policy: ModePolicy = field(default_factory=ModePolicy)
-    q_sub_offset_kvar: float | None = None     # None: flat-voltage estimate
-    stage1_root_basis: tuple | None = field(default=None, repr=False, compare=False)
-    # stage 2a MAX's and MIN's (q_sub_kvar, root basis), in that order
-    stage2a_root_bases: list = field(default_factory=list, repr=False, compare=False)
-    # stage -> (model, handles) and "weights", as built from "inputs"
+    # stage -> (model, handles), "weights" and the stages' root bases
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,11 +122,14 @@ class DispatchContext:
             for mode in inverter.MODES:
                 if mode not in curve_set:
                     raise ValueError(f"missing {mode} curve")
-        self.p_available_kw = np.asarray(self.p_available_kw, dtype=float)
-        if not np.all(np.isfinite(self.p_available_kw) & (self.p_available_kw >= 0.0)):
+        p_available = np.array(self.p_available_kw, dtype=float)
+        if p_available.shape != (n_der,):
+            raise ValueError(f"available power must be one value per DER ({n_der}), "
+                             f"not shape {p_available.shape}")
+        if not np.all(np.isfinite(p_available) & (p_available >= 0.0)):
             raise ValueError("available power must be finite and non-negative")
         for k, spec in enumerate(self.specs):
-            if self.p_available_kw[k] > spec.p_max + 1e-9:
+            if p_available[k] > spec.p_max + 1e-9:
                 raise ValueError("available power above inverter rating")
         if self.blocks.partition is None:
             raise ValueError("blocks must be partitioned")
@@ -141,32 +139,28 @@ class DispatchContext:
                 value = getattr(holder, f.name)
                 if isinstance(value, np.ndarray):
                     value.flags.writeable = False
-        if self.q_sub_offset_kvar is None:
-            self.q_sub_offset_kvar = flat_voltage_q_offset(self.model, self.blocks)
+        p_available.flags.writeable = False
+        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "curves",
+                           tuple(MappingProxyType(dict(c)) for c in self.curves))
+        object.__setattr__(self, "p_available_kw", p_available)
 
     @property
     def s_base(self):
         return self.model.s_base_kva
 
-    def _fresh_kept(self):
-        """``_kept``, emptied first when an input changed since its
-        models and weights were built: the feeder model and blocks are
-        compared by identity (the blocks' arrays are read-only),
-        everything else by value."""
-        refs = (self.model, self.blocks)
-        values = (tuple(self.specs), tuple(tuple(c.items()) for c in self.curves),
-                  np.asarray(self.p_available_kw, dtype=float).tobytes(),
-                  self.q_sub_offset_kvar, self.encoding, self.policy.kind)
-        old = self._kept.get("inputs")
-        if old is None or any(a is not b for a, b in zip(refs, old[0])) or values != old[1]:
-            self._kept.clear()
-            self._kept["inputs"] = refs, values
-        return self._kept
+    @property
+    def stage1_root_basis(self):
+        return self._kept.get("stage1_root_basis")
+
+    @property
+    def stage2a_root_bases(self):
+        return tuple(self._kept.get("stage2a_root_bases", ()))
 
     def _stage_model(self, stage, p_star_kw=None, q_req_kvar=None):
         """This context's model of ``stage`` (built on first use, then
         kept), with its pstar and qreq rows set to the request."""
-        kept = self._fresh_kept()
+        kept = self._kept
         if stage not in kept:
             if stage == "stage1":
                 kept[stage] = build_stage_model(self, stage)
@@ -190,12 +184,11 @@ class DispatchContext:
 
     def _default_weights(self):
         """``sensitivity_weights`` of this context, computed once."""
-        kept = self._fresh_kept()
-        if "weights" not in kept:
+        if "weights" not in self._kept:
             weights = sensitivity_weights(self.blocks, self.model.der_nodes)
             weights.flags.writeable = False
-            kept["weights"] = weights
-        return kept["weights"]
+            self._kept["weights"] = weights
+        return self._kept["weights"]
 
 
 def make_context(scenario, encoding="sos1",
@@ -206,9 +199,8 @@ def make_context(scenario, encoding="sos1",
     blocks = feeder_mod.partition_blocks(blocks, feeder_mod.make_partition(model))
     specs = [scenario.inverters[i] for i in model.der_inverter_ids]
     curves = [inverter.make_curve_set(spec, scenario.profile) for spec in specs]
-    return DispatchContext(model, blocks, specs, curves,
-                           scenario.p_available_kw.copy(), encoding=encoding,
-                           policy=policy or ModePolicy())
+    return DispatchContext(model, blocks, specs, curves, scenario.p_available_kw,
+                           encoding=encoding, policy=policy or ModePolicy())
 
 
 def flat_voltage_q_offset(model, blocks) -> float:
@@ -312,7 +304,7 @@ def build_stage_model(ctx: DispatchContext, stage: str = "stage1",
     for j, node in enumerate(obs):
         if blocks.q_coef[node]:
             coeffs[y_ids[j]] = coeffs.get(y_ids[j], 0.0) + s_base * blocks.q_coef[node]
-    rhs = -s_base * float(np.sum(blocks.q_const[obs])) + ctx.q_sub_offset_kvar
+    rhs = -s_base * float(np.sum(blocks.q_const[obs])) + flat_voltage_q_offset(m, blocks)
     mm.add_constraint(coeffs, milp.EQ, rhs, name="qsub_def")
 
     handles = StageHandles(p_ids, q_ids, v_ids, encodings, y_ids, q_sub)
@@ -448,7 +440,7 @@ def stage1_max_power(ctx: DispatchContext):
     mm.set_objective(milp.MAX, {handles.p[i]: ctx.specs[i].s_rated
                                 for i in range(len(handles.p))})
     sol, stats = _solve_stage(mm)
-    ctx.stage1_root_basis = sol.root_basis
+    ctx._kept["stage1_root_basis"] = sol.root_basis
     _require_optimal(sol, "stage1")
     result = _extract(ctx, handles, sol, "stage1", stats)
     return result.p_star_kw, result
@@ -467,7 +459,7 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
     q_total = {handles.q[i]: ctx.specs[i].s_rated for i in range(len(handles.q))}
     results = {}
     start = ctx.stage1_root_basis
-    ctx.stage2a_root_bases = []
+    bases = ctx._kept["stage2a_root_bases"] = []
     for sense, tag in ((milp.MIN, "stage2a_min"), (milp.MAX, "stage2a_max")):
         mm.set_objective(sense, q_total)
         sol, stats = _solve_stage(mm, start)
@@ -475,7 +467,7 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
         results[tag] = _extract(ctx, handles, sol, tag, stats)
         start = sol.root_basis
         if start is not None:
-            ctx.stage2a_root_bases.insert(0, (results[tag].q_sub_kvar, start))
+            bases.insert(0, (results[tag].q_sub_kvar, start))
     q_lo = min(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     q_hi = max(results["stage2a_min"].q_sub_kvar, results["stage2a_max"].q_sub_kvar)
     for r in results.values():

@@ -84,16 +84,6 @@ class SingularJacobian(SingularMatrix):
     """Power-flow Jacobian is singular at the operating point."""
 
 
-# -- estimator ---------------------------------------------------------------
-
-class DimensionMismatch(InputError):
-    """Vector or matrix dimensions do not match the partition sizes."""
-
-
-class SingularInnovation(SingularMatrix):
-    """RLS innovation matrix is numerically singular."""
-
-
 # -- data bundle -------------------------------------------------------------
 
 class ChecksumMismatch(InputError):

@@ -567,13 +567,12 @@ def partition_blocks(blocks: SensitivityBlocks,
                    roo=roo, rou=rou, xoo=xoo, xou=xou, k1=k1, c2=c2)
 
 
-def observable_matrices(blocks: SensitivityBlocks, k1=None, c2=None):
-    """Affine map Y_o = AR @ P_o + AX @ Q_o + c for the reduced model; ``k1`` and
-    ``c2`` default to the ground truth, and stay settable for RLS (ROADMAP.md item 3)."""
+def observable_matrices(blocks: SensitivityBlocks):
+    """Affine map Y_o = AR @ P_o + AX @ Q_o + c for the reduced model, from the
+    blocks' ``k1`` and ``c2``."""
     if blocks.partition is None:
         raise InvalidPartition("blocks have not been partitioned")
-    k1 = blocks.k1 if k1 is None else np.asarray(k1, dtype=float)
-    c2 = blocks.c2 if c2 is None else np.asarray(c2, dtype=float)
+    k1, c2 = blocks.k1, blocks.c2
     n_o = blocks.partition.n_o
     lhs = np.eye(n_o) + blocks.koo - k1 @ blocks.kou
     inv = numkit.solve_linear(lhs, np.eye(n_o))
@@ -582,9 +581,9 @@ def observable_matrices(blocks: SensitivityBlocks, k1=None, c2=None):
     return ar, ax, inv @ c2
 
 
-def observable_voltages(blocks: SensitivityBlocks, p_o, q_o, k1=None, c2=None):
+def observable_voltages(blocks: SensitivityBlocks, p_o, q_o):
     """Reduced-model observable squared voltages for net injections (P_o, Q_o)."""
-    ar, ax, c = observable_matrices(blocks, k1, c2)
+    ar, ax, c = observable_matrices(blocks)
     return ar @ np.asarray(p_o, float) + ax @ np.asarray(q_o, float) + c
 
 

@@ -65,7 +65,6 @@ class TGen:
 @dataclass(frozen=True)
 class Interface:
     bus: str
-    feeder_ref: str = ""
     multiplicity: int = 1
 
 
@@ -178,8 +177,7 @@ def load_transmission(doc: dict) -> TransmissionCase:
                     for b in doc["branches"]]
         gens = [TGen(str(g["bus"]), float(g["p_mw"]), float(g["v_pu"]))
                 for g in doc.get("gens", [])]
-        interfaces = [Interface(str(i["bus"]), str(i.get("feeder_ref", "")),
-                                _whole(i.get("multiplicity", 1)))
+        interfaces = [Interface(str(i["bus"]), _whole(i.get("multiplicity", 1)))
                       for i in doc.get("interfaces", [])]
         return TransmissionCase(buses, branches, gens, interfaces,
                                 float(doc.get("s_base_mva", 100.0)))
@@ -326,17 +324,22 @@ def _q_dict(case, itf_ids, q_pu):
 def tso_dispatch(case: TransmissionCase, envelopes: dict) -> TsoDispatch:
     """Box-constrained reactive dispatch by successive linearization.
 
-    ``envelopes`` maps interface bus id to (q_lo, q_hi) in MVAr.  Each
-    outer iteration linearizes |V|(Q) with the reduced Jacobian, solves
-    the quadratic model by projected gradient, then re-runs the power
-    flow; a bisection backtrack enforces a non-increasing true objective.
+    ``envelopes`` maps interface bus id (``str(bus)``, as in
+    ``newton_powerflow``) to (q_lo, q_hi) in MVAr; an interface without
+    one is pinned at 0.  Each outer iteration linearizes |V|(Q) with the
+    reduced Jacobian, solves the quadratic model by projected gradient,
+    then re-runs the power flow; a bisection backtrack enforces a
+    non-increasing true objective.
     """
     itf_ids = [i.bus for i in case.interfaces]
-    for bus in envelopes:
-        if str(bus) not in itf_ids:
+    by_bus = {str(bus): box for bus, box in envelopes.items()}
+    if len(by_bus) < len(envelopes):
+        raise ValidationError(f"two envelopes name one interface bus: {list(envelopes)}")
+    for bus in by_bus:
+        if bus not in itf_ids:
             raise ValidationError(f"envelope for unknown interface {bus}")
-    lo = np.array([envelopes.get(b, (0.0, 0.0))[0] for b in itf_ids]) / case.s_base_mva
-    hi = np.array([envelopes.get(b, (0.0, 0.0))[1] for b in itf_ids]) / case.s_base_mva
+    lo = np.array([by_bus.get(b, (0.0, 0.0))[0] for b in itf_ids]) / case.s_base_mva
+    hi = np.array([by_bus.get(b, (0.0, 0.0))[1] for b in itf_ids]) / case.s_base_mva
     if np.any(lo > hi):
         raise ValidationError("envelope lower bound above upper bound")
     mon = monitored_buses(case)

@@ -356,38 +356,46 @@ def test_kept_stage_models_solve_as_fresh_ones(monkeypatch, enc):
         assert_same_solves(run, runs[0])
 
 
-def test_kept_models_follow_changed_inputs():
-    """After an input changes on a used context, its stages give what a
-    fresh context with the new inputs gives: a new substation offset, an
-    available power edited in place, another encoding.  A context made
-    by ``dataclasses.replace`` keeps nothing, and the blocks the kept
-    models read cannot be edited in place."""
-    ctx = dd.make_context(data.load_scenario("tiny-2bus"), encoding="bigm")
+def round_results(ctx):
+    """Stage 1, 2a and 2b at the envelope midpoint, as (objective, q_sub,
+    p per DER, q per DER) per result."""
+    p_star, r1 = dd.stage1_max_power(ctx)
+    (q_lo, q_hi), r_min, r_max = dd.stage2a_aggregate(ctx, p_star)
+    r2b = dd.stage2b_disaggregate(ctx, p_star, 0.5 * (q_lo + q_hi))
+    return [(r.objective, r.q_sub_kvar, [d.p_kw for d in r.per_der],
+             [d.q_kvar for d in r.per_der]) for r in (r1, r_min, r_max, r2b)]
 
-    def results(c):
-        p_star, r1 = dd.stage1_max_power(c)
-        (q_lo, q_hi), r_min, r_max = dd.stage2a_aggregate(c, p_star)
-        r2b = dd.stage2b_disaggregate(c, p_star, 0.5 * (q_lo + q_hi))
-        return [(r.objective, r.q_sub_kvar, [d.p_kw for d in r.per_der],
-                 [d.q_kvar for d in r.per_der]) for r in (r1, r_min, r_max, r2b)]
 
-    def fresh(c):
-        return dataclasses.replace(c, p_available_kw=c.p_available_kw.copy(),
-                                   stage1_root_basis=None, stage2a_root_bases=[])
-
-    before = results(ctx)
-    for change in (lambda: setattr(ctx, "q_sub_offset_kvar", ctx.q_sub_offset_kvar + 25.0),
-                   lambda: ctx.p_available_kw.__setitem__(0, 0.5 * ctx.p_available_kw[0]),
-                   lambda: setattr(ctx, "encoding", "sos1")):
-        change()
-        reference = fresh(ctx)
-        assert reference._kept == {}
-        after = results(ctx)
-        assert after == results(reference)
-        assert after != before or ctx.encoding == "sos1"
-        before = after
+def test_context_inputs_are_fixed():
+    """A context's inputs cannot change once it is made: assigning one,
+    or writing into its available power, a curve set or a blocks array,
+    raises.  ``dataclasses.replace`` makes a context for other inputs; it
+    keeps nothing, gives what a newly made context with those inputs
+    gives, and leaves the first context's results as they were."""
+    scenario = data.load_scenario("tiny-2bus")
+    ctx = dd.make_context(scenario, encoding="bigm")
+    before = round_results(ctx)
+    assert ctx.stage1_root_basis is not None and len(ctx.stage2a_root_bases) == 2
+    for name, value in (("p_available_kw", np.zeros(1)), ("encoding", "sos1"),
+                        ("specs", ()), ("stage1_root_basis", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctx, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.policy.kind = dd.PQ_FREE
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.p_available_kw[0] = 0.5 * ctx.p_available_kw[0]
+    with pytest.raises(TypeError):
+        ctx.curves[0][inverter.MODES[0]] = ctx.curves[0][inverter.MODES[1]]
     with pytest.raises(ValueError, match="read-only"):
         ctx.blocks.y0[0] = 1.0
+
+    half = dataclasses.replace(ctx, p_available_kw=0.5 * ctx.p_available_kw)
+    assert half.stage1_root_basis is None and half.stage2a_root_bases == ()
+    scenario.p_available_kw = 0.5 * scenario.p_available_kw
+    after = round_results(half)
+    assert after == round_results(dd.make_context(scenario, encoding="bigm"))
+    assert after != before
+    assert round_results(ctx) == before
 
 
 @pytest.mark.parametrize("scenario, weights", [
@@ -407,11 +415,37 @@ def test_stage2b_rejects_malformed_weights(scenario, weights):
         dd.stage2b_disaggregate(ctx, 0.0, 0.0, weights=weights(n_der))
 
 
-@pytest.mark.parametrize("p_kw", [np.nan, -1.0], ids=["nan", "negative"])
-def test_available_power_must_be_finite_and_non_negative(tiny, p_kw):
-    ctx = tiny["sos1"]
+@pytest.mark.parametrize("change", [
+    lambda p: np.where(np.arange(p.size) == 1, np.nan, p),
+    lambda p: np.where(np.arange(p.size) == 1, -1.0, p),
+    lambda p: np.append(p, 0.0),
+    lambda p: p[:-1],
+    lambda p: p[np.newaxis, :],
+], ids=["nan", "negative", "longer", "shorter", "2d"])
+def test_available_power_must_be_finite_and_non_negative(contexts, change):
+    """One finite, non-negative value per DER of feeder13-highpv (9).
+    Before the shape check 10 values were taken and stage 1 returned
+    2700 kW, 8 raised IndexError and a (1, 9) array raised numpy's
+    ambiguous truth value."""
+    ctx = contexts["feeder13-highpv", "sos1"]
     with pytest.raises(ValueError, match="available power"):
-        dd.DispatchContext(ctx.model, ctx.blocks, ctx.specs, ctx.curves, [p_kw])
+        dd.DispatchContext(ctx.model, ctx.blocks, ctx.specs, ctx.curves,
+                           change(ctx.p_available_kw))
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("tiny-2bus", 0.0), ("feeder13-highpv", -177.99578), ("feeder40-highpv", -267.786045),
+])
+def test_flat_voltage_q_offset_sums_the_unobservable_loads(name, expected):
+    """The substation offset is the linear model's reactive net injection
+    at the flat voltage profile, summed over the unobservable
+    bus-phases, in kvar; tiny-2bus sees every bus-phase."""
+    ctx = dd.make_context(data.load_scenario(name))
+    blocks = ctx.blocks
+    q_net = feeder_mod.net_injections(blocks, blocks.y0, 0.0, 0.0)[1]
+    offset = dd.flat_voltage_q_offset(ctx.model, blocks)
+    assert offset == ctx.s_base * np.sum(q_net[blocks.partition.unobservable])
+    assert offset == pytest.approx(expected, abs=1e-6)
 
 
 @pytest.mark.parametrize("name", ["tiny-2bus", "feeder13-highpv", "feeder40-highpv"])

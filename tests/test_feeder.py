@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -369,10 +371,10 @@ class TestObservableVoltages:
         blocks = feeder.build_blocks(m)
         pb = feeder.partition_blocks(blocks, feeder.make_partition(m))
         n_o = pb.partition.n_o
-        k1 = np.zeros_like(pb.k1)
         c2 = m.y0_node[pb.partition.observable]
+        isolated = dataclasses.replace(pb, k1=np.zeros_like(pb.k1), c2=c2)
         p_o = np.zeros(n_o)
         q_o = np.zeros(n_o)
-        y_o = feeder.observable_voltages(pb, p_o, q_o, k1=k1, c2=c2)
+        y_o = feeder.observable_voltages(isolated, p_o, q_o)
         expect = numkit.solve_linear(np.eye(n_o) + pb.koo, c2)
         np.testing.assert_allclose(y_o, expect, atol=1e-12)

@@ -126,6 +126,21 @@ def test_dispatch_is_box_kkt(cases, name, envelope):
     assert np.max(np.abs(projected)) <= 1e-6, (grad, q, q_lo, q_hi)
 
 
+def test_dispatch_reads_envelopes_by_bus_id(cases):
+    """An envelope keyed by an integer bus id counts as the string id, as
+    in ``newton_powerflow``: with every interface at (-30, 10) MVAr on
+    tx9 the dispatch is the same for both keys (it used to pin every
+    interface at 0 for integer keys).  Two keys that name one bus raise."""
+    case = cases["tx9"]
+    by_str = tso.tso_dispatch(case, {itf.bus: (-30.0, 10.0) for itf in case.interfaces})
+    by_int = tso.tso_dispatch(case, {int(itf.bus): (-30.0, 10.0) for itf in case.interfaces})
+    assert by_int.q_req_mvar == by_str.q_req_mvar
+    assert by_int.objective == by_str.objective
+    assert max(by_str.q_req_mvar.values()) > 9.0
+    with pytest.raises(ValidationError, match="one interface bus"):
+        tso.tso_dispatch(case, {5: (-30.0, 10.0), "5": (-30.0, 10.0)})
+
+
 def test_remove_branch_drops_exactly_one(cases):
     base = cases["tx9"]
     assert len(base.branches) == 9
