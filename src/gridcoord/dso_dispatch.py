@@ -28,8 +28,10 @@ model at each call.
 Stage 2a's model is stage 1's plus one ``pstar`` row, and its MIN and
 MAX solves share every row and bound.  So stage 1 leaves its optimal
 root basis on the context, stage 2a MIN starts its root from it
-(``milp.solve_milp(start=...)``) and MAX from MIN's; each start is
-solved by primal phase 2 alone when it is feasible, else cold.  A 2a
+(``milp.solve_milp(start=...)``) and MAX from MIN's.  A start is the
+root node's stored basis, solved as any node's (see ``milp``): on the
+bundled scenarios both 2a starts are primal feasible, so the dual
+simplex takes no pivot and primal phase 2 runs from them.  A 2a
 optimum may then be a different vertex, with the same objective, than a
 cold solve gives, and where the optimum is not unique its substation
 flow (the envelope end) may differ too; on the bundled scenarios the

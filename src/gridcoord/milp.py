@@ -32,20 +32,19 @@ the root node of ``solve_milp`` unless it is given a start.
   structural variables, and rows the LP keeps, are prefixes of this
   model's.  Slack ids shift past the appended structurals; each
   appended structural starts nonbasic at a finite bound (free when it
-  has none), and each appended row with its slack basic.  The root
-  loads the basis (a refactor).  When every basic value is within
-  ``FEAS_TOL`` of its bounds it runs primal phase 2 only, which ends on
-  the verdict a cold solve's does: confirmed by primal pricing.  Otherwise each nonbasic
-  column moves to the bound its reduced cost favours, which makes the
-  basis dual feasible, and the dual simplex runs (capped at the LP's
-  ``iter_cap``), then the primal pass that confirms it.  Wrong
-  lengths, a singular refactor, a column that would need an infinite
-  bound, or a solve that ends neither optimal nor Farkas-confirmed
-  infeasible go to the cold solve, and the pivots spent count.  A
-  later model that appends rows and structurals but keeps the earlier
-  variable bounds keeps the same earlier rows, so the prefix holds;
-  a start that does not match is only a worse basis, never a wrong
-  answer.
+  has none), and each appended row with its slack basic.  That basis is
+  the root node's stored basis, and the root is solved as any node
+  whose parent the tableau does not hold: ``load`` (a refactor), the
+  dual simplex for at most max(64, rows) pivots, and the primal pass
+  that confirms its verdict.  A primal feasible start takes no dual
+  pivot and ends on primal phase 2, as a cold solve does; one that is
+  dual feasible as given takes the dual simplex, as a branch child
+  does.  Any other start may still reach a confirmed verdict.  Wrong
+  lengths, a singular refactor, or a solve that ends without a verdict
+  go to the cold solve, and the pivots spent count.  A later model that
+  appends rows and structurals but keeps the earlier variable bounds
+  keeps the same earlier rows, so the prefix holds; a start that does
+  not match is only a worse basis, never a wrong answer.
 - **Condensed tableau.**  The m basic columns of B^-1 [A | I] are unit
   columns, so only the nonbasic ones are stored: T is m x n_struct (plus
   one column per artificial during phase 1), never m x (n_struct + m).
@@ -90,10 +89,11 @@ that pivots only on the rows the branch made primal infeasible.
   solved re-optimizes in that tableau in place.  Any other node is
   rebased: Jordan exchanges that move no value pivot the working
   tableau onto its stored basis, a few rank-1 updates where a refactor
-  would rebuild every column.  A cold solve's tableau becomes the
-  working one; when its node branches, it drops the artificial columns
-  (a basic artificial gives way to its row's slack), so every stored
-  basis indexes structurals and slacks only.
+  would rebuild every column.  A root with a start basis makes the
+  working tableau and loads the start into it.  A cold solve's tableau
+  becomes the working one; when its node branches, it drops the
+  artificial columns (a basic artificial gives way to its row's slack),
+  so every stored basis indexes structurals and slacks only.
 - **Refactor.**  Slack and artificial columns are signed unit columns,
   so B^-1 needs only an LU of the block of basic structural columns on
   the rows no basic unit column covers (at most n_struct square).  The
@@ -118,8 +118,8 @@ that pivots only on the rows the branch made primal infeasible.
   rows (row r of B^-1 applied to A and b) proves the bounds infeasible.
   An unconfirmed verdict or a dual stall (more than max(64, rows)
   pivots) after an in-place change or a rebase retries once from the
-  refactored stored basis; one after that retry or a refactored start,
-  or a singular refactor, falls back to a cold solve of that node.
+  refactored stored basis; one after that retry or after a start's
+  load, or a singular refactor, falls back to a cold solve of that node.
 - **Memory.**  The search holds one m x n_struct tableau, never a copy
   per node.  A cold fallback first releases it, dropping artificials
   reuses its buffer, and the refactor works in blocks of columns, so the
@@ -348,34 +348,6 @@ class MilpModel:
     def binary_ids(self):
         return [i for i, v in enumerate(self.variables) if v.kind == BINARY]
 
-    def dump_lp(self) -> str:
-        """Plain-text LP-format-style dump for debugging."""
-        lines = [f"\\ model {self.name}",
-                 "Minimize" if self.objective_sense == MIN else "Maximize"]
-        terms = " ".join(f"{c:+g} {self.variables[v].name}"
-                         for v, c in sorted(self.objective.items()))
-        lines.append(f"  obj: {terms or '0'}")
-        lines.append("Subject To")
-        for con in self.constraints:
-            terms = " ".join(f"{c:+g} {self.variables[v].name}" for v, c in con.coeffs)
-            op = {LE: "<=", GE: ">=", EQ: "="}[con.sense]
-            lines.append(f"  {con.name}: {terms} {op} {con.rhs:g}")
-        lines.append("Bounds")
-        for v in self.variables:
-            lines.append(f"  {v.lo:g} <= {v.name} <= {v.hi:g}")
-        bins = [self.variables[i].name for i in self.binary_ids]
-        if bins:
-            lines.append("Binary")
-            lines.append("  " + " ".join(bins))
-        if self.sos1_sets:
-            lines.append("SOS")
-            for k, members in enumerate(self.sos1_sets):
-                body = " ".join(f"{self.variables[v].name}:{w + 1}"
-                                for w, v in enumerate(members))
-                lines.append(f"  s{k}: S1 :: {body}")
-        lines.append("End")
-        return "\n".join(lines)
-
 
 @dataclass
 class MilpSolution:
@@ -388,7 +360,8 @@ class MilpSolution:
     slacks of the rows the LP kept, kept when the root branched (None
     otherwise, and from ``solve_lp`` and ``brute_force``);
     ``solve_milp(start=...)`` takes it for this model or one that
-    appends structurals and rows to it under the same variable bounds.
+    appends structurals and rows to it under the same variable bounds,
+    as the root node's stored basis, solved as any node's.
     ``lp_rows`` is the number of rows the LP kept.  ``root_fixed``
     counts the binaries that root bound propagation fixed before the
     root LP (0 from ``solve_lp`` and ``brute_force``, and when
@@ -527,6 +500,12 @@ class _Arrays:
         return MilpSolution(status, objective, x, nodes, iterations,
                             self.obj_sign * bound + self.obj_const, gap, root_basis,
                             self.m, fixed)
+
+    def simplex(self, lo, hi):
+        """A cold tableau of this LP with the structurals in [lo, hi]."""
+        n = self.n_struct
+        return _Simplex(self.A, self.b, np.concatenate([lo, self.lo[n:]]),
+                        np.concatenate([hi, self.hi[n:]]), self.c, self.iter_cap)
 
     def root_box(self, binaries):
         """The structural box with every binary fixed that root bound
@@ -1072,9 +1051,9 @@ class _Simplex:
                 d = self._reduced_costs(cost)
                 sign, free = self._pricing_signs()
 
-    def run_dual(self, limit=None):
+    def run_dual(self):
         """Bounded dual simplex on the user cost from a dual feasible basis,
-        for at most ``limit`` pivots (default max(64, rows)).
+        for at most max(64, rows) pivots.
 
         Returns OPTIMAL once x_B is within its bounds (to ``FEAS_TOL``),
         INFEASIBLE when the leaving row admits no entering column and the
@@ -1089,7 +1068,7 @@ class _Simplex:
         lb, ub = lo[basis], hi[basis]
         can_rise, can_fall = self._movable()
         xB = self.xB
-        for _ in range(max(64, self.m) if limit is None else limit):
+        for _ in range(max(64, self.m)):
             if self.iters >= self.iter_cap:
                 return None
             infeas = np.maximum(lb - xB, xB - ub)
@@ -1155,23 +1134,6 @@ class _Simplex:
             return _SimplexResult(st, None, None, self.iters)
         return self._optimal()
 
-    def place_dual_feasible(self):
-        """Move each nonbasic column whose reduced cost favours its other
-        bound to that bound, so the basis is dual feasible; x_B follows.
-        Returns False, moving nothing, when one would need an infinite
-        bound."""
-        d = self._reduced_costs(self.c_user)
-        st, fixed = self.status[self.nb], self.fixed[self.nb]
-        to_lo = ~fixed & (d > _D_TOL) & (st != _AT_LO)
-        to_hi = ~fixed & (d < -_D_TOL) & (st != _AT_HI)
-        lo_ids, hi_ids = self.nb[to_lo], self.nb[to_hi]
-        if not (np.isfinite(self.lo[lo_ids]).all() and np.isfinite(self.hi[hi_ids]).all()):
-            return False
-        self.status[lo_ids], self.status[hi_ids] = _AT_LO, _AT_HI
-        cols = np.sort(np.concatenate([lo_ids, hi_ids]))
-        self._shift_basic(cols, self._place_nonbasic(cols))
-        return True
-
     def reoptimize(self):
         """Warm solve after ``set_bounds``, ``rebase`` or ``load``: dual
         simplex, then a primal pass that confirms optimality.  None asks
@@ -1204,14 +1166,6 @@ def solve_lp(model: MilpModel) -> MilpSolution:
                          0, res.iterations)
 
 
-def _full_bounds(arrs: _Arrays, lo, hi):
-    lo_full = arrs.lo.copy()
-    hi_full = arrs.hi.copy()
-    lo_full[:arrs.n_struct] = lo
-    hi_full[:arrs.n_struct] = hi
-    return lo_full, hi_full
-
-
 @dataclass(order=True)
 class _Node:
     key: float       # floor(bound / GAP): orders the search, never prunes
@@ -1235,10 +1189,9 @@ class _NodeLp:
     pivots of its last refactor.  An in-place or rebased solve that ends
     without a verdict is retried once from ``load``; a node still
     without one, or whose basis the refactor finds singular, is solved
-    cold.  The root is solved cold, or by ``_start`` when it carries a
-    start basis: primal phase 2 from a primal feasible one, else the
-    dual simplex after each nonbasic column moves to the bound its
-    reduced cost favours.
+    cold.  The root is solved cold, or, when it stores a start basis,
+    by ``load`` into a new working tableau like any node whose parent
+    the tableau does not hold.
     """
 
     def __init__(self, arrs: _Arrays):
@@ -1248,10 +1201,11 @@ class _NodeLp:
         self.warm = False    # lp comes out of a warm solve, not a cold one
 
     def solve(self, node, nid):
-        res, spent, lp = None, 0, self.lp
-        if node.parent < 0 and node.basis is not None:
-            res, spent = self._start(node)
-        elif node.basis is not None and lp is not None:
+        res, spent = None, 0
+        if node.basis is not None:
+            if self.lp is None:   # the root's start, or basis_of_last dropped it
+                self.lp = self.arrs.simplex(node.lo, node.hi)
+            lp = self.lp
             lp.iters = 0
             fresh = lp.since_refactor < _REFACTOR_PERIOD
             stored = (node.basis, node.status, node.lo, node.hi)
@@ -1266,48 +1220,18 @@ class _NodeLp:
             if res is None and lp.load(*stored):
                 res = lp.reoptimize()
             spent = lp.iters
-        self.warm = res is not None and node.parent >= 0
+        self.warm = res is not None
         if res is None:
             res = self._cold(node)
             res.iterations += spent
-        self.holds = nid if res.status == OPTIMAL and self.lp is not None else None
+        self.holds = nid if res.status == OPTIMAL else None
         return res
-
-    def _start(self, node):
-        """The root from a start basis, loaded by a refactor.  A primal
-        feasible basis (every basic value within ``FEAS_TOL`` of its
-        bounds) runs primal phase 2.  Otherwise each nonbasic column goes
-        to the bound its reduced cost favours, and the dual simplex runs
-        for up to the LP's ``iter_cap`` pivots, then the primal pass that
-        confirms it.  Returns (result or None, pivots spent); None when
-        the basis is singular, a column would need an infinite bound, or
-        the solve ends without an optimum or a Farkas-confirmed
-        infeasibility."""
-        arrs = self.arrs
-        self.lp = None
-        lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
-                      arrs.iter_cap)
-        lp.drop_artificials()
-        res, primal = None, False
-        if lp.load(node.basis, node.status, node.lo, node.hi):
-            lb, ub = lp.lo[lp.basis], lp.hi[lp.basis]
-            primal = np.all((lp.xB >= lb - FEAS_TOL) & (lp.xB <= ub + FEAS_TOL))
-            if not primal and lp.place_dual_feasible():
-                st = lp.run_dual(arrs.iter_cap)
-                if st == INFEASIBLE:
-                    res = _SimplexResult(INFEASIBLE, None, None, lp.iters)
-                primal = st == OPTIMAL
-        if primal and lp.run_phase(lp.c_user, phase1=False) == OPTIMAL:
-            res = lp._optimal()
-            self.lp = lp
-        return res, lp.iters
 
     def _cold(self, node):
         arrs = self.arrs
         self.lp = None   # release the working tableau before building another
         # its artificials stay until a child needs this basis (basis_of_last)
-        self.lp = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, node.lo, node.hi), arrs.c,
-                           arrs.iter_cap)
+        self.lp = arrs.simplex(node.lo, node.hi)
         return self.lp.solve()
 
     def basis_of_last(self):
@@ -1330,23 +1254,20 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     module docstring); the fixings are the root node's bounds, and
     ``root_fixed`` counts them.  When one row proves the propagated box
     infeasible, the solve returns ``Infeasible`` with no node.
-    The root LP is a cold primal solve, or with ``start`` (an earlier
+    The root LP is a cold primal solve unless ``start`` (an earlier
     solve's ``root_basis``, from this model or one whose structurals and
-    rows are prefixes of its own; see the module docstring) primal
-    phase 2 from that basis when it is primal feasible, else the dual
-    simplex from it once each nonbasic column sits at the bound its
-    reduced cost favours; the cold solve when neither applies or
-    reaches a verdict.  A solution from a start may be another optimal
-    vertex than the cold solve's, with the same objective within
-    ``GAP``.  Every other node re-optimizes
-    from its parent's optimal basis with the dual simplex: in place when
-    its parent was the last node solved, otherwise after Jordan
-    exchanges onto the basis it stores, or a refactor from it where the
-    exchanges cannot be used (see the module docstring for the node
-    storage, refactor policy, infeasibility confirmation and memory
-    rule).  A node whose in-place or rebased warm solve cannot reach a
-    confirmed verdict is retried once from a refactor; a node still
-    without one is solved cold.  The model's LP form is built by the
+    rows are prefixes of its own; see the module docstring) gives it a
+    stored basis.  Every node with a stored basis, the root's start or
+    its parent's optimal basis, re-optimizes from it with the dual
+    simplex: in place when its parent was the last node solved,
+    otherwise after Jordan exchanges onto that basis, or a refactor from
+    it where the exchanges cannot be used (see the module docstring for
+    the node storage, refactor policy, infeasibility confirmation and
+    memory rule).  A node whose in-place or rebased warm solve cannot
+    reach a confirmed verdict is retried once from a refactor; a node
+    still without one is solved cold.  A solution from a start may be
+    another optimal vertex than the cold solve's, with the same
+    objective within ``GAP``.  The model's LP form is built by the
     first solve and kept for the next (see ``MilpModel``).
     ``simplex_iterations`` counts every primal and dual pivot and every
     exchange of a rebase, and those of a start that fell back to cold.
@@ -1518,8 +1439,7 @@ def brute_force(model: MilpModel) -> MilpSolution:
 
     def enumerate_sos(k, lo, hi):
         if k == len(sos_sets):
-            res = _Simplex(arrs.A, arrs.b, *_full_bounds(arrs, lo, hi), arrs.c,
-                           arrs.iter_cap).solve()
+            res = arrs.simplex(lo, hi).solve()
             stats["solves"] += 1
             stats["iters"] += res.iterations
             statuses.add(res.status)

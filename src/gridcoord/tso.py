@@ -20,6 +20,8 @@ and 1e-12.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,15 +202,27 @@ class PowerFlowResult:
 
 
 def _spec_injections(case: TransmissionCase, q_inject=None):
+    """Specified complex injections (pu) of every bus.  ``q_inject`` is
+    keyed by bus id (``str(bus)``); two keys that name one bus, a key
+    that names none, or a value that is not a finite number raise
+    ``ValidationError``."""
     n = len(case.buses)
     s = np.zeros(n, dtype=complex)
     for k, b in enumerate(case.buses):
         s[k] -= complex(b.p_mw, b.q_mvar) / case.s_base_mva
     for g in case.gens:
         s[case.index[g.bus]] += g.p_mw / case.s_base_mva
-    if q_inject:
-        for bus, mvar in q_inject.items():
-            s[case.index[str(bus)]] += 1j * mvar / case.s_base_mva
+    seen = set()
+    for bus, mvar in (q_inject or {}).items():
+        key = str(bus)
+        if key in seen:
+            raise ValidationError(f"two injections name bus {key}: {list(q_inject)}")
+        if key not in case.index:
+            raise ValidationError(f"injection at unknown bus {key}")
+        if not isinstance(mvar, numbers.Real) or not math.isfinite(mvar):
+            raise ValidationError(f"injection at bus {key} is {mvar!r}, not a finite MVAr value")
+        seen.add(key)
+        s[case.index[key]] += 1j * mvar / case.s_base_mva
     return s
 
 
@@ -235,8 +249,10 @@ def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
                      tol: float = 1e-8) -> PowerFlowResult:
     """Full Newton-Raphson in polar form.
 
-    ``q_inject`` adds reactive injections (MVAr) at interface buses on
-    top of the case loads.  Converged when the largest P/Q mismatch
+    ``q_inject`` adds reactive injections (MVAr), keyed by bus id
+    (``str(bus)``), on top of the case loads; two keys that name one
+    bus, a key that names none, or a value that is not a finite number
+    raise ``ValidationError``.  Converged when the largest P/Q mismatch
     falls below ``tol`` (pu) within ``PF_MAX_ITER`` iterations.
     """
     Y = case.ybus()

@@ -219,17 +219,6 @@ class TestBuilders:
         sol = milp.solve_milp(m)
         assert (sol.status, sol.objective) == (milp.OPTIMAL, 2.0)
 
-    def test_dump_lp_mentions_sections(self):
-        m = milp.MilpModel()
-        x = m.add_variable(0, 1, name="p")
-        z = m.add_variable(kind=milp.BINARY, name="z")
-        m.add_constraint({x: 1.0, z: -1.0}, milp.LE, 0.5)
-        m.add_sos1([x, z])
-        m.set_objective(milp.MAX, {x: 1.0})
-        text = m.dump_lp()
-        for section in ("Maximize", "Subject To", "Bounds", "Binary", "SOS"):
-            assert section in text
-
 
 # ---------------------------------------------------------------------------
 # LP relaxation engine
@@ -827,9 +816,9 @@ class TestWarmSearch:
         root is not cold), with one row appended, and from the model
         without its last structural and its last row.  That last start
         is not cold whenever it is usable: nonsingular, and primal
-        feasible or dual feasible after bound placement.  Bad starts fall
-        back to a cold root: wrong lengths, a singular basis, and a
-        shuffled basic set whenever it is not usable."""
+        feasible or dual feasible as ``load`` places it.  Wrong lengths
+        and a singular basis fall back to a cold root; a shuffled basic
+        set is cold when singular and warm when usable."""
         if len(model.variables) > 1 and model.constraints:
             sub = milp.solve_milp(drop_last(model))
             if sub.root_basis is not None:
@@ -841,7 +830,7 @@ class TestWarmSearch:
                 assert np.array_equal(ext_basis[:b0.size], np.where(b0 < n - 1, b0, b0 + 1))
                 assert ext_status[n - 1] != milp._BASIC
                 cold = check_start(model, sub.root_basis)
-                if start_usable(arrs, ext_basis, ext_status):
+                if start_usable(model, ext_basis, ext_status):
                     assert not cold
         sol = milp.solve_milp(model)
         if sol.root_basis is None:
@@ -877,10 +866,50 @@ class TestWarmSearch:
         shuffled = np.array(data.draw(st.permutations(range(n + m))))[:m]
         st_sh = np.where(status == milp._BASIC, milp._AT_LO, status).astype(np.int8)
         st_sh[shuffled] = milp._BASIC
-        usable = start_usable(arrs, shuffled, st_sh)
+        usable = start_usable(flipped, shuffled, st_sh)
         cold = check_start(flipped, (shuffled, st_sh))
-        if usable is not None:
-            assert cold != usable
+        if usable:
+            assert not cold
+        if np.linalg.matrix_rank(full_matrix(arrs)[:, shuffled]) < m:
+            assert cold
+
+    def test_start_that_goes_cold_counts_every_pivot(self):
+        """A start root whose warm solve ends without a verdict is solved
+        cold, and ``simplex_iterations`` counts the warm pivots as well as
+        the cold solve's.  The start is a root basis under the negated
+        objective, so its primal pass pivots; that pass, on the start's
+        tableau (the first one to price), is made to report a limit."""
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            model = random_milp(rng)
+            sol = milp.solve_milp(model)
+            if sol.root_basis is not None:
+                break
+        model.set_objective(milp.MAX if model.objective_sense == milp.MIN else milp.MIN,
+                            model.objective)
+        run_phase, cold = milp._Simplex.run_phase, milp._NodeLp._cold
+        tableaux, warm, cold_pivots = [], [], []
+
+        def stalled(self, cost, phase1):
+            status = run_phase(self, cost, phase1)
+            if not tableaux:
+                tableaux.append(self)
+            if self is tableaux[0]:
+                warm.append(self.iters)
+                return milp.ITER_LIMIT
+            return status
+
+        def logged_cold(self, node):
+            res = cold(self, node)
+            cold_pivots.append(res.iterations)
+            return res
+
+        with mock.patch.object(milp._Simplex, "run_phase", stalled), \
+                mock.patch.object(milp._NodeLp, "_cold", logged_cold):
+            out = milp.solve_milp(model, milp.MilpOptions(node_limit=1), start=sol.root_basis)
+        assert out.node_count == 1 and len(warm) == 1 and len(cold_pivots) == 1
+        assert warm[0] > 0 and cold_pivots[0] > 0
+        assert out.simplex_iterations == warm[0] + cold_pivots[0]
 
 
 def check_start(model, start):
@@ -903,20 +932,31 @@ def check_start(model, start):
     return any(roots)
 
 
-def start_usable(arrs, basis, status):
-    """Whether a start basis of ``arrs`` is nonsingular, and primal
-    feasible or dual feasible once each nonbasic column sits at the bound
-    its reduced cost favours (no column needing an infinite one), from an
-    explicit inverse; None when round-off could tip the solver's verdict
-    either way."""
+def full_matrix(arrs):
+    """[A | I]: the structural and slack columns of ``arrs``."""
+    return np.hstack([arrs.A, np.eye(arrs.m)])
+
+
+def start_usable(model, basis, status):
+    """Whether a start basis of ``model`` is nonsingular, and primal
+    feasible or dual feasible where ``load`` puts it under the root
+    node's bounds (each movable nonbasic column's reduced cost at least
+    -``_D_TOL`` at its lower bound, at most ``_D_TOL`` at its upper, and
+    within ``_D_TOL`` of 0 when free), from an explicit inverse; None
+    when round-off could tip the solver's verdict either way, or when
+    root propagation leaves no LP to solve."""
+    arrs = milp._Arrays(model)
+    box = arrs.root_box(np.array(model.binary_ids, dtype=int))
+    if box is None:
+        return None
     n, m = arrs.n_struct, arrs.m
-    full = np.hstack([arrs.A, np.eye(m)])
+    full = full_matrix(arrs)
     B = full[:, basis]
     if np.linalg.matrix_rank(B) < m:
         return False
-    if np.linalg.cond(B) > 1e8:
+    if m and np.linalg.cond(B) > 1e8:
         return None
-    lo, hi = arrs.lo, arrs.hi
+    lo, hi = np.concatenate([box[0], arrs.lo[n:]]), np.concatenate([box[1], arrs.hi[n:]])
     x = np.zeros(n + m)
     to_hi = np.isfinite(hi) & ((status == milp._AT_HI) | ~np.isfinite(lo))
     to_lo = np.isfinite(lo) & ~to_hi
@@ -927,14 +967,14 @@ def start_usable(arrs, basis, status):
     if viol <= 1e-9:
         return True
     d = arrs.c - full.T @ np.linalg.solve(B.T, arrs.c[basis])
+    # what moving each column off where it sits gains
+    gain = np.where(to_lo, -d, np.where(to_hi, d, np.abs(d)))
     movable = hi - lo > 0.0
     movable[basis] = False
-    needs_inf = movable & (((d > 0.0) & ~np.isfinite(lo)) | ((d < 0.0) & ~np.isfinite(hi)))
-    if np.any(needs_inf & (np.abs(np.abs(d) - milp._D_TOL) < 1e-10)):
-        return None
-    if not np.any(needs_inf & (np.abs(d) > milp._D_TOL)):
+    worst = np.max(gain[movable], initial=-np.inf)
+    if worst <= milp._D_TOL - 1e-10:
         return True
-    return False if viol > 1e-6 else None
+    return False if viol > 1e-6 and worst > milp._D_TOL + 1e-10 else None
 
 
 def drop_last(model):

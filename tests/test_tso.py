@@ -141,6 +141,23 @@ def test_dispatch_reads_envelopes_by_bus_id(cases):
         tso.tso_dispatch(case, {5: (-30.0, 10.0), "5": (-30.0, 10.0)})
 
 
+@pytest.mark.parametrize("q_inject, message", [
+    ({5: 10.0, "5": 10.0}, "two injections name bus 5"),
+    ({"99": 10.0}, "unknown bus 99"),
+    ({"5": float("nan")}, "bus 5 is nan"),
+    ({"5": float("inf")}, "bus 5 is inf"),
+    ({"5": "10"}, "bus 5 is '10'"),
+], ids=["one-bus-twice", "unknown-bus", "nan", "inf", "text"])
+def test_powerflow_rejects_malformed_injections(cases, q_inject, message):
+    """A power flow's injections name each bus once, name only buses of
+    the case, and are finite numbers.  Unchecked, ``{5: 10.0, "5": 10.0}``
+    injected 20 MVAr at bus 5, an unknown bus raised a bare ``KeyError``,
+    NaN ended in ``NoConvergence`` after every Newton iteration, and text
+    raised a bare ``TypeError``."""
+    with pytest.raises(ValidationError, match=message):
+        tso.newton_powerflow(cases["tx9"], q_inject)
+
+
 def test_remove_branch_drops_exactly_one(cases):
     base = cases["tx9"]
     assert len(base.branches) == 9
