@@ -43,7 +43,20 @@ at a 2a vertex, but its cost sits only on ``qp``/``qm``, which start
 nonbasic at 0 with nonnegative weights, so a 2a basis extended by them
 is dual feasible.  Stage 2a leaves both root bases on the context, each
 with its envelope end, and stage 2b starts the dual simplex from the one
-whose end is nearer its request.  Only stage 1 starts cold.
+whose end is nearer its request.  Only stage 1 starts cold.  Each
+stage keeps its root basis whenever its root LP ends optimal, so these
+starts hold also when a stage closes at its root.
+
+Every stage passes ``droop_root_point`` to ``milp.solve_milp``.  It
+rewrites each DER's indicators and setting (and under sos1 its mode
+variables) in the root LP's optimum to the first (mode, segment) whose
+law reproduces the DER's (v, p, q) there (``inverter.segment_through``).
+The stage objectives do not read those variables, so a rewritten point
+that passes the solver's check is an incumbent at the root bound, and
+the stage ends at its root with one node.  On every bundled stage that
+finishes, each DER's root (v, p, q) lies on a law.  Where some DER lies
+off every law (feeder13-lowpv; half the available power on
+feeder13-highpv) the root point is None and the search runs as before.
 
 Per-DER power variables are in device per-unit (fractions of the
 inverter rating); stage objectives and reported quantities are in
@@ -89,12 +102,12 @@ class DispatchContext:
     """One feeder's dispatch inputs, shared by its stages.
 
     ``stage1_max_power`` leaves its optimal root basis in
-    ``stage1_root_basis`` (None when its root did not branch), before
-    it raises any error; ``stage2a_aggregate`` starts from it, so
+    ``stage1_root_basis`` (None when its root LP did not end optimal),
+    before it raises any error; ``stage2a_aggregate`` starts from it, so
     stage 2a run after stage 1 on the same context skips phase 1.
     ``stage2a_aggregate`` leaves MAX's and MIN's root bases in
     ``stage2a_root_bases``, each as (its q_sub_kvar, basis), skipping a
-    root that did not branch; ``stage2b_disaggregate`` starts from the
+    root that kept none; ``stage2b_disaggregate`` starts from the
     one whose q_sub is nearer its request (MAX's on a tie), and cold
     when there is none.
 
@@ -388,15 +401,60 @@ class DispatchResult:
         }
 
 
-def _solve_stage(mm, start=None):
+def droop_root_point(ctx, handles):
+    """The stage's root-point function for ``milp.solve_milp``, or None
+    under ``pq_free``, which has no droop laws.
+
+    Given the root LP's optimal x, it rewrites each DER's droop variables
+    to the first (mode, segment) whose law reproduces the DER's (v, p, q)
+    at some setting in range (``inverter.segment_through``): that
+    segment's indicator is 1 and its mode's setting the one found, every
+    other indicator of the DER is 0, and under sos1 so is every mode
+    variable but the chosen one, which is 1.  Nothing else changes: the
+    stage rows that do not read the droop variables hold as at the root,
+    and the Big-M rows of a zero indicator hold over the variable box.
+    It rewrites x in place and returns it, or returns None when some DER
+    lies off every law."""
+    if ctx.policy.kind == PQ_FREE:
+        return None
+
+    def root_point(x):
+        for curves, encodings, ids in zip(ctx.curves, handles.encodings,
+                                          zip(handles.v, handles.p, handles.q)):
+            values = dict(zip("vpq", x[list(ids)]))
+            chosen = None
+            for enc in encodings.values():
+                x_in, x_out = (values[k] for k in inverter.MODE_IO[enc.mode])
+                hit = inverter.segment_through(curves[enc.mode], x_in, x_out)
+                if hit is not None:
+                    chosen = enc
+                    break
+            if chosen is None:
+                return None
+            for enc in encodings.values():
+                x[enc.indicator_ids] = 0.0
+                if enc.mode_var is not None:
+                    x[enc.mode_var] = 0.0
+            segment, x[chosen.setting_id] = hit
+            x[chosen.indicator_ids[segment]] = 1.0
+            if chosen.mode_var is not None:
+                x[chosen.mode_var] = 1.0
+        return x
+
+    return root_point
+
+
+def _solve_stage(ctx, mm, handles, start=None):
     """Solve one stage model, its root from ``start`` (an earlier root
-    basis, or None for a cold root); returns (solution, stats)."""
+    basis, or None for a cold root) and with the droop root point as a
+    candidate incumbent; returns (solution, stats)."""
     t0 = time.perf_counter()
-    sol = milp.solve_milp(mm, start=start)
+    sol = milp.solve_milp(mm, start=start, root_point=droop_root_point(ctx, handles))
     wall_ms = 1e3 * (time.perf_counter() - t0)
     return sol, {"status": sol.status, "nodes": sol.node_count,
                  "simplex_iterations": sol.simplex_iterations, "wall_ms": wall_ms,
-                 "lp_rows": sol.lp_rows, "root_fixed": sol.root_fixed}
+                 "lp_rows": sol.lp_rows, "root_fixed": sol.root_fixed,
+                 "root_point": sol.root_point}
 
 
 def _require_optimal(sol, stage):
@@ -441,7 +499,7 @@ def stage1_max_power(ctx: DispatchContext):
     mm, handles = ctx._stage_model("stage1")
     mm.set_objective(milp.MAX, {handles.p[i]: ctx.specs[i].s_rated
                                 for i in range(len(handles.p))})
-    sol, stats = _solve_stage(mm)
+    sol, stats = _solve_stage(ctx, mm, handles)
     ctx._kept["stage1_root_basis"] = sol.root_basis
     _require_optimal(sol, "stage1")
     result = _extract(ctx, handles, sol, "stage1", stats)
@@ -464,7 +522,7 @@ def stage2a_aggregate(ctx: DispatchContext, p_star_kw: float):
     bases = ctx._kept["stage2a_root_bases"] = []
     for sense, tag in ((milp.MIN, "stage2a_min"), (milp.MAX, "stage2a_max")):
         mm.set_objective(sense, q_total)
-        sol, stats = _solve_stage(mm, start)
+        sol, stats = _solve_stage(ctx, mm, handles, start)
         _require_optimal(sol, tag)
         results[tag] = _extract(ctx, handles, sol, tag, stats)
         start = sol.root_basis
@@ -524,7 +582,7 @@ def stage2b_disaggregate(ctx: DispatchContext, p_star_kw: float,
     # min() keeps the first of equal distances: MAX's basis on a tie
     start = min(ctx.stage2a_root_bases, key=lambda end: abs(end[0] - q_req_kvar),
                 default=(None, None))[1]
-    sol, stats = _solve_stage(mm, start)
+    sol, stats = _solve_stage(ctx, mm, handles, start)
     _require_optimal(sol, "stage2b")
     stats["weights"] = [float(w) for w in weights]
     return _extract(ctx, handles, sol, "stage2b", stats)

@@ -225,6 +225,35 @@ def evaluate_droop(curve: DroopCurve, value: float) -> float:
     return m * x + b
 
 
+def segment_through(curve: DroopCurve, x_in: float, x_out: float, tol: float = 1e-9):
+    """The first segment whose law passes through (x_in, x_out) at some
+    setting in range, as (segment index, setting); None when there is none.
+
+    Each condition of a segment is linear in the setting s: its domain
+    lo(s) <= x_in <= hi(s) and its value |slope * x_in + offset(s) - x_out|,
+    each to ``tol``, and the range.  Together they leave an interval of
+    s, and the setting returned is its midpoint: the setting the value
+    pins when the offset moves with s, else one clear of the domain's
+    ends."""
+    for k, seg in enumerate(curve.segments):
+        resid = x_out - seg.slope * x_in - seg.offset.const   # = offset.per_setting * s
+        s_lo, s_hi = curve.setting_min, curve.setting_max
+        # each (a, b) stands for a * s <= b
+        for a, b in ((seg.lo.per_setting, x_in + tol - seg.lo.const),
+                     (-seg.hi.per_setting, seg.hi.const - x_in + tol),
+                     (seg.offset.per_setting, resid + tol),
+                     (-seg.offset.per_setting, tol - resid)):
+            if a > 0.0:
+                s_hi = min(s_hi, b / a)
+            elif a < 0.0:
+                s_lo = max(s_lo, b / a)
+            elif b < 0.0:
+                s_lo = np.inf
+        if s_lo <= s_hi:
+            return k, 0.5 * (s_lo + s_hi)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # capability region (device per-unit)
 # ---------------------------------------------------------------------------
@@ -295,6 +324,7 @@ class DroopEncoding:
     mode: str
     setting_id: int
     indicator_ids: list[int]
+    mode_var: int | None = None   # sos1: the mode's variable, which its indicators sum to
 
 
 def _interval_max(terms):
@@ -386,7 +416,7 @@ def encode_sos1(curve: DroopCurve, model: milp.MilpModel, input_id: int, output_
     link = dict.fromkeys(zs, 1.0)
     link[mode_var] = -1.0
     model.add_constraint(link, milp.EQ, 0.0)
-    return DroopEncoding(curve.mode, setting_id, zs)
+    return DroopEncoding(curve.mode, setting_id, zs, mode_var)
 
 
 def mode_exclusivity(model: milp.MilpModel, encodings: list[DroopEncoding]) -> int:

@@ -74,14 +74,29 @@ that pivots only on the rows the branch made primal infeasible.
   bound over the root box, or a binary with both values ruled out,
   ends the solve ``Infeasible`` with no LP.  Child nodes do not
   propagate.
+- **Root point.**  ``solve_milp(root_point=f)`` calls ``f`` once, on a
+  copy of the root LP's optimal x, and only when the root LP ends
+  optimal.  ``f`` returns a candidate incumbent, typically that x with
+  its integer variables rewritten, or None.  The candidate is checked,
+  never trusted: within the root node's bounds (the fixings included),
+  every row the LP keeps within ``FEAS_TOL`` of its bounds (the rows
+  left out hold over the box), every binary within ``INT_TOL`` of 0 or
+  1, and at most one member of each SOS1 set above ``INT_TOL`` in
+  magnitude.  A candidate that passes is the incumbent, so one within
+  ``GAP`` of the root bound ends the search at the root.  One that
+  fails, or None, is dropped, and the search then runs as it does with
+  no ``f``, pivot for pivot: the check reads the solve's arrays and
+  changes nothing.  ``MilpSolution.root_point`` says whether the final
+  incumbent is the candidate.
 
 - **Node order.**  Open nodes pop in order of their LP bound rounded
   down to ``GAP``, newest first among equal keys.  Stage models often
-  have a root bound equal to the optimum, so the search is a hunt for an
-  incumbent on a plateau of equal bounds; keyed on the exact bound,
-  round-off of 1e-12 between siblings reordered that plateau and broke
-  the plunge.  The rounded key only orders the search: pruning, the
-  reported ``best_bound`` and ``gap`` read each node's exact bound.
+  have a root bound equal to the optimum, so a search that no root
+  point closes is a hunt for an incumbent on a plateau of equal
+  bounds; keyed on the exact bound, round-off of 1e-12 between
+  siblings reordered that plateau and broke the plunge.  The rounded
+  key only orders the search: pruning, the reported ``best_bound`` and
+  ``gap`` read each node's exact bound.
 - **What a node stores.**  Its bounds, plus its parent's optimal basis
   (int32, one entry per row) and variable statuses (int8, one per
   structural or slack).  Siblings share those two arrays.  No node stores a tableau.
@@ -357,15 +372,19 @@ class MilpSolution:
     as the search proved it, and ``gap`` is |objective - best_bound|
     (inf without an incumbent).  ``root_basis`` is the root LP's optimal
     (basis int32[m], status int8[n + m]) over structurals and the
-    slacks of the rows the LP kept, kept when the root branched (None
-    otherwise, and from ``solve_lp`` and ``brute_force``);
+    slacks of the rows the LP kept, kept whenever the root LP ends
+    optimal (None otherwise, when the refactor that drops a cold root's
+    artificials finds the basis singular, and from ``solve_lp`` and
+    ``brute_force``);
     ``solve_milp(start=...)`` takes it for this model or one that
     appends structurals and rows to it under the same variable bounds,
     as the root node's stored basis, solved as any node's.
     ``lp_rows`` is the number of rows the LP kept.  ``root_fixed``
     counts the binaries that root bound propagation fixed before the
     root LP (0 from ``solve_lp`` and ``brute_force``, and when
-    propagation proves the model infeasible).
+    propagation proves the model infeasible).  ``root_point`` is True
+    when the incumbent is the point the ``root_point`` function of
+    ``solve_milp`` returned (see "Root point" in the module docstring).
     """
     status: str
     objective: float | None
@@ -377,6 +396,7 @@ class MilpSolution:
     root_basis: tuple | None = field(default=None, repr=False, compare=False)
     lp_rows: int = 0
     root_fixed: int = 0
+    root_point: bool = False
 
     def value(self, vid: int) -> float:
         return float(self.x[vid])
@@ -491,7 +511,7 @@ class _Arrays:
         self.obj_sign, self.obj_const = sign, model.objective_const
 
     def solution(self, status, objective, x, bound, nodes=0, iterations=0, root_basis=None,
-                 fixed=0):
+                 fixed=0, from_root_point=False):
         """A MilpSolution in the model's sense from internal (min-sense) values."""
         gap = np.inf
         if objective is not None:
@@ -499,7 +519,25 @@ class _Arrays:
             objective = self.obj_sign * objective + self.obj_const
         return MilpSolution(status, objective, x, nodes, iterations,
                             self.obj_sign * bound + self.obj_const, gap, root_basis,
-                            self.m, fixed)
+                            self.m, fixed, from_root_point)
+
+    def admits(self, x, lo, hi, binaries, sos_sets):
+        """Whether ``x`` is an integer-feasible point within the structural
+        box [lo, hi]: every kept row within ``FEAS_TOL`` of its bounds,
+        every binary within ``INT_TOL`` of 0 or 1, and at most one member
+        of each SOS1 set above ``INT_TOL`` in magnitude.  Rows the LP
+        leaves out hold over the model's box, and so over [lo, hi]."""
+        x = np.asarray(x, dtype=float)
+        n = self.n_struct
+        if x.shape != (n,) or not np.all(np.isfinite(x) & (lo <= x) & (x <= hi)):
+            return False
+        slack = self.b - self.A @ x
+        if np.any((slack < self.lo[n:] - FEAS_TOL) | (slack > self.hi[n:] + FEAS_TOL)):
+            return False
+        z = x[binaries]
+        if np.any(np.abs(z - np.round(z)) > INT_TOL):
+            return False
+        return all(np.count_nonzero(np.abs(x[s]) > INT_TOL) <= 1 for s in sos_sets)
 
     def simplex(self, lo, hi):
         """A cold tableau of this LP with the structurals in [lo, hi]."""
@@ -1246,7 +1284,7 @@ class _NodeLp:
 
 
 def solve_milp(model: MilpModel, options: MilpOptions | None = None,
-               start: tuple | None = None) -> MilpSolution:
+               start: tuple | None = None, root_point=None) -> MilpSolution:
     """Best-first branch and bound over binaries and SOS1 sets.
 
     Before the root, bound propagation fixes each binary that some row
@@ -1254,6 +1292,13 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     module docstring); the fixings are the root node's bounds, and
     ``root_fixed`` counts them.  When one row proves the propagated box
     infeasible, the solve returns ``Infeasible`` with no node.
+    ``root_point``, when given, is called once on a copy of the root
+    LP's optimal x and may return a candidate incumbent; one that passes
+    the check against the root bounds, the kept rows, integrality and
+    the SOS1 sets is the incumbent, and one within ``GAP`` of the root
+    bound closes the search at the root.  None, or a candidate that
+    fails, leaves the search as it is without ``root_point``, pivot for
+    pivot (see "Root point" in the module docstring).
     The root LP is a cold primal solve unless ``start`` (an earlier
     solve's ``root_basis``, from this model or one whose structurals and
     rows are prefixes of its own; see the module docstring) gives it a
@@ -1312,6 +1357,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     incumbent_x = None
     dropped_bound = np.inf  # best bound among nodes dropped at the simplex cap
     stopped = False
+    from_root_point = False
 
     basis, status = arrs.start_basis(start) or (None, None)
     heap = [_Node(-np.inf, 0, -np.inf, root_lo, root_hi, basis=basis, status=status)]
@@ -1337,6 +1383,14 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
                                  fixed=root_fixed)
         if res.status != OPTIMAL:
             continue
+        if nid == 0:
+            basis, status = node_lp.basis_of_last()
+            root_basis = (basis, status) if basis is not None else None
+            point = None if root_point is None else root_point(res.x[:n].copy())
+            if point is not None and arrs.admits(point, root_lo, root_hi, bin_ids, sos_sets):
+                incumbent_x = np.asarray(point, dtype=float)
+                incumbent_obj = float(arrs.c[:n] @ incumbent_x)
+                from_root_point = True
         if res.objective >= incumbent_obj - GAP:
             continue
         x = res.x[:n]
@@ -1357,6 +1411,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         if branch_var < 0 and viol_sos < 0:
             incumbent_obj = res.objective
             incumbent_x = x.copy()
+            from_root_point = False
             continue
 
         # children are pushed preferred-last: equal bounds pop newest first,
@@ -1385,9 +1440,8 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
                 lo_c[zero_ids] = 0.0
                 hi_c[zero_ids] = 0.0
                 bounds.append((lo_c, hi_c))
-        basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
-        if nid == 0 and basis is not None:
-            root_basis = (basis, status)
+        if nid != 0:   # the root's basis was taken above
+            basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
         key = np.floor(res.objective / GAP)
         for lo_c, hi_c in bounds:
             heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
@@ -1403,7 +1457,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         status = OPTIMAL if incumbent_x is not None else INFEASIBLE
     objective = incumbent_obj if incumbent_x is not None else None
     return arrs.solution(status, objective, incumbent_x, bound, node_count, total_iters,
-                         root_basis, root_fixed)
+                         root_basis, root_fixed, from_root_point)
 
 
 def brute_force(model: MilpModel) -> MilpSolution:

@@ -21,6 +21,8 @@ def test_run_tiny_2bus(capsys, enc):
     assert report["q_req_kvar"] == [pytest.approx(0.5 * (q_lo + q_hi))]
     assert stages[3]["q_sub_kvar"] == pytest.approx(report["q_req_kvar"][0], abs=1e-6)
     assert all(s["stats"]["status"] == "Optimal" for s in stages)
+    # the droop root point closes every stage at its root
+    assert all(s["stats"]["root_point"] and s["stats"]["nodes"] == 1 for s in stages)
     # the LP's rows and the binaries root propagation fixed (the sos1
     # models have none)
     for s in stages:

@@ -86,6 +86,32 @@ def test_every_stage_is_droop_compliant_and_capable(contexts, stages, key):
             assert cap_ok, result.stage
 
 
+@pytest.mark.parametrize("key", [(name, enc) for name in SCENARIOS for enc in ENCODINGS],
+                         ids="/".join)
+def test_every_stage_closes_at_its_root(stages, key):
+    """Each stage's root LP puts every DER on one of its droop laws, so
+    the rewritten root point is the incumbent and the search ends at the
+    root, with stage 2b at both envelope ends and the midpoint."""
+    for r in stages[key]["results"]:
+        assert (r.stats["status"], r.stats["nodes"], r.stats["root_point"]) == (
+            milp.OPTIMAL, 1, True), r.stage
+
+
+def test_root_point_off_every_law_is_none():
+    """feeder13-lowpv's stage 1 root LP puts a DER off every droop law,
+    so its root point is None.  Under ``pq_free`` there is no root-point
+    function: that policy has no droop laws."""
+    ctx = dd.make_context(data.load_scenario("feeder13-lowpv"), encoding="bigm")
+    mm, handles = dd.build_stage_model(ctx, "stage1")
+    mm.set_objective(milp.MAX, {p: spec.s_rated for p, spec in zip(handles.p, ctx.specs)})
+    point, points = dd.droop_root_point(ctx, handles), []
+    milp.solve_milp(mm, milp.MilpOptions(node_limit=1),
+                    root_point=lambda x: points.append(point(x)))
+    assert points == [None]
+    assert dd.droop_root_point(dataclasses.replace(ctx, policy=dd.ModePolicy(dd.PQ_FREE)),
+                               handles) is None
+
+
 @pytest.mark.parametrize("enc", ENCODINGS)
 def test_envelope_ordered_and_stage2b_meets_request(stages, enc):
     q_lo, q_hi = stages["tiny-2bus", enc]["envelope"]
@@ -139,15 +165,17 @@ def test_unknown_stage_rejected(tiny):
 
 def test_stage_error_reports_status_nodes_bound_and_gap(monkeypatch):
     """The error names the stopped search; stage 1's root basis is kept
-    on the context all the same."""
+    on the context all the same.  feeder13-lowpv's root LP puts some
+    DER off every droop law, so no root point closes its stage 1 and
+    the search stops at the root with no incumbent."""
     solve = milp.solve_milp
     monkeypatch.setattr(dd.milp, "solve_milp",
                         lambda mm, **kw: solve(mm, milp.MilpOptions(node_limit=1), **kw))
-    ctx = dd.make_context(data.load_scenario("tiny-2bus"), encoding="bigm")
+    ctx = dd.make_context(data.load_scenario("feeder13-lowpv"), encoding="bigm")
     with pytest.raises(GridcoordError) as err:
         dd.stage1_max_power(ctx)
     text = str(err.value)
-    for part in ("stage1", milp.NODE_LIMIT, "1 nodes", "best bound 300", "gap inf"):
+    for part in ("stage1", milp.NODE_LIMIT, "1 nodes", "best bound 675", "gap inf"):
         assert part in text
     basis, status = ctx.stage1_root_basis
     assert np.array_equal(np.sort(basis), np.flatnonzero(status == milp._BASIC))

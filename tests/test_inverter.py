@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridcoord import inverter, milp
 from gridcoord.errors import InvalidProfile, ValidationError
@@ -174,6 +175,40 @@ class TestCurves:
         assert inverter.active_segment(c, v2) == 1
 
 
+class TestSegmentThrough:
+    @pytest.mark.parametrize("mode", inverter.MODES)
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_finds_every_point_of_the_law(self, mode, data):
+        """Every point (x, evaluate_droop(curve at s, x)) with s in range and
+        x in the curve's domain is found, and the segment and setting
+        returned reproduce it within 1e-9."""
+        curve = inverter.make_default_curve(mode, SPEC)
+        s = data.draw(st.floats(curve.setting_min, curve.setting_max))
+        segs = curve.with_setting(s).segment_values()
+        x = data.draw(st.floats(segs[0][0], segs[-1][1]))
+        y = inverter.evaluate_droop(curve.with_setting(s), x)
+        hit = inverter.segment_through(curve, x, y)
+        assert hit is not None
+        k, setting = hit
+        assert curve.setting_min <= setting <= curve.setting_max
+        lo, hi, slope, offset = curve.with_setting(setting).segment_values()[k]
+        assert lo - 1e-9 <= x <= hi + 1e-9
+        assert abs(slope * x + offset - y) <= 1e-9
+
+    @pytest.mark.parametrize("mode, x, y", [
+        (inverter.VOLT_VAR, 1.04, 0.44),     # full injection above the deadband
+        (inverter.VOLT_VAR, 1.0, 0.1),       # inside every deadband
+        (inverter.VOLT_WATT, 1.0, 0.5),      # curtailed below every knee
+        (inverter.WATT_VAR, 0.1, -0.2)])     # absorbing below every deadband edge
+    def test_point_off_every_law_is_none(self, mode, x, y):
+        curve = inverter.make_default_curve(mode, SPEC)
+        assert inverter.segment_through(curve, x, y) is None
+        # the point is off the law at every setting, not only the default
+        for s in np.linspace(curve.setting_min, curve.setting_max, 41):
+            assert abs(inverter.evaluate_droop(curve.with_setting(s), x) - y) > 1e-3
+
+
 class TestBigMEncoding:
     def test_active_indicator_pins_output(self):
         curve = inverter.make_default_curve(inverter.VOLT_VAR, SPEC)
@@ -261,6 +296,9 @@ class TestSos1Encoding:
         assert sol.status == milp.OPTIMAL
         active_modes = [mode for mode, mv in mode_vars.items() if sol.value(mv) > 1e-6]
         assert len(active_modes) == 1
+        # each encoding records its mode's variable; Big-M has none
+        assert {mode: e.mode_var for mode, e in encs.items()} == mode_vars
+        assert all(e.mode_var is None for e in three_modes("bigm")[2].values())
 
     def test_forcing_watt_var_zeroes_other_modes(self):
         m, ids, encs = three_modes("sos1")

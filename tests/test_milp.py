@@ -1139,6 +1139,132 @@ class TestRootFixings:
         assert milp.solve_milp(model).root_fixed == count
 
 
+# ---------------------------------------------------------------------------
+# the checked root point
+# ---------------------------------------------------------------------------
+
+
+def broken_properties(model, x, lo, hi):
+    """What ``x`` breaks of the root node's feasible set, the box [lo, hi]:
+    a subset of "bounds", "rows" (each to ``FEAS_TOL``), "integrality"
+    and "sos1" (each to ``INT_TOL``)."""
+    broken = set()
+    if np.any(x < lo) or np.any(x > hi):
+        broken.add("bounds")
+    for con in model.constraints:
+        miss = row_vector(model, con) @ x - con.rhs
+        if {milp.LE: miss, milp.GE: -miss, milp.EQ: abs(miss)}[con.sense] > milp.FEAS_TOL:
+            broken.add("rows")
+    z = x[model.binary_ids]
+    if np.any(np.abs(z - np.round(z)) > milp.INT_TOL):
+        broken.add("integrality")
+    if any(np.count_nonzero(np.abs(x[s]) > milp.INT_TOL) > 1 for s in model.sos1_sets):
+        broken.add("sos1")
+    return broken
+
+
+def corrupted_points(model, x, lo, hi):
+    """Copies of ``x``, each breaking exactly one property of the root
+    node's feasible set, by kind; a kind this model offers no such copy
+    of is left out.  "rows": a continuous variable moved so that a row
+    the LP keeps misses its bound by 1e-4; "integrality": a free binary
+    at 0.5; "sos1": a zero member of an SOS1 set at half its upper bound,
+    next to a nonzero one; "bounds": a variable 1e-4 past a finite bound."""
+    n = len(model.variables)
+    in_sos = {j for s in model.sos1_sets for j in s}
+    continuous = [j for j in range(n)
+                  if model.variables[j].kind == milp.CONTINUOUS and j not in in_sos]
+    candidates = {"rows": [], "integrality": [], "sos1": [], "bounds": []}
+    for r in milp._Arrays(model).rows:
+        con = model.constraints[r]
+        a = row_vector(model, con)
+        target = con.rhs + (-1e-4 if con.sense == milp.GE else 1e-4)
+        move = target - a @ x
+        candidates["rows"] += [(j, x[j] + move / a[j]) for j in continuous if a[j]]
+    candidates["integrality"] = [(j, 0.5) for j in model.binary_ids if lo[j] < hi[j]]
+    for s in model.sos1_sets:
+        if np.count_nonzero(np.abs(x[s]) > milp.INT_TOL) == 1:
+            candidates["sos1"] += [(j, hi[j] / 2.0) for j in s if x[j] == 0.0]
+    for j in range(n):
+        for bound, step in ((lo[j], -1e-4), (hi[j], 1e-4)):
+            if np.isfinite(bound):
+                candidates["bounds"].append((j, bound + step))
+    out = {}
+    for kind, moves in candidates.items():
+        for j, value in moves:
+            bad = x.copy()
+            bad[j] = value
+            if broken_properties(model, bad, lo, hi) == {kind}:
+                out[kind] = bad
+                break
+    return out
+
+
+def same_bits(sol, ref):
+    """``same_solution``, with the objective compared bit for bit."""
+    same_solution(sol, ref)
+    assert np.float64(sol.objective).tobytes() == np.float64(ref.objective).tobytes()
+
+
+class TestRootPoint:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_optimal_point_is_taken(self, model):
+        """A root point at ``brute_force``'s optimum keeps its status and
+        objective.  It is taken when it breaks nothing, and then closes
+        the search at the root when it lies within ``GAP`` of the root
+        bound."""
+        bf = milp.brute_force(model)
+        if bf.status != milp.OPTIMAL:
+            return
+        sol = milp.solve_milp(model, root_point=lambda x: bf.x.copy())
+        assert sol.status == bf.status
+        assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
+        lo, hi, _ = milp._Arrays(model).root_box(model.binary_ids)
+        clean = not broken_properties(model, bf.x, lo, hi)
+        assert sol.root_point == clean
+        root = milp.solve_milp(model, milp.MilpOptions(node_limit=1))
+        if clean and abs(bf.objective - root.best_bound) <= milp.GAP:
+            assert sol.node_count == 1
+            assert np.array_equal(sol.x, bf.x)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_broken_points_change_nothing(self, model):
+        """Copies of the optimum that break one bound, one row, the
+        integrality of one binary or one SOS1 set are each rejected, and
+        the search then runs as it does without a root point, bit for
+        bit."""
+        bf = milp.brute_force(model)
+        if bf.status != milp.OPTIMAL:
+            return
+        lo, hi, _ = milp._Arrays(model).root_box(model.binary_ids)
+        if broken_properties(model, bf.x, lo, hi):
+            return
+        ref = milp.solve_milp(model)
+        for kind, bad in corrupted_points(model, bf.x, lo, hi).items():
+            sol = milp.solve_milp(model, root_point=lambda x, bad=bad: bad.copy())
+            assert not sol.root_point, kind
+            same_bits(sol, ref)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_no_point_changes_nothing(self, model):
+        """A root point of None leaves the search as it is without one,
+        bit for bit.  The function is called once, on the root LP's
+        optimal x, and only when the root LP ends optimal."""
+        calls = []
+        sol = milp.solve_milp(model, root_point=lambda x: calls.append(x.copy()))
+        same_bits(sol, milp.solve_milp(model))
+        assert not sol.root_point
+        root = milp.solve_milp(model, milp.MilpOptions(node_limit=1))
+        assert len(calls) == (root.status in (milp.OPTIMAL, milp.NODE_LIMIT))
+        if calls:
+            objective = sum(c * calls[0][j] for j, c in model.objective.items())
+            assert objective + model.objective_const == pytest.approx(root.best_bound,
+                                                                      abs=1e-9)
+
+
 FORM_ARRAYS = ("rows", "r", "j", "vals", "b", "lo", "hi")
 MUTATORS = ("add_variable", "add_constraint", "add_sos1", "fix_variable", "set_objective",
             "set_rhs EQ", "set_rhs LE")
