@@ -28,6 +28,7 @@ MODES = (VOLT_VAR, VOLT_WATT, WATT_VAR)
 # each mode's (input, output): "v" terminal voltage, "p"/"q" active/reactive power
 MODE_IO = {VOLT_VAR: ("v", "q"), VOLT_WATT: ("v", "p"), WATT_VAR: ("p", "q")}
 ENCODINGS = ("sos1", "bigm")   # the droop-mode encodings encode_modes builds
+SEGMENT_TOL = 1e-9   # how far segment_through lets a point miss a segment's law and domain
 
 DEFAULT_PROFILE = {
     "vv": {"v1": 0.92, "v2": 0.98, "v3": 1.02, "v4": 1.08, "q_frac": 0.44,
@@ -225,24 +226,24 @@ def evaluate_droop(curve: DroopCurve, value: float) -> float:
     return m * x + b
 
 
-def segment_through(curve: DroopCurve, x_in: float, x_out: float, tol: float = 1e-9):
+def segment_through(curve: DroopCurve, x_in: float, x_out: float):
     """The first segment whose law passes through (x_in, x_out) at some
     setting in range, as (segment index, setting); None when there is none.
 
     Each condition of a segment is linear in the setting s: its domain
     lo(s) <= x_in <= hi(s) and its value |slope * x_in + offset(s) - x_out|,
-    each to ``tol``, and the range.  Together they leave an interval of
-    s, and the setting returned is its midpoint: the setting the value
-    pins when the offset moves with s, else one clear of the domain's
-    ends."""
+    each to ``SEGMENT_TOL``, and the range.  Together they leave an
+    interval of s, and the setting returned is its midpoint: the setting
+    the value pins when the offset moves with s, else one clear of the
+    domain's ends."""
     for k, seg in enumerate(curve.segments):
         resid = x_out - seg.slope * x_in - seg.offset.const   # = offset.per_setting * s
         s_lo, s_hi = curve.setting_min, curve.setting_max
         # each (a, b) stands for a * s <= b
-        for a, b in ((seg.lo.per_setting, x_in + tol - seg.lo.const),
-                     (-seg.hi.per_setting, seg.hi.const - x_in + tol),
-                     (seg.offset.per_setting, resid + tol),
-                     (-seg.offset.per_setting, tol - resid)):
+        for a, b in ((seg.lo.per_setting, x_in + SEGMENT_TOL - seg.lo.const),
+                     (-seg.hi.per_setting, seg.hi.const - x_in + SEGMENT_TOL),
+                     (seg.offset.per_setting, resid + SEGMENT_TOL),
+                     (-seg.offset.per_setting, SEGMENT_TOL - resid)):
             if a > 0.0:
                 s_hi = min(s_hi, b / a)
             elif a < 0.0:

@@ -481,6 +481,23 @@ class _LpForm:
             for con in model.constraints if not con.coeffs)
 
 
+def _integer_violation(x, bin_ids, sos_sets):
+    """The search's integer-feasibility rule for ``x``, as (binary to
+    branch on, index of the SOS1 set to split): the binary farthest from
+    integral when one is more than ``INT_TOL`` off, else the first SOS1
+    set with more than one member above ``INT_TOL`` in magnitude, else
+    (-1, -1), which means ``x`` is integer feasible."""
+    if bin_ids.size:
+        fracs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
+        j = int(np.argmax(fracs))
+        if fracs[j] > INT_TOL:
+            return int(bin_ids[j]), -1
+    for k, members in enumerate(sos_sets):
+        if np.count_nonzero(np.abs(x[members]) > INT_TOL) > 1:
+            return -1, k
+    return -1, -1
+
+
 class _Arrays:
     """Standardized arrays of one solve: A x + s = b with bounded
     structurals x and slacks s.  ``A`` holds the structural columns only;
@@ -524,9 +541,9 @@ class _Arrays:
     def admits(self, x, lo, hi, binaries, sos_sets):
         """Whether ``x`` is an integer-feasible point within the structural
         box [lo, hi]: every kept row within ``FEAS_TOL`` of its bounds,
-        every binary within ``INT_TOL`` of 0 or 1, and at most one member
-        of each SOS1 set above ``INT_TOL`` in magnitude.  Rows the LP
-        leaves out hold over the model's box, and so over [lo, hi]."""
+        and integer feasible by the search's own rule
+        (``_integer_violation``).  Rows the LP leaves out hold over the
+        model's box, and so over [lo, hi]."""
         x = np.asarray(x, dtype=float)
         n = self.n_struct
         if x.shape != (n,) or not np.all(np.isfinite(x) & (lo <= x) & (x <= hi)):
@@ -534,10 +551,7 @@ class _Arrays:
         slack = self.b - self.A @ x
         if np.any((slack < self.lo[n:] - FEAS_TOL) | (slack > self.hi[n:] + FEAS_TOL)):
             return False
-        z = x[binaries]
-        if np.any(np.abs(z - np.round(z)) > INT_TOL):
-            return False
-        return all(np.count_nonzero(np.abs(x[s]) > INT_TOL) <= 1 for s in sos_sets)
+        return _integer_violation(x, binaries, sos_sets) == (-1, -1)
 
     def simplex(self, lo, hi):
         """A cold tableau of this LP with the structurals in [lo, hi]."""
@@ -1395,19 +1409,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             continue
         x = res.x[:n]
 
-        branch_var = -1
-        if bin_ids.size:
-            fracs = np.abs(x[bin_ids] - np.round(x[bin_ids]))
-            j = int(np.argmax(fracs))
-            if fracs[j] > INT_TOL:
-                branch_var = int(bin_ids[j])
-        viol_sos = -1
-        if branch_var < 0:
-            for k, members in enumerate(sos_sets):
-                if np.count_nonzero(np.abs(x[members]) > INT_TOL) > 1:
-                    viol_sos = k
-                    break
-
+        branch_var, viol_sos = _integer_violation(x, bin_ids, sos_sets)
         if branch_var < 0 and viol_sos < 0:
             incumbent_obj = res.objective
             incumbent_x = x.copy()
