@@ -34,14 +34,19 @@ the root node of ``solve_milp`` unless it is given a start.
   appended structural starts nonbasic at a finite bound (free when it
   has none), and each appended row with its slack basic.  That basis is
   the root node's stored basis, and the root is solved as any node
-  whose parent the tableau does not hold: ``load`` (a refactor), the
-  dual simplex for at most max(64, rows) pivots, and the primal pass
-  that confirms its verdict.  A primal feasible start takes no dual
+  whose stored basis meets no tableau: a tableau built straight from the
+  basis (its nonbasic columns placed at their bounds, then a refactor;
+  no cold tableau with artificial columns is filled first), the dual
+  simplex for at most max(64, rows) pivots, and the primal pass that
+  confirms its verdict.  A primal feasible start takes no dual
   pivot and ends on primal phase 2, as a cold solve does; one that is
   dual feasible as given takes the dual simplex, as a branch child
   does.  Any other start may still reach a confirmed verdict.  Wrong
   lengths, a singular refactor, or a solve that ends without a verdict
-  go to the cold solve, and the pivots spent count.  A later model that
+  go to the cold solve, and the pivots spent count.  A cold root's
+  ``root_basis`` is taken without a refactor (see "One working
+  tableau"), so a basis that a refactor would find singular is still
+  returned; a start from it goes cold at its refactor.  A later model that
   appends rows and structurals but keeps the earlier variable bounds
   keeps the same earlier rows, so the prefix holds; a start that does
   not match is only a worse basis, never a wrong answer.
@@ -104,40 +109,49 @@ that pivots only on the rows the branch made primal infeasible.
   solved re-optimizes in that tableau in place.  Any other node is
   rebased: Jordan exchanges that move no value pivot the working
   tableau onto its stored basis, a few rank-1 updates where a refactor
-  would rebuild every column.  A root with a start basis makes the
-  working tableau and loads the start into it.  A cold solve's tableau
-  becomes the working one; when its node branches, it drops the
-  artificial columns (a basic artificial gives way to its row's slack),
-  so every stored basis indexes structurals and slacks only.
+  would rebuild every column.  A node whose stored basis meets no
+  tableau, or a cold one (a root with a start basis, or a node after a
+  cold solve that did not branch), gets a new tableau built from that
+  basis.  A cold solve's tableau becomes the working one.  Every stored
+  basis indexes structurals and slacks only: a basic artificial gives
+  way to its row's slack, which spans the same unit column.  That
+  narrowing reads the basis and leaves the tableau alone, so a cold
+  root that closes returns its ``root_basis`` with no refactor.  Only a
+  cold node that branches has its tableau replaced by one built at the
+  narrowed basis, which its first child then re-optimizes in place.
 - **Refactor.**  Slack and artificial columns are signed unit columns,
   so B^-1 needs only an LU of the block of basic structural columns on
   the rows no basic unit column covers (at most n_struct square).  The
   refactor renumbers the nonbasic columns in variable order and rebuilds
   them in place, a few at a time.  It runs after every
   ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike,
-  and when a node is loaded from its stored basis instead of rebased:
-  after a cold solve, at the period, when an exchange finds no pivot
-  above ``_REBASE_TOL``, and to retry a node whose warm solve (in place
-  or rebased) ended without a verdict.
+  when a tableau is built from a stored basis (a start, a node that
+  meets no warm tableau, a cold node that branches), and when a node is
+  loaded from its stored basis instead of rebased: at the period, when
+  an exchange finds no pivot above ``_REBASE_TOL``, and to retry a node
+  whose warm solve (in place or rebased) ended without a verdict.  The
+  LU goes through LAPACK's ``dgetrf`` and ``dgetrs`` directly.
 - **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
   tableau: its column of T when the slack is nonbasic, else the unit
   column of the row it is basic in.  The dual steepest-edge weights and
   the Farkas check rebuild the rows they need from that.  The squared
   norm of each row is kept across pivots.  A pivot marks stale only
   the pivot row and the rows with a nonzero in the entering column: a
-  row with a zero there is unchanged bit for bit.  A refactor or the
-  drop of the artificials marks every row stale.
+  row with a zero there is unchanged bit for bit.  A refactor marks
+  every row stale.
 - **Verdicts.**  A node is optimal only after a primal pricing pass on
   the dual simplex's end point finds nothing to improve.  It is pruned
   as infeasible only when a Farkas check recomputed from the original
   rows (row r of B^-1 applied to A and b) proves the bounds infeasible.
   An unconfirmed verdict or a dual stall (more than max(64, rows)
   pivots) after an in-place change or a rebase retries once from the
-  refactored stored basis; one after that retry or after a start's
-  load, or a singular refactor, falls back to a cold solve of that node.
-- **Memory.**  The search holds one m x n_struct tableau, never a copy
-  per node.  A cold fallback first releases it, dropping artificials
-  reuses its buffer, and the refactor works in blocks of columns, so the
+  refactored stored basis; one after that retry or on a tableau built
+  from the stored basis, or a singular refactor, falls back to a cold
+  solve of that node.
+- **Memory.**  The search holds one tableau, never a copy per node:
+  m x n_struct, or m x (n_struct + n_art) after a cold solve.  Each
+  new tableau, cold or built from a basis, is made only after the old
+  one is released, and the refactor works in blocks of columns, so the
   warm path adds only the refactor's LU and a few blocks to a cold
   solve.  The slack identity is never stored: ``_Arrays.A`` holds
   structural columns only.
@@ -166,12 +180,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.blas import dger as _dger
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import TooLarge, UnknownVariable
 
@@ -206,11 +219,18 @@ GAP = 1e-6          # absolute optimality gap at termination
 ITER_FACTOR = 50    # simplex cap per LP solve = ITER_FACTOR * (rows + cols)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MilpOptions:
     """``node_limit`` stays an option because callers differ: the stages
-    run to optimality, a budgeted benchmark workload stops at 60 nodes."""
+    run to optimality, a budgeted benchmark workload stops at 60 nodes.
+    It must be an int of at least 1 (a bool is not one); anything else
+    raises ``ValueError``."""
     node_limit: int = 10 ** 6
+
+    def __post_init__(self):
+        limit = self.node_limit
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+            raise ValueError(f"node_limit must be an int of at least 1, not {limit!r}")
 
 
 @dataclass(frozen=True)
@@ -373,9 +393,11 @@ class MilpSolution:
     (inf without an incumbent).  ``root_basis`` is the root LP's optimal
     (basis int32[m], status int8[n + m]) over structurals and the
     slacks of the rows the LP kept, kept whenever the root LP ends
-    optimal (None otherwise, when the refactor that drops a cold root's
-    artificials finds the basis singular, and from ``solve_lp`` and
-    ``brute_force``);
+    optimal (None otherwise, and from ``solve_lp`` and
+    ``brute_force``).  A cold root's basis has each basic artificial
+    replaced by its row's slack, with no refactor, so it is returned
+    even when a refactor would find it singular; a start from such a
+    basis goes cold.
     ``solve_milp(start=...)`` takes it for this model or one that
     appends structurals and rows to it under the same variable bounds,
     as the root node's stored basis, solved as any node's.
@@ -553,11 +575,16 @@ class _Arrays:
             return False
         return _integer_violation(x, binaries, sos_sets) == (-1, -1)
 
-    def simplex(self, lo, hi):
-        """A cold tableau of this LP with the structurals in [lo, hi]."""
+    def simplex(self, lo, hi, stored=None):
+        """A tableau of this LP with the structurals in [lo, hi]: cold, or
+        built at a stored (basis, status) over structurals and slacks and
+        refactored; None when that basis is singular."""
         n = self.n_struct
-        return _Simplex(self.A, self.b, np.concatenate([lo, self.lo[n:]]),
-                        np.concatenate([hi, self.hi[n:]]), self.c, self.iter_cap)
+        lp = _Simplex(self.A, self.b, np.concatenate([lo, self.lo[n:]]),
+                      np.concatenate([hi, self.hi[n:]]), self.c, self.iter_cap, stored)
+        if stored is not None and lp.refactor() is None:
+            return None
+        return lp
 
     def root_box(self, binaries):
         """The structural box with every binary fixed that root bound
@@ -643,14 +670,18 @@ class _Simplex:
     Column k of T holds variable ``nb[k]`` and ``pos`` is the inverse map
     (-1 for a basic variable); variables are numbered structurals, slacks,
     then artificials.  The m basic columns of the full tableau are unit
-    columns and are not stored, so T is m x (n_struct + n_art) during a
-    cold solve and m x n_struct once ``drop_artificials`` has run.  A pivot
+    columns and are not stored.  Built cold (``stored`` None), it starts
+    from the slack basis with one artificial column per row the slack
+    cannot cover, so T is m x (n_struct + n_art); built at a stored
+    (basis, status) over structurals and slacks, it has no artificials,
+    T is m x n_struct, and T and x_B are unset until ``refactor`` builds
+    them; no cold tableau is made for it.  A pivot
     is a Jordan exchange: the leaving variable takes the entering one's
     column.  Pricing and ratio-test ties go to the lowest variable id, as
     they would in a tableau stored in variable order.
     """
 
-    def __init__(self, A, b, lo, hi, c, iter_cap):
+    def __init__(self, A, b, lo, hi, c, iter_cap, stored=None):
         self.m, n = A.shape
         self.n_tot = n + self.m
         self.A, self.b = A, b
@@ -658,8 +689,30 @@ class _Simplex:
         self.iter_cap = iter_cap
         self.iters = 0
         self.since_refactor = 0
-
+        # |row i of B^-1|^2, valid where norm_stale is False
+        self.row_norm = np.empty(self.m)
+        self.norm_stale = np.ones(self.m, dtype=bool)
+        if stored is None:
+            self._slack_start(lo, hi)
+            return
         m, n_tot = self.m, self.n_tot
+        self.n_art, self.N = 0, n_tot
+        self.art_rows, self.art_signs = np.empty(0, dtype=np.intp), np.empty(0)
+        self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        self.fixed = self.hi - self.lo <= 0.0
+        self.basis = np.empty(m, dtype=np.intp)
+        self.status = np.empty(n_tot, dtype=np.int8)
+        self.xval = np.zeros(n_tot)
+        self.T, self.xB = np.empty((m, n)), np.empty(m)
+        self.nb, self.pos = np.empty(n, dtype=np.intp), np.full(n_tot, -1)
+        self._adopt(*stored)
+
+    def _slack_start(self, lo, hi):
+        """The slack basis, each nonbasic column at a finite bound (free
+        when it has none), and an artificial basic in each row whose slack
+        its bounds cannot hold."""
+        m, n_tot, A, b = self.m, self.n_tot, self.A, self.b
+        n = n_tot - m
         xval = np.zeros(n_tot)
         status = np.full(n_tot, _FREE, dtype=np.int8)
         lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
@@ -711,9 +764,6 @@ class _Simplex:
         self.pos = np.full(self.N, -1)
         self.pos[self.nb] = np.arange(self.nb.size)
         self.fixed = self.hi - self.lo <= 0.0
-        # |row i of B^-1|^2, valid where norm_stale is False
-        self.row_norm = np.empty(m)
-        self.norm_stale = np.ones(m, dtype=bool)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -748,11 +798,9 @@ class _Simplex:
         cols_s = basis[pos_s]
         lu = None
         if pos_s.size:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(self.A[np.ix_(rows_r, cols_s)], overwrite_a=True,
-                                check_finite=False)
-            diag = np.abs(np.diag(lu[0]))
+            # an exactly singular block leaves a zero on U's diagonal
+            lu, piv, _ = dgetrf(self.A[np.ix_(rows_r, cols_s)], overwrite_a=1)
+            diag = np.abs(np.diag(lu))
             if not diag.min() > 1e-11 * diag.max():
                 return None
         a_us = self.A[np.ix_(u_rows, cols_s)]
@@ -761,7 +809,7 @@ class _Simplex:
             out = np.empty_like(rhs)
             y_s = rhs[rows_r]
             if lu is not None:
-                y_s = lu_solve(lu, y_s, check_finite=False)
+                y_s = dgetrs(lu, piv, y_s, overwrite_b=1)[0]
             out[pos_s] = y_s
             out[pos_u] = u_sign * (rhs[u_rows] - a_us @ y_s)
             return out
@@ -783,29 +831,21 @@ class _Simplex:
         self.xB = binv((self.b - self.A @ x_nb[:n] - x_nb[n:self.n_tot])[:, None])[:, 0]
         return perm
 
-    def drop_artificials(self):
-        """Narrow to structural and slack variables, reusing T's buffer;
-        T must then be refactored.
+    def narrowed(self):
+        """The basis and statuses over structural and slack variables
+        only, as (basis int32, status int8); the tableau is not touched.
 
-        A basic artificial is replaced by its row's slack: the two span
-        the same unit column, so the basis stays nonsingular and x_B and
-        the reduced costs do not change.
+        A basic artificial gives way to its row's slack: the two span the
+        same unit column up to sign, so the basis stays nonsingular and
+        its basic solution is the same.
         """
-        m, n_tot = self.m, self.n_tot
-        art = self.basis >= n_tot
-        self.basis[art] = n_tot - m + self.art_rows[self.basis[art] - n_tot]
-        self.status = self.status[:n_tot].copy()
-        self.status[self.basis] = _BASIC
-        self.lo, self.hi = self.lo[:n_tot].copy(), self.hi[:n_tot].copy()
-        self.xval, self.fixed = self.xval[:n_tot].copy(), self.fixed[:n_tot].copy()
-        n = n_tot - m
-        self.T = self.T.reshape(-1)[:m * n].reshape(m, n)
-        self.nb = np.flatnonzero(self.status != _BASIC)
-        self.pos = np.full(n_tot, -1)
-        self.pos[self.nb] = np.arange(n)
-        self.N, self.n_art = n_tot, 0
-        self.art_rows, self.art_signs = self.art_rows[:0], self.art_signs[:0]
-        self.norm_stale[:] = True
+        n_tot = self.n_tot
+        basis = self.basis.copy()
+        art = basis >= n_tot
+        basis[art] = n_tot - self.m + self.art_rows[basis[art] - n_tot]
+        status = self.status[:n_tot].copy()
+        status[basis] = _BASIC
+        return basis.astype(np.int32), status
 
     def _place_nonbasic(self, cols):
         """Put the given nonbasic columns (ascending ids) at the bound their
@@ -851,14 +891,19 @@ class _Simplex:
         cols = changed[self.status[changed] != _BASIC]
         self._shift_basic(cols, self._place_nonbasic(cols))
 
-    def load(self, basis, status, lo_s, hi_s):
-        """Adopt a stored basis under new structural bounds; refactors."""
-        if self.n_art:
-            self.drop_artificials()
+    def _adopt(self, basis, status):
+        """Take a stored basis and statuses, each nonbasic column placed
+        at the bound its status names; T and x_B are left to a refactor."""
         self.basis[:] = basis
         self.status[:] = status
-        self._set_struct_bounds(lo_s, hi_s)
         self._place_nonbasic((self.status != _BASIC).nonzero()[0])
+
+    def load(self, basis, status, lo_s, hi_s):
+        """Adopt a stored basis under new structural bounds in a tableau
+        with no artificials; refactors.  False when the basis is
+        singular."""
+        self._set_struct_bounds(lo_s, hi_s)
+        self._adopt(basis, status)
         return self.refactor() is not None
 
     def rebase(self, basis, status, lo_s, hi_s):
@@ -1031,7 +1076,8 @@ class _Simplex:
                 if score[k] <= 0.0:
                     return OPTIMAL
                 ties = (score == score[k]).nonzero()[0]
-                k = int(ties[nb[ties].argmin()])
+                if ties.size > 1:
+                    k = int(ties[nb[ties].argmin()])
             q = nb[k]
             if status[q] == _AT_HI:
                 sgn = -1.0
@@ -1042,17 +1088,16 @@ class _Simplex:
             w = T[:, k] * sgn
 
             t_flip = hi[q] - lo[q]
-            if not np.isfinite(t_flip):
+            if not math.isfinite(t_flip):
                 t_flip = np.inf
             t_best, r_best = t_flip, -1
             cand = (np.abs(w) > _PIV_TOL).nonzero()[0]
             if cand.size:
                 wc = w[cand]
+                # w > 0 heads for lb, never +inf, and w < 0 for ub, never
+                # -inf: an infinite bound gives +inf, never a NaN
                 tgt = np.where(wc > 0, lb[cand], ub[cand])
-                with np.errstate(invalid="ignore"):
-                    tt = (self.xB[cand] - tgt) / wc
-                tt[~np.isfinite(tgt)] = np.inf
-                tt = np.maximum(tt, 0.0)
+                tt = np.maximum((self.xB[cand] - tgt) / wc, 0.0)
                 tmin = float(tt.min())
                 if tmin < t_best:
                     ties = (tt <= tmin + 1e-12).nonzero()[0]
@@ -1061,7 +1106,7 @@ class _Simplex:
                     else:
                         sel = ties[np.abs(wc[ties]).argmax()]
                     t_best, r_best = float(tt[sel]), int(cand[sel])
-            if not np.isfinite(t_best):
+            if not math.isfinite(t_best):
                 # phase 1 objective is bounded below; treat as numerical stop
                 return OPTIMAL if phase1 else UNBOUNDED
             if t_best <= 1e-12:
@@ -1147,7 +1192,7 @@ class _Simplex:
             t_max = float(((dc + _D_TOL) / ac).min())
             near = (dc / ac <= t_max).nonzero()[0]
             best = cand[near[ac[near] == ac[near].max()]]
-            k = int(best[nb[best].argmin()])
+            k = int(best[nb[best].argmin()]) if best.size > 1 else int(best[0])
             q, leave = nb[k], basis[r]
             bound = ub[r] if above else lb[r]
             Trow, _ = self._pivot(r, k, (xB[r] - bound) / Tr[k],
@@ -1173,7 +1218,9 @@ class _Simplex:
             st = self.run_phase(art_cost, phase1=True)
             if st == ITER_LIMIT:
                 return _SimplexResult(ITER_LIMIT, None, None, self.iters)
-            infeas = sum(self.xB[i] for i in range(self.m) if self.basis[i] >= n_tot)
+            # left to right over numpy scalars, which Python 3.12's sum()
+            # does not compensate as it does exact floats
+            infeas = sum(self.xB[self.basis >= n_tot])
             if infeas > 10 * FEAS_TOL:
                 return _SimplexResult(INFEASIBLE, None, None, self.iters)
             self.lo[n_tot:] = 0.0
@@ -1241,37 +1288,42 @@ class _NodeLp:
     pivots of its last refactor.  An in-place or rebased solve that ends
     without a verdict is retried once from ``load``; a node still
     without one, or whose basis the refactor finds singular, is solved
-    cold.  The root is solved cold, or, when it stores a start basis,
-    by ``load`` into a new working tableau like any node whose parent
-    the tableau does not hold.
+    cold.  A node whose stored basis meets no tableau, or a cold one
+    (the root's start, or any node after a cold solve that did not
+    branch), gets a new tableau built at that basis: no cold tableau is
+    filled for it.  The root is solved cold unless it stores a start
+    basis.
     """
 
     def __init__(self, arrs: _Arrays):
         self.arrs = arrs
-        self.lp = None       # _Simplex over structural and slack columns
+        self.lp = None       # _Simplex, cold or over structural and slack columns
         self.holds = None    # id of the node whose optimal basis lp holds
         self.warm = False    # lp comes out of a warm solve, not a cold one
 
     def solve(self, node, nid):
         res, spent = None, 0
         if node.basis is not None:
-            if self.lp is None:   # the root's start, or basis_of_last dropped it
-                self.lp = self.arrs.simplex(node.lo, node.hi)
-            lp = self.lp
-            lp.iters = 0
-            fresh = lp.since_refactor < _REFACTOR_PERIOD
             stored = (node.basis, node.status, node.lo, node.hi)
-            if node.parent == self.holds and fresh:
-                lp.set_bounds(node.lo, node.hi)
-                res = lp.reoptimize()
-            # a warm tableau has no artificials: basis_of_last dropped them
-            elif self.warm and fresh and lp.rebase(*stored):
-                res = lp.reoptimize()
-            # a failed rebase, or a warm solve that ended without a verdict,
-            # starts again from the refactored stored basis
-            if res is None and lp.load(*stored):
-                res = lp.reoptimize()
-            spent = lp.iters
+            if self.lp is None or self.lp.n_art:
+                self.lp = None   # release a cold tableau before building another
+                self.lp = self.arrs.simplex(node.lo, node.hi, stored[:2])
+                if self.lp is not None:
+                    res = self.lp.reoptimize()
+            else:
+                lp = self.lp
+                lp.iters = 0
+                fresh = lp.since_refactor < _REFACTOR_PERIOD
+                if node.parent == self.holds and fresh:
+                    lp.set_bounds(node.lo, node.hi)
+                    res = lp.reoptimize()
+                elif self.warm and fresh and lp.rebase(*stored):
+                    res = lp.reoptimize()
+                # a failed rebase, or a warm solve that ended without a
+                # verdict, starts again from the refactored stored basis
+                if res is None and lp.load(*stored):
+                    res = lp.reoptimize()
+            spent = 0 if self.lp is None else self.lp.iters
         self.warm = res is not None
         if res is None:
             res = self._cold(node)
@@ -1287,14 +1339,21 @@ class _NodeLp:
         return self.lp.solve()
 
     def basis_of_last(self):
-        """The working tableau's basis and statuses, to store in children;
-        (None, None) when the tableau cannot be narrowed to them."""
+        """The working tableau's basis and statuses over structurals and
+        slacks, to store in children.  A cold tableau gives way to one
+        built at that basis and refactored, which the first child then
+        re-optimizes in place; (None, None) when the refactor finds the
+        basis singular."""
+        basis, status = self.lp.narrowed()
         if self.lp.n_art:
-            self.lp.drop_artificials()
-            if self.lp.refactor() is None:
-                self.lp = self.holds = None
+            n = self.arrs.n_struct
+            lo, hi = self.lp.lo[:n], self.lp.hi[:n]
+            self.lp = None   # release the cold tableau before building another
+            self.lp = self.arrs.simplex(lo, hi, (basis, status))
+            if self.lp is None:
+                self.holds = None
                 return None, None
-        return self.lp.basis.astype(np.int32), self.lp.status.copy()
+        return basis, status
 
 
 def solve_milp(model: MilpModel, options: MilpOptions | None = None,
@@ -1398,8 +1457,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
         if res.status != OPTIMAL:
             continue
         if nid == 0:
-            basis, status = node_lp.basis_of_last()
-            root_basis = (basis, status) if basis is not None else None
+            root_basis = node_lp.lp.narrowed()
             point = None if root_point is None else root_point(res.x[:n].copy())
             if point is not None and arrs.admits(point, root_lo, root_hi, bin_ids, sos_sets):
                 incumbent_x = np.asarray(point, dtype=float)
@@ -1442,8 +1500,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
                 lo_c[zero_ids] = 0.0
                 hi_c[zero_ids] = 0.0
                 bounds.append((lo_c, hi_c))
-        if nid != 0:   # the root's basis was taken above
-            basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
+        basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
         key = np.floor(res.objective / GAP)
         for lo_c, hi_c in bounds:
             heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,

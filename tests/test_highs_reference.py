@@ -70,7 +70,8 @@ def stage_solves(scenario, encoding, monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("scenario", ["feeder13-highpv", "feeder40-highpv"])
+@pytest.mark.parametrize("scenario", ["feeder13-highpv", "feeder40-highpv", "tiny-2bus",
+                                      "feeder13-extreme", "feeder13-bench"])
 def test_stages_match_highs(scenario, monkeypatch):
     """Every stage of a round, in both encodings, reaches the optimum
     HiGHS proves on the Big-M stage model."""

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 from unittest import mock
 
@@ -663,6 +664,15 @@ class TestWarmSearch:
         else:
             assert sol.gap == np.inf
 
+    @pytest.mark.parametrize("limit", [None, 0, -3, 2.5, True, "60"])
+    def test_node_limit_must_be_a_positive_int(self, limit):
+        """A node limit that is not an int of at least 1 is refused when
+        the options are made, and cannot be set on them afterwards."""
+        with pytest.raises(ValueError, match="node_limit"):
+            milp.MilpOptions(node_limit=limit)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            milp.MilpOptions(node_limit=1).node_limit = limit
+
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(oracle_milps(), st.sampled_from([1, 2, 3, 5]))
     def test_node_limit_bound_is_valid(self, model, node_limit):
@@ -697,8 +707,8 @@ class TestWarmSearch:
             assert np.all(np.diff(lp.nb) > 0)   # renumbered in variable order
             # narrowed: T = B^-1 [A | I] on the nonbasic columns, with B^-1
             # read from the slack columns; the basic values stay
-            lp.drop_artificials()
-            assert lp.refactor() is not None
+            lp = narrowed(arrs, lp)
+            assert lp is not None
             assert lp.T.shape == (arrs.m, arrs.n_struct)
             binv = lp._binv_rows(np.arange(arrs.m))
             full = np.hstack([arrs.A, np.eye(arrs.m)])
@@ -719,8 +729,8 @@ class TestWarmSearch:
         lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
         lp.solve()
         check_condensed(lp)
-        lp.drop_artificials()
-        if lp.refactor() is None:
+        lp = narrowed(arrs, lp)
+        if lp is None:
             return
         check_condensed(lp)
         basis, status = lp.basis.copy(), lp.status.copy()
@@ -753,8 +763,8 @@ class TestWarmSearch:
         lp._binv_row_norms(rows)   # every row cached before the first pivot
         lp.solve()
         check_norms_exact(lp)
-        lp.drop_artificials()
-        if lp.refactor() is None:
+        lp = narrowed(arrs, lp)
+        if lp is None:
             return
         check_norms_exact(lp)
         basis, status = lp.basis.copy(), lp.status.copy()
@@ -791,8 +801,8 @@ class TestWarmSearch:
             return
         lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
         lp.solve()
-        lp.drop_artificials()
-        if lp.refactor() is None:
+        lp = narrowed(arrs, lp)
+        if lp is None:
             return
         n = arrs.n_struct
         lo, hi = arrs.lo[:n].copy(), arrs.hi[:n].copy()
@@ -873,6 +883,49 @@ class TestWarmSearch:
         if np.linalg.matrix_rank(full_matrix(arrs)[:, shuffled]) < m:
             assert cold
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_start_tableau_is_built_from_its_basis(self, model):
+        """A start's tableau is built at its basis, with no cold tableau
+        and no artificial columns made first, and it is bit for bit the
+        tableau that a cold one gives once its artificials are dropped and
+        the start is loaded into it.  The start is the root basis under
+        the negated objective."""
+        sol = milp.solve_milp(model)
+        if sol.root_basis is None:
+            return
+        flipped = copy.deepcopy(model)
+        flipped.set_objective(milp.MAX if model.objective_sense == milp.MIN else milp.MIN,
+                              model.objective)
+        arrs = milp._Arrays(flipped)
+        lo, hi, _ = arrs.root_box(np.array(model.binary_ids, dtype=int))
+        basis, status = arrs.start_basis(sol.root_basis)
+        reference = cold_then_load(arrs, lo, hi, basis, status)
+        events = []   # None for each cold tableau made, then the start's tableau
+        init, reoptimize = milp._Simplex.__init__, milp._Simplex.reoptimize
+
+        def logged_init(self, *args):
+            if len(args) == 6 or args[6] is None:
+                events.append(None)
+            init(self, *args)
+
+        def logged_reoptimize(self):
+            events.append({name: getattr(self, name).copy()
+                           for name in ("T", "xB", "nb", "pos", "status", "xval")})
+            return reoptimize(self)
+
+        with mock.patch.object(milp._Simplex, "__init__", logged_init), \
+                mock.patch.object(milp._Simplex, "reoptimize", logged_reoptimize):
+            milp.solve_milp(flipped, milp.MilpOptions(node_limit=1), start=sol.root_basis)
+        if reference is None:   # singular: the root goes cold
+            assert events[0] is None
+            return
+        start = events[0]
+        assert start is not None and start["T"].shape == (arrs.m, arrs.n_struct)
+        for name in ("T", "xB", "nb", "pos", "status"):
+            assert np.array_equal(start[name], getattr(reference, name)), name
+        assert np.array_equal(start["xval"][start["nb"]], reference.xval[reference.nb])
+
     def test_start_that_goes_cold_counts_every_pivot(self):
         """A start root whose warm solve ends without a verdict is solved
         cold, and ``simplex_iterations`` counts the warm pivots as well as
@@ -910,6 +963,28 @@ class TestWarmSearch:
         assert out.node_count == 1 and len(warm) == 1 and len(cold_pivots) == 1
         assert warm[0] > 0 and cold_pivots[0] > 0
         assert out.simplex_iterations == warm[0] + cold_pivots[0]
+
+
+def cold_then_load(arrs, lo, hi, basis, status):
+    """A start's tableau made the way a start used to make it: a cold
+    tableau, its artificial columns dropped (T keeps its buffer), then
+    ``load``; None when the start is singular."""
+    lp = arrs.simplex(lo, hi)
+    m, n, n_tot = lp.m, arrs.n_struct, lp.n_tot
+    lp.status, lp.lo, lp.hi, lp.xval = (a[:n_tot].copy()
+                                        for a in (lp.status, lp.lo, lp.hi, lp.xval))
+    lp.T = lp.T.reshape(-1)[:m * n].reshape(m, n)
+    lp.nb, lp.pos = np.empty(n, dtype=np.intp), np.full(n_tot, -1)
+    lp.N, lp.n_art, lp.art_rows, lp.art_signs = n_tot, 0, lp.art_rows[:0], lp.art_signs[:0]
+    return lp if lp.load(basis, status, lo, hi) else None
+
+
+def narrowed(arrs, lp):
+    """The tableau a cold ``lp`` gives way to when its node branches
+    (``_NodeLp.basis_of_last``): built at its basis over structurals and
+    slacks and refactored; None when that basis is singular."""
+    n = arrs.n_struct
+    return arrs.simplex(lp.lo[:n], lp.hi[:n], lp.narrowed())
 
 
 def check_start(model, start):
@@ -1263,6 +1338,50 @@ class TestRootPoint:
             objective = sum(c * calls[0][j] for j, c in model.objective.items())
             assert objective + model.objective_const == pytest.approx(root.best_bound,
                                                                       abs=1e-9)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_cold_root_refactors_only_to_branch(self, model):
+        """With a root point at ``brute_force``'s optimum, a cold root
+        that closes never refactors, and one that branches refactors once,
+        before its first child, when its tableau has artificial columns
+        to drop (else its children re-optimize in it as it is).  Either
+        way ``root_basis`` is the cold root's basis narrowed to
+        structurals and slacks: each basic artificial gives way to its
+        row's slack."""
+        bf = milp.brute_force(model)
+        if bf.status != milp.OPTIMAL:
+            return
+        events = []
+        refactor, solve = milp._Simplex.refactor, milp._NodeLp.solve
+
+        def logged_refactor(self):
+            events.append("refactor")
+            return refactor(self)
+
+        def logged_solve(self, node, nid):
+            events.append(nid)
+            return solve(self, node, nid)
+
+        with mock.patch.object(milp._Simplex, "refactor", logged_refactor), \
+                mock.patch.object(milp._NodeLp, "solve", logged_solve):
+            sol = milp.solve_milp(model, root_point=lambda x: bf.x.copy())
+        arrs = milp._Arrays(model)
+        lo, hi, _ = arrs.root_box(np.array(model.binary_ids, dtype=int))
+        cold = arrs.simplex(lo, hi)
+        assert cold.solve().status == milp.OPTIMAL
+        solves = [i for i, e in enumerate(events) if e != "refactor"]
+        root_refactors = (solves[1] if len(solves) > 1 else len(events)) - 1
+        assert events[0] == 0
+        assert root_refactors == (sol.node_count > 1 and cold.n_art > 0)
+        basis = cold.basis.copy()
+        art = basis >= cold.n_tot
+        basis[art] = arrs.n_struct + cold.art_rows[basis[art] - cold.n_tot]
+        status = cold.status[:cold.n_tot].copy()
+        status[basis] = milp._BASIC
+        got_basis, got_status = sol.root_basis
+        assert got_basis.dtype == np.int32 and np.array_equal(got_basis, basis)
+        assert got_status.dtype == np.int8 and np.array_equal(got_status, status)
 
 
 FORM_ARRAYS = ("rows", "r", "j", "vals", "b", "lo", "hi")
