@@ -15,7 +15,17 @@ ZIP loads are linearized in Y; their constant part moves to the right
 hand side and their Y-proportional part forms the load-coupling matrix
 K.  A backward/forward sweep on the full nonlinear equations (ZIP
 evaluated at actual |V|) provides the validation oracle and the field
-simulator plant.
+simulator plant.  It runs in matrix form, over three arrays that each
+``FeederModel`` builds once: the per-phase subtree matrix, the
+block-diagonal line impedance and each node's substation voltage (see
+``bfm_oracle``).  The oracle and ``lindist_voltages`` take one finite
+injection per node and raise ``ValidationError`` on anything else.
+
+Solves: the blocks built once per feeder (``build_equivalents``,
+``build_K``, ``partition_blocks``, ``observable_matrices``) go through
+``numkit.solve_linear``, whose last bits the stage models keep; the
+dispatch-time ``lindist_voltages`` and ``line_flows`` go through
+LAPACK (``numkit.solve``).
 
 Bus-phases are flattened in file order with phases a, b, c inside each
 bus; missing phases are dropped (no zero padding).  All matrices are
@@ -227,6 +237,27 @@ class FeederModel:
             if nid not in self.node_ids:
                 raise ValidationError(f"observable id {nid} is not a bus-phase")
 
+        # the sweep's arrays (bfm_oracle): subtree[a, b] = 1 when node b lies at
+        # or below node a on its phase; z_line holds each node's upstream line
+        # impedance, block-diagonal in node order; v_sub is the substation
+        # voltage of each node's phase
+        n = self.n_nodes
+        self.subtree = np.zeros((n, n))
+        self.z_line = np.zeros((n, n), dtype=complex)
+        for ol in self.oriented:
+            idx = [self.node_index[(ol.down, p)] for p in ol.phases]
+            self.z_line[np.ix_(idx, idx)] = ol.z
+        for bus in order[1:]:   # parents first: a node's ancestors are its parent's
+            up = parent[bus][0]
+            for p in self.bus_phases[bus]:
+                k = self.node_index[(bus, p)]
+                if up != sub:
+                    self.subtree[:, k] = self.subtree[:, self.node_index[(up, p)]]
+                self.subtree[k, k] = 1.0
+        self.v_sub = np.array([math.sqrt(self.y0_sub[p]) * np.exp(1j * _PHASE_ANGLE[p])
+                               for _, p in self.nodes], dtype=complex)
+        self.sub_fed = np.array([parent[bus][0] == sub for bus, _ in self.nodes], dtype=bool)
+
     # -- convenience ----------------------------------------------------------
 
     def node_of(self, bus, phase) -> int:
@@ -404,11 +435,29 @@ def build_blocks(model: FeederModel) -> SensitivityBlocks:
         p_coef=model.p0 * coef, q_coef=model.q0 * coef)
 
 
+def _per_node(values, n, name):
+    """``values`` as a float array of one finite value per node; anything
+    else (a scalar, a wrong length, NaN or inf) raises ``ValidationError``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not numeric: {exc}") from exc
+    if arr.shape != (n,):
+        raise ValidationError(f"{name} has shape {arr.shape}, expected one value per node ({n},)")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} holds a value that is not finite")
+    return arr
+
+
 def lindist_voltages(blocks: SensitivityBlocks, p_g, q_g):
-    """Solve K Y = Y0 + Req (P_G - P_load) + Xeq (Q_G - Q_load) for Y (pu^2)."""
-    rhs = (blocks.y0 + blocks.req @ (np.asarray(p_g, float) - blocks.p_const)
-           + blocks.xeq @ (np.asarray(q_g, float) - blocks.q_const))
-    return numkit.solve_linear(blocks.k, rhs)
+    """Solve K Y = Y0 + Req (P_G - P_load) + Xeq (Q_G - Q_load) for Y (pu^2).
+
+    ``p_g`` and ``q_g`` must hold one finite value per node, else
+    ``ValidationError``."""
+    n = blocks.y0.size
+    rhs = (blocks.y0 + blocks.req @ (_per_node(p_g, n, "p_g") - blocks.p_const)
+           + blocks.xeq @ (_per_node(q_g, n, "q_g") - blocks.q_const))
+    return numkit.solve(blocks.k, rhs)
 
 
 def voltage_from_Y(y, y0):
@@ -426,8 +475,8 @@ def net_injections(blocks: SensitivityBlocks, y, p_g, q_g):
 def line_flows(blocks: SensitivityBlocks, y, p_g, q_g):
     """Lossless line-phase flows: M P_tl = net injections."""
     p_net, q_net = net_injections(blocks, y, p_g, q_g)
-    p_tl = numkit.solve_linear(blocks.m, p_net)
-    q_tl = numkit.solve_linear(blocks.m, q_net)
+    p_tl = numkit.solve(blocks.m, p_net)
+    q_tl = numkit.solve(blocks.m, q_net)
     return p_tl, q_tl
 
 
@@ -453,75 +502,34 @@ def bfm_oracle(model: FeederModel, p_g, q_g, tol: float = 1e-8) -> BfmResult:
     """Fixed-point backward/forward sweep on the nonlinear branch-flow model.
 
     ZIP loads are evaluated at the actual voltage magnitude each sweep;
-    losses are fully represented.  Raises :class:`NoConvergence` when the
-    maximum voltage update stays above ``tol`` after ``BFM_MAX_SWEEPS``.
+    losses are fully represented.  One sweep is two products with the
+    arrays ``FeederModel`` builds once: the backward sweep gives each
+    node's upstream line current as I = -D i_inj, with D the per-phase
+    subtree matrix (``subtree``) and i_inj the nodal injection currents;
+    the forward sweep gives v = v_sub - D^T (Z I), with Z the
+    block-diagonal line impedance (``z_line``).  It has converged once the
+    largest voltage update falls below ``tol``; a NaN update never does.
+    ``p_g`` and ``q_g`` (pu) must hold one finite value per node, else
+    ``ValidationError``.  Raises :class:`NoConvergence` after
+    ``BFM_MAX_SWEEPS`` sweeps.
     """
-    p_g = np.asarray(p_g, dtype=float)
-    q_g = np.asarray(q_g, dtype=float)
-    sub = model.substation_bus
-    sub_phases = model.bus_phases[sub]
-    vs = {p: math.sqrt(model.y0_sub[p]) * np.exp(1j * _PHASE_ANGLE[p])
-          for p in sub_phases}
-
-    v = np.array([math.sqrt(model.y0_sub[p]) * np.exp(1j * _PHASE_ANGLE[p])
-                  for _, p in model.nodes], dtype=complex)
-    s0 = model.p0 + 1j * model.q0
-
-    children: dict[str, list[OrientedLine]] = {b.bus_id: [] for b in model.buses}
-    parent_line: dict[str, OrientedLine] = {}
-    for ol in model.oriented:
-        children[ol.up].append(ol)
-        parent_line[ol.down] = ol
-    order = model.bus_order  # BFS order; reversed it visits leaves first
-    node_slice = {}
-    for b in model.buses:
-        if b.bus_id == sub:
-            continue
-        node_slice[b.bus_id] = np.array(
-            [model.node_of(b.bus_id, p) for p in model.bus_phases[b.bus_id]], dtype=int)
-
-    line_current: dict[int, np.ndarray] = {}
+    n = model.n_nodes
+    s_gen = _per_node(p_g, n, "p_g") + 1j * _per_node(q_g, n, "q_g")
+    s_load = model.p0 + 1j * model.q0
+    d, z, v_sub = model.subtree, model.z_line, model.v_sub
+    v = v_sub.copy()
     for sweep in range(1, BFM_MAX_SWEEPS + 1):
         vmag = np.abs(v)
         zip_mult = model.a0v + model.a1v * vmag ** 2 + model.a2v * vmag
-        s_net = (p_g + 1j * q_g) - s0 * zip_mult
-        i_inj = np.conj(s_net / v)
-
-        # backward: accumulate line currents from the leaves
-        for bus in reversed(order):
-            if bus == sub:
-                continue
-            nodes = node_slice[bus]
-            cur = -i_inj[nodes].copy()
-            ph = model.bus_phases[bus]
-            for child in children[bus]:
-                child_cur = line_current[child.index]
-                for k, p in enumerate(child.phases):
-                    cur[ph.index(p)] += child_cur[k]
-            line_current[parent_line[bus].index] = cur
-
-        # forward: propagate voltages from the substation
-        max_dv = 0.0
-        for ol in model.oriented:
-            if ol.up == sub:
-                v_up = np.array([vs[p] for p in ol.phases])
-            else:
-                up_nodes = node_slice[ol.up]
-                up_ph = model.bus_phases[ol.up]
-                v_up = np.array([v[up_nodes[up_ph.index(p)]] for p in ol.phases])
-            v_new = v_up - ol.z @ line_current[ol.index]
-            nodes = node_slice[ol.down]
-            max_dv = max(max_dv, float(np.max(np.abs(v_new - v[nodes]))))
-            v[nodes] = v_new
+        i_inj = np.conj((s_gen - s_load * zip_mult) / v)
+        current = -(d @ i_inj)
+        v_new = v_sub - d.T @ (z @ current)
+        max_dv = float(np.max(np.abs(v_new - v), initial=0.0))
+        v = v_new
         if max_dv < tol:
-            s_phase = {}
-            for ol in model.oriented:
-                if ol.up != sub:
-                    continue
-                for k, p in enumerate(ol.phases):
-                    s_phase[p] = s_phase.get(p, 0.0) + vs[p] * np.conj(line_current[ol.index][k])
-            total = complex(sum(s_phase.values()))
-            return BfmResult(v.copy(), np.abs(v), total, sweep)
+            fed = model.sub_fed
+            s_sub = complex(np.sum(v_sub[fed] * np.conj(current[fed])))
+            return BfmResult(v, np.abs(v), s_sub, sweep)
     raise NoConvergence(f"backward/forward sweep above {tol} after {BFM_MAX_SWEEPS} sweeps")
 
 

@@ -123,7 +123,15 @@ that pivots only on the rows the branch made primal infeasible.
   so B^-1 needs only an LU of the block of basic structural columns on
   the rows no basic unit column covers (at most n_struct square).  The
   refactor renumbers the nonbasic columns in variable order and rebuilds
-  them in place, a few at a time.  It runs after every
+  them in place, ``_REFACTOR_BLOCK`` (64) at a time.  The LU's block,
+  the unit rows' block and each block of columns are scattered from the
+  nonzeros of their columns, which the kept form holds sorted by column
+  (``_LpForm.by_col``), with the LU's rows first and then the rows under
+  the basic unit columns.  Dense gathers of A cost about a third of each
+  refactor.  LAPACK's results depend on where a column sits in its
+  block, so the block split and the arrays passed to ``dgetrf``,
+  ``dgetrs`` and the product with the unit rows are the gathers', bit
+  for bit, in values, shape and layout.  It runs after every
   ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike,
   when a tableau is built from a stored basis (a start, a node that
   meets no warm tableau, a cold node that branches), and when a node is
@@ -464,8 +472,9 @@ class _LpForm:
     rows kept, ascending; ``r``, ``j`` and ``vals`` their nonzeros, with
     repeated entries summed and ``r`` counting kept rows; ``b`` their
     right-hand sides; ``lo`` and ``hi`` the bounds of the structurals,
-    then of each kept row's slack, which carry its sense.  Every array
-    is read-only."""
+    then of each kept row's slack, which carry its sense.  ``by_col``
+    holds the nonzeros again as (r, j, vals) sorted by column, rows
+    ascending within one, for the refactor.  Every array is read-only."""
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
@@ -493,6 +502,8 @@ class _LpForm:
         self.rows = _read_only(ids[keep])
         self.r = _read_only((np.cumsum(keep) - 1)[r[nz]])
         self.j, self.vals = _read_only(j[nz]), _read_only(vals[nz])
+        order = np.argsort(self.j, kind="stable")
+        self.by_col = tuple(_read_only(a[order]) for a in (self.r, self.j, self.vals))
         self.b = _read_only(b)
         self.lo = _read_only(np.concatenate([lo_s, np.where(sense == GE, -np.inf, 0.0)]))
         self.hi = _read_only(np.concatenate([hi_s, np.where(sense == LE, np.inf, 0.0)]))
@@ -543,7 +554,7 @@ class _Arrays:
         for vid, coef in model.objective.items():
             c[vid] = sign * coef
         self.rows, self.trivially_infeasible = form.rows, form.trivially_infeasible
-        self.nonzeros = (form.r, form.j, form.vals)
+        self.nonzeros, self.by_col = (form.r, form.j, form.vals), form.by_col
         self.A, self.b, self.lo, self.hi, self.c = A, form.b, form.lo, form.hi, c
         self.n_struct, self.m = n, m
         self.iter_cap = ITER_FACTOR * (m + n)
@@ -580,7 +591,7 @@ class _Arrays:
         built at a stored (basis, status) over structurals and slacks and
         refactored; None when that basis is singular."""
         n = self.n_struct
-        lp = _Simplex(self.A, self.b, np.concatenate([lo, self.lo[n:]]),
+        lp = _Simplex(self.A, self.by_col, self.b, np.concatenate([lo, self.lo[n:]]),
                       np.concatenate([hi, self.hi[n:]]), self.c, self.iter_cap, stored)
         if stored is not None and lp.refactor() is None:
             return None
@@ -678,13 +689,15 @@ class _Simplex:
     them; no cold tableau is made for it.  A pivot
     is a Jordan exchange: the leaving variable takes the entering one's
     column.  Pricing and ratio-test ties go to the lowest variable id, as
-    they would in a tableau stored in variable order.
+    they would in a tableau stored in variable order.  ``by_col`` is A's
+    nonzeros sorted by column (``_LpForm.by_col``), which ``refactor``
+    reads.
     """
 
-    def __init__(self, A, b, lo, hi, c, iter_cap, stored=None):
+    def __init__(self, A, by_col, b, lo, hi, c, iter_cap, stored=None):
         self.m, n = A.shape
         self.n_tot = n + self.m
-        self.A, self.b = A, b
+        self.A, self.by_col, self.b = A, by_col, b
         self.c_user = c
         self.iter_cap = iter_cap
         self.iters = 0
@@ -772,11 +785,14 @@ class _Simplex:
 
         With S the basic structurals and R the rows that no basic unit
         (slack or artificial) column covers, B^-1 M needs only an LU of
-        A[R, S]: the S rows solve against it, and each unit row then
+        A[R, S]: the S rows solve against it, and each unit row U then
         follows by substitution.  The nonbasic columns are renumbered in
-        variable order and rebuilt a block at a time.  Returns the
-        renumbering (new column k held old column ``perm[k]``), or None,
-        leaving T and x_B as they were, when A[R, S] is singular.
+        variable order and rebuilt a block at a time.  A[R, S], A[U, S]
+        and each block's R and U rows are scattered from the nonzeros of
+        their columns (``by_col``), never gathered from the dense A.
+        Returns the renumbering (new column k held old column
+        ``perm[k]``), or None, leaving T and x_B as they were, when
+        A[R, S] is singular.
         """
         self.since_refactor = 0
         self.norm_stale[:] = True
@@ -793,42 +809,66 @@ class _Simplex:
         uncovered = np.ones(m, dtype=bool)
         uncovered[u_rows] = False
         rows_r = np.flatnonzero(uncovered)
-        if rows_r.size != pos_s.size:
+        n_r = rows_r.size
+        if n_r != pos_s.size:
             return None   # two unit columns on one row
-        cols_s = basis[pos_s]
+        # every row's slot in a right-hand side: the R rows first, in order,
+        # then the U rows in basis order
+        slot = np.empty(m, dtype=np.intp)
+        slot[rows_r] = np.arange(n_r)
+        slot[u_rows] = np.arange(n_r, m)
+        r_c, j_c, v_c = self.by_col
+        # A[R, S] and A[U, S], scattered from the S columns' nonzeros
+        col_s = np.full(n, -1)
+        col_s[basis[pos_s]] = np.arange(n_r)
+        k_c = col_s[j_c]
+        kept = k_c >= 0
+        a_s = np.zeros((m, n_r))
+        a_s[slot[r_c[kept]], k_c[kept]] = v_c[kept]
+        a_us = a_s[n_r:]
         lu = None
-        if pos_s.size:
+        if n_r:
             # an exactly singular block leaves a zero on U's diagonal
-            lu, piv, _ = dgetrf(self.A[np.ix_(rows_r, cols_s)], overwrite_a=1)
+            lu, piv, _ = dgetrf(a_s[:n_r], overwrite_a=1)
             diag = np.abs(np.diag(lu))
             if not diag.min() > 1e-11 * diag.max():
                 return None
-        a_us = self.A[np.ix_(u_rows, cols_s)]
 
-        def binv(rhs):
-            out = np.empty_like(rhs)
-            y_s = rhs[rows_r]
-            if lu is not None:
-                y_s = dgetrs(lu, piv, y_s, overwrite_b=1)[0]
-            out[pos_s] = y_s
-            out[pos_u] = u_sign * (rhs[u_rows] - a_us @ y_s)
-            return out
+        def binv(rhs_r, rhs_u):
+            """B^-1 rhs on the S and the U basis positions, from the R and
+            the U rows of rhs."""
+            y_s = rhs_r if lu is None else dgetrs(lu, piv, rhs_r, overwrite_b=1)[0]
+            return y_s, u_sign * (rhs_u - a_us @ y_s)
 
         nonbasic = np.flatnonzero(self.status != _BASIC)
         perm = self.pos[nonbasic]
-        for c0 in range(0, nonbasic.size, _REFACTOR_BLOCK):
-            cols = nonbasic[c0:c0 + _REFACTOR_BLOCK]
-            block = np.zeros((m, cols.size))
-            struct = cols < n
-            block[:, struct] = self.A[:, cols[struct]]
-            k = cols[~struct] - n
-            block[unit_rows[k], np.flatnonzero(~struct)] = unit_signs[k]
-            self.T[:, c0:c0 + cols.size] = binv(block)
+        # every entry of the nonbasic columns in new-column order: the
+        # structurals' nonzeros, then the unit columns, whose ids come later
+        new_col = np.full(self.N, -1)
+        new_col[nonbasic] = np.arange(nonbasic.size)
+        k_c = new_col[j_c]
+        kept = k_c >= 0
+        units = nonbasic[nonbasic >= n]
+        ent_col = np.concatenate([k_c[kept], new_col[units]])
+        ent_row = slot[np.concatenate([r_c[kept], unit_rows[units - n]])]
+        ent_val = np.concatenate([v_c[kept], unit_signs[units - n]])
+        starts = np.searchsorted(ent_col, np.arange(0, nonbasic.size, _REFACTOR_BLOCK))
+        ends = np.append(starts[1:], ent_col.size)
+        for c0, e0, e1 in zip(range(0, nonbasic.size, _REFACTOR_BLOCK), starts, ends):
+            width = min(_REFACTOR_BLOCK, nonbasic.size - c0)
+            block = np.zeros((m, width))
+            block[ent_row[e0:e1], ent_col[e0:e1] - c0] = ent_val[e0:e1]
+            y_s, y_u = binv(block[:n_r], block[n_r:])
+            self.T[pos_s, c0:c0 + width] = y_s
+            self.T[pos_u, c0:c0 + width] = y_u
         self.nb[:] = nonbasic
         self.pos.fill(-1)
         self.pos[nonbasic] = np.arange(nonbasic.size)
         x_nb = np.where(self.status != _BASIC, self.xval, 0.0)
-        self.xB = binv((self.b - self.A @ x_nb[:n] - x_nb[n:self.n_tot])[:, None])[:, 0]
+        rhs = (self.b - self.A @ x_nb[:n] - x_nb[n:self.n_tot])[:, None]
+        y_s, y_u = binv(rhs[rows_r], rhs[u_rows])
+        self.xB = np.empty(m)
+        self.xB[pos_s], self.xB[pos_u] = y_s[:, 0], y_u[:, 0]
         return perm
 
     def narrowed(self):
@@ -1257,7 +1297,8 @@ def solve_lp(model: MilpModel) -> MilpSolution:
     arrs = _Arrays(model)
     if arrs.trivially_infeasible:
         return arrs.solution(INFEASIBLE, None, None, np.inf)
-    res = _Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, arrs.iter_cap).solve()
+    res = _Simplex(arrs.A, arrs.by_col, arrs.b, arrs.lo, arrs.hi, arrs.c,
+                   arrs.iter_cap).solve()
     if res.status != OPTIMAL:
         bound = {INFEASIBLE: np.inf, UNBOUNDED: -np.inf}.get(res.status, np.nan)
         return arrs.solution(res.status, None, None, bound, 0, res.iterations)

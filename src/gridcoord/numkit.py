@@ -4,33 +4,77 @@ Matrices are plain ``numpy.ndarray`` in row-major order; vectors are
 1-D arrays (treated as single-column matrices where it matters).  The
 systems in this package are at most a few hundred rows, so everything
 is dense and direct.
+
+Two solves share one rule: a pivot whose magnitude falls below
+``PIVOT_TOL`` (an exact zero included) raises :class:`SingularMatrix`.
+
+- ``solve`` factors through LAPACK (``dgetrf``/``dgetrs``).  It serves
+  the solves made at dispatch time, whose results reach no stage model:
+  the TSO's Newton steps and V-Q sensitivities, and the feeder's
+  linearized voltages and line flows.
+- ``solve_linear`` is an LU with partial pivoting written as a Python
+  loop.  It serves every solve made while a dispatch context is built
+  (``feeder.build_equivalents``, ``build_K``, ``partition_blocks``,
+  ``observable_matrices`` and ``dso_dispatch.sensitivity_weights``),
+  because the stage models' coefficients come from it and the branch
+  and bound turns on their last bits.  Swapping those solves to LAPACK
+  too moved those bits: the feeder13-highpv bench round then took 366
+  LP pivots instead of 277, and a stage1-budget pass 385 ms instead of
+  240 ms (one BLAS thread).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularMatrix
 
 PIVOT_TOL = 1e-12
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU factorization with partial pivoting.
+def _system(a, b):
+    """``a`` and ``b`` as float arrays, checked to be a square system."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
+        raise ValueError("right-hand side rows do not match matrix order")
+    return a, b
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` through LAPACK's LU with partial pivoting.
 
     ``a`` must be square; ``b`` may be a vector or a matrix of right-hand
     sides.  Raises :class:`SingularMatrix` when any pivot magnitude falls
     below ``PIVOT_TOL``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
+    a, b = _system(a, b)
+    if a.size == 0:
+        return b.copy()
+    lu, piv, _ = dgetrf(a)
+    pivots = np.abs(np.diag(lu))
+    low = np.flatnonzero(pivots < PIVOT_TOL)
+    if low.size:
+        k = int(low[0])
+        raise SingularMatrix(f"pivot {pivots[k]:.3e} below {PIVOT_TOL:g} at column {k}")
+    return dgetrs(lu, piv, b)[0]
+
+
+def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` by LU factorization with partial pivoting,
+    written as a loop (see the module docstring for which solves use it).
+
+    ``a`` must be square; ``b`` may be a vector or a matrix of right-hand
+    sides.  Raises :class:`SingularMatrix` when any pivot magnitude falls
+    below ``PIVOT_TOL``.
+    """
+    a, b = _system(a, b)
     n = a.shape[0]
     vector_rhs = b.ndim == 1
-    rhs = b.reshape(n, -1).copy() if not vector_rhs else b.reshape(n, 1).copy()
-    if rhs.shape[0] != n:
-        raise ValueError("right-hand side rows do not match matrix order")
+    rhs = b.reshape(n, 1).copy() if vector_rhs else b.copy()
 
     lu = a.copy()
     perm = np.arange(n)
@@ -53,4 +97,3 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if k:
             x[:k] -= np.outer(lu[:k, k], x[k])
     return x[:, 0] if vector_rhs else x
-

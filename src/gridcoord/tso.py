@@ -277,7 +277,7 @@ def newton_powerflow(case: TransmissionCase, q_inject: dict | None = None,
         if worst < tol:
             return PowerFlowResult(vm.copy(), va.copy(), it - 1)
         try:
-            dx = numkit.solve_linear(_jacobian(case, Y, v, vm), -mism)
+            dx = numkit.solve(_jacobian(case, Y, v, vm), -mism)
         except SingularMatrix as exc:
             raise SingularJacobian(f"Jacobian singular at iteration {it}") from exc
         va[pvpq] += dx[:len(pvpq)]
@@ -310,7 +310,7 @@ def vq_sensitivity(case: TransmissionCase, pf: PowerFlowResult) -> np.ndarray:
     for col, bus in enumerate(itf):
         rhs[len(pvpq) + pq_pos[bus], col] = 1.0
     try:
-        dx = numkit.solve_linear(J, rhs)
+        dx = numkit.solve(J, rhs)
     except SingularMatrix as exc:
         raise SingularJacobian("reduced Jacobian singular") from exc
     dvm = np.zeros((len(case.buses), len(itf)))

@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from gridcoord import feeder, numkit
-from gridcoord.errors import (InvalidPartition, ParseError, ValidationError)
+from gridcoord import data, feeder, numkit
+from gridcoord import dso_dispatch as dd
+from gridcoord.errors import (InvalidPartition, NoConvergence, ParseError, ValidationError)
 
 from conftest import (three_bus_chain_dict, two_bus_dict,
                       unbalanced_four_bus_dict, z3)
@@ -293,6 +295,147 @@ class TestBfmOracle:
         r_cz = feeder.bfm_oracle(m_cz, np.zeros(1), np.zeros(1))
         assert r_cz.s_sub.real < r_cp.s_sub.real
         assert r_cz.v_mag[0] > r_cp.v_mag[0]
+
+
+def loop_bfm(model, p_g, q_g, tol=1e-8):
+    """The backward/forward sweep written bus by bus, as ``bfm_oracle``
+    ran it before its matrix form: (v, s_sub, sweeps)."""
+    sub = model.substation_bus
+    angle = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
+    vs = {p: math.sqrt(model.y0_sub[p]) * np.exp(1j * angle[p])
+          for p in model.bus_phases[sub]}
+    v = np.array([vs[p] for _, p in model.nodes], dtype=complex)
+    s0 = model.p0 + 1j * model.q0
+    children = {b.bus_id: [] for b in model.buses}
+    parent_line = {}
+    for ol in model.oriented:
+        children[ol.up].append(ol)
+        parent_line[ol.down] = ol
+    node_slice = {b.bus_id: np.array([model.node_of(b.bus_id, p)
+                                      for p in model.bus_phases[b.bus_id]], dtype=int)
+                  for b in model.buses if b.bus_id != sub}
+    line_current = {}
+    for sweep in range(1, feeder.BFM_MAX_SWEEPS + 1):
+        vmag = np.abs(v)
+        zip_mult = model.a0v + model.a1v * vmag ** 2 + model.a2v * vmag
+        i_inj = np.conj(((p_g + 1j * q_g) - s0 * zip_mult) / v)
+        for bus in reversed(model.bus_order):
+            if bus == sub:
+                continue
+            cur = -i_inj[node_slice[bus]].copy()
+            ph = model.bus_phases[bus]
+            for child in children[bus]:
+                for k, p in enumerate(child.phases):
+                    cur[ph.index(p)] += line_current[child.index][k]
+            line_current[parent_line[bus].index] = cur
+        max_dv = 0.0
+        for ol in model.oriented:
+            if ol.up == sub:
+                v_up = np.array([vs[p] for p in ol.phases])
+            else:
+                up_ph = model.bus_phases[ol.up]
+                v_up = np.array([v[node_slice[ol.up][up_ph.index(p)]] for p in ol.phases])
+            v_new = v_up - ol.z @ line_current[ol.index]
+            nodes = node_slice[ol.down]
+            max_dv = max(max_dv, float(np.max(np.abs(v_new - v[nodes]))))
+            v[nodes] = v_new
+        if max_dv < tol:
+            s_sub = sum(vs[p] * np.conj(line_current[ol.index][k])
+                        for ol in model.oriented if ol.up == sub
+                        for k, p in enumerate(ol.phases))
+            return v, complex(s_sub), sweep
+    raise AssertionError("loop sweep did not converge")
+
+
+def stage2b_injections(scenario):
+    """Per-node (p_g, q_g), pu, of the stage-2b dispatch at the envelope
+    midpoint of ``scenario`` (Big-M)."""
+    ctx = dd.make_context(data.load_scenario(scenario), encoding="bigm")
+    p_star, _ = dd.stage1_max_power(ctx)
+    (q_lo, q_hi), _, _ = dd.stage2a_aggregate(ctx, p_star)
+    r2b = dd.stage2b_disaggregate(ctx, p_star, 0.5 * (q_lo + q_hi))
+    p_g = np.zeros(ctx.model.n_nodes)
+    q_g = np.zeros(ctx.model.n_nodes)
+    for d, node in zip(r2b.per_der, ctx.model.der_nodes):
+        p_g[node] += d.p_kw / ctx.s_base
+        q_g[node] += d.q_kvar / ctx.s_base
+    return ctx.model, p_g, q_g
+
+
+class TestBfmMatrixForm:
+    """The matrix-form sweep against the bus-by-bus loop it replaced."""
+
+    @staticmethod
+    def assert_same(model, p_g, q_g):
+        res = feeder.bfm_oracle(model, p_g, q_g)
+        v, s_sub, sweeps = loop_bfm(model, p_g, q_g)
+        assert res.sweeps == sweeps
+        assert np.max(np.abs(res.v - v)) <= 1e-12
+        np.testing.assert_array_equal(res.v_mag, np.abs(res.v))
+        assert abs(res.s_sub - s_sub) <= 1e-12
+
+    @pytest.mark.parametrize("scenario", data.list_scenarios())
+    def test_zero_injection(self, scenario):
+        model = data.load_scenario(scenario).feeder
+        zeros = np.zeros(model.n_nodes)
+        self.assert_same(model, zeros, zeros)
+
+    @pytest.mark.parametrize("scenario", ["tiny-2bus", "feeder13-highpv", "feeder13-bench",
+                                          "feeder40-highpv"])
+    def test_stage2b_dispatch(self, scenario):
+        """Every bundled feeder file, under the dispatch its scenario's
+        stage 2b makes at the envelope midpoint."""
+        self.assert_same(*stage2b_injections(scenario))
+
+    def test_subtree_matrix(self, four_bus_model):
+        """subtree[a, b] = 1 exactly when b lies at or below a on a's phase."""
+        m = four_bus_model
+        below = {b.bus_id: {b.bus_id} for b in m.buses}
+        for bus in reversed(m.bus_order):
+            for ol in m.oriented:
+                if ol.up == bus:
+                    below[bus] |= below[ol.down]
+        for a, (bus_a, ph_a) in enumerate(m.nodes):
+            for b, (bus_b, ph_b) in enumerate(m.nodes):
+                assert m.subtree[a, b] == float(ph_a == ph_b and bus_b in below[bus_a])
+
+    def test_no_convergence_past_max_sweeps(self, monkeypatch):
+        m = feeder.load_feeder(two_bus_dict(z=0.05 + 0.1j, p_kw=300.0, q_kvar=100.0))
+        sweeps = feeder.bfm_oracle(m, np.zeros(1), np.zeros(1), tol=1e-12).sweeps
+        assert sweeps > 2
+        monkeypatch.setattr(feeder, "BFM_MAX_SWEEPS", sweeps)
+        assert feeder.bfm_oracle(m, np.zeros(1), np.zeros(1), tol=1e-12).sweeps == sweeps
+        monkeypatch.setattr(feeder, "BFM_MAX_SWEEPS", sweeps - 1)
+        with pytest.raises(NoConvergence):
+            feeder.bfm_oracle(m, np.zeros(1), np.zeros(1), tol=1e-12)
+
+
+class TestInjectionsChecked:
+    """``bfm_oracle`` and ``lindist_voltages`` take one finite value per
+    node.  Unchecked, a NaN or inf injection "converged" in one sweep with
+    every voltage NaN, a scalar was broadcast to every node, and a wrong
+    length raised a bare numpy ``ValueError``."""
+
+    @pytest.fixture(scope="class")
+    def highpv(self):
+        model = data.load_scenario("feeder13-highpv").feeder
+        return model, feeder.build_blocks(model)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "scalar", "short", "long", "matrix",
+                                     "text"])
+    @pytest.mark.parametrize("which", ["p_g", "q_g"])
+    @pytest.mark.parametrize("call", ["bfm_oracle", "lindist_voltages"])
+    def test_rejected(self, highpv, bad, which, call):
+        model, blocks = highpv
+        n = model.n_nodes
+        value = {"nan": np.where(np.arange(n) == 3, np.nan, 0.0),
+                 "inf": np.where(np.arange(n) == 3, -np.inf, 0.0),
+                 "scalar": 0.1, "short": np.zeros(n - 1), "long": np.zeros(n + 1),
+                 "matrix": np.zeros((n, 1)), "text": ["x"] * n}[bad]
+        args = {"p_g": np.zeros(n), "q_g": np.zeros(n), which: value}
+        target = model if call == "bfm_oracle" else blocks
+        with pytest.raises(ValidationError, match=which):
+            getattr(feeder, call)(target, args["p_g"], args["q_g"])
 
 
 class TestPartition:

@@ -6,8 +6,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg.lapack import dgetrf, dgetrs
 
+from gridcoord import dso_dispatch as dd
 from gridcoord import milp
+from gridcoord.data import load_scenario
 from gridcoord.errors import TooLarge, UnknownVariable
 
 
@@ -697,7 +700,7 @@ class TestWarmSearch:
         rng = np.random.default_rng(3)
         for _ in range(10):
             arrs = milp._Arrays(random_lp(rng))
-            lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+            lp = milp._Simplex(arrs.A, arrs.by_col, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
             assert lp.solve().status == milp.OPTIMAL
             T, xB = lp.T.copy(), lp.xB.copy()
             perm = lp.refactor()
@@ -726,7 +729,7 @@ class TestWarmSearch:
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
-        lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+        lp = milp._Simplex(arrs.A, arrs.by_col, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
         lp.solve()
         check_condensed(lp)
         lp = narrowed(arrs, lp)
@@ -758,7 +761,7 @@ class TestWarmSearch:
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
-        lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+        lp = milp._Simplex(arrs.A, arrs.by_col, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
         rows = np.arange(arrs.m)
         lp._binv_row_norms(rows)   # every row cached before the first pivot
         lp.solve()
@@ -799,7 +802,7 @@ class TestWarmSearch:
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
-        lp = milp._Simplex(arrs.A, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
+        lp = milp._Simplex(arrs.A, arrs.by_col, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
         lp.solve()
         lp = narrowed(arrs, lp)
         if lp is None:
@@ -905,7 +908,7 @@ class TestWarmSearch:
         init, reoptimize = milp._Simplex.__init__, milp._Simplex.reoptimize
 
         def logged_init(self, *args):
-            if len(args) == 6 or args[6] is None:
+            if len(args) == 7 or args[7] is None:   # no stored basis: cold
                 events.append(None)
             init(self, *args)
 
@@ -1500,3 +1503,122 @@ class TestImpliedRows:
                 assert not holds.all(), (i, con)
         assert arrs.m == len(kept)
         assert np.array_equal(arrs.b, [model.constraints[i].rhs for i in arrs.rows])
+
+
+def dense_refactor(lp):
+    """The refactor written with dense gathers, the reference for the
+    scattered one: A[R, S], A[U, S] and each block of nonbasic columns
+    gathered from the dense A, and the R and U rows from that block.
+    Returns the (T, x_B, nb) it builds, leaving ``lp`` as it is, or None
+    when A[R, S] is singular."""
+    m, n = lp.m, lp.n_tot - lp.m
+    basis = lp.basis
+    pos_s = np.flatnonzero(basis < n)
+    pos_u = np.flatnonzero(basis >= n)
+    unit_rows = np.concatenate([np.arange(m), lp.art_rows])
+    unit_signs = np.concatenate([np.ones(m), lp.art_signs])
+    u_rows = unit_rows[basis[pos_u] - n]
+    u_sign = unit_signs[basis[pos_u] - n][:, None]
+    uncovered = np.ones(m, dtype=bool)
+    uncovered[u_rows] = False
+    rows_r = np.flatnonzero(uncovered)
+    if rows_r.size != pos_s.size:
+        return None
+    cols_s = basis[pos_s]
+    lu = None
+    if pos_s.size:
+        lu, piv, _ = dgetrf(lp.A[np.ix_(rows_r, cols_s)], overwrite_a=1)
+        diag = np.abs(np.diag(lu))
+        if not diag.min() > 1e-11 * diag.max():
+            return None
+    a_us = lp.A[np.ix_(u_rows, cols_s)]
+
+    def binv(rhs):
+        out = np.empty_like(rhs)
+        y_s = rhs[rows_r]
+        if lu is not None:
+            y_s = dgetrs(lu, piv, y_s, overwrite_b=1)[0]
+        out[pos_s] = y_s
+        out[pos_u] = u_sign * (rhs[u_rows] - a_us @ y_s)
+        return out
+
+    nonbasic = np.flatnonzero(lp.status != milp._BASIC)
+    T = np.empty((m, nonbasic.size))
+    for c0 in range(0, nonbasic.size, milp._REFACTOR_BLOCK):
+        cols = nonbasic[c0:c0 + milp._REFACTOR_BLOCK]
+        block = np.zeros((m, cols.size))
+        struct = cols < n
+        block[:, struct] = lp.A[:, cols[struct]]
+        k = cols[~struct] - n
+        block[unit_rows[k], np.flatnonzero(~struct)] = unit_signs[k]
+        T[:, c0:c0 + cols.size] = binv(block)
+    x_nb = np.where(lp.status != milp._BASIC, lp.xval, 0.0)
+    xB = binv((lp.b - lp.A @ x_nb[:n] - x_nb[n:lp.n_tot])[:, None])[:, 0]
+    return T, xB, nonbasic
+
+
+def identical_arrays(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as do NaNs."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def check_refactor(lp):
+    """``lp.refactor()`` against ``dense_refactor``, bit for bit."""
+    expect = dense_refactor(lp)
+    perm = lp.refactor()
+    assert (perm is None) == (expect is None)
+    if expect is not None:
+        T, xB, nb = expect
+        assert identical_arrays(lp.T, T) and identical_arrays(lp.xB, xB)
+        assert np.array_equal(lp.nb, nb)
+
+
+def at_basis(arrs, lo, hi, stored):
+    """A tableau at the stored (basis, status), not yet refactored."""
+    n = arrs.n_struct
+    return milp._Simplex(arrs.A, arrs.by_col, arrs.b, np.concatenate([lo, arrs.lo[n:]]),
+                         np.concatenate([hi, arrs.hi[n:]]), arrs.c, arrs.iter_cap, stored)
+
+
+class TestRefactorScatter:
+    """The refactor scatters each block's R and U rows from the kept
+    form's nonzeros; LAPACK must still see the arrays that the dense
+    gathers gave it, so T, x_B and ``nb`` match them bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_matches_dense_blocks(self, model):
+        """After a cold solve (artificial columns included) and at the
+        narrowed basis that a branching node is rebuilt at."""
+        arrs = milp._Arrays(model)
+        if arrs.trivially_infeasible or arrs.m == 0:
+            return
+        n = arrs.n_struct
+        lp = arrs.simplex(arrs.lo[:n], arrs.hi[:n])
+        lp.solve()
+        stored = lp.narrowed()
+        check_refactor(lp)
+        check_refactor(at_basis(arrs, arrs.lo[:n], arrs.hi[:n], stored))
+
+    @pytest.mark.parametrize("enc", ["bigm", "sos1"])
+    @pytest.mark.parametrize("scenario", ["tiny-2bus", "feeder13-highpv", "feeder13-lowpv",
+                                          "feeder40-highpv"])
+    def test_stage_models_at_their_root_basis(self, scenario, enc):
+        """The bundled stage-1 and stage-2a MIN models, at the root basis
+        their first node ends on, with the root's fixings, and after the
+        cold root solve."""
+        ctx = dd.make_context(load_scenario(scenario), encoding=enc)
+        mm, handles = dd.build_stage_model(ctx, "stage1")
+        mm.set_objective(milp.MAX, {p: ctx.specs[i].s_rated for i, p in enumerate(handles.p)})
+        root = milp.solve_lp(mm).objective
+        mm2, handles2 = dd.build_stage_model(ctx, "stage2a", p_star_kw=0.999 * root)
+        mm2.set_objective(milp.MIN, {q: ctx.specs[i].s_rated for i, q in enumerate(handles2.q)})
+        for model in (mm, mm2):
+            sol = milp.solve_milp(model, milp.MilpOptions(node_limit=1))
+            assert sol.root_basis is not None
+            arrs = milp._Arrays(model)
+            lo, hi, _ = arrs.root_box(np.array(model.binary_ids, dtype=int))
+            check_refactor(at_basis(arrs, lo, hi, sol.root_basis))
+            lp = arrs.simplex(lo, hi)
+            lp.solve()
+            check_refactor(lp)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gridcoord import data, tso
-from gridcoord.errors import ParseError, ValidationError
+from gridcoord.errors import ParseError, SingularJacobian, ValidationError
 
 # (outer iterations, power-flow iterations) per case and envelope
 DISPATCH_ITERS = {
@@ -156,6 +156,28 @@ def test_powerflow_rejects_malformed_injections(cases, q_inject, message):
     raised a bare ``TypeError``."""
     with pytest.raises(ValidationError, match=message):
         tso.newton_powerflow(cases["tx9"], q_inject)
+
+
+@pytest.mark.parametrize("call", ["newton_powerflow", "vq_sensitivity"])
+def test_singular_jacobian_raises(cases, monkeypatch, call):
+    """A rank-deficient Jacobian (two equal rows) ends the power flow and
+    the V-Q sensitivity in ``SingularJacobian``, through the LAPACK solve's
+    pivot test, never in a bare LAPACK result of inf or NaN."""
+    case = cases["tx9"]
+    pf = tso.newton_powerflow(case)
+    true_jacobian = tso._jacobian
+
+    def rank_deficient(*args):
+        jac = true_jacobian(*args)
+        jac[1] = jac[0]
+        return jac
+
+    monkeypatch.setattr(tso, "_jacobian", rank_deficient)
+    with pytest.raises(SingularJacobian):
+        if call == "newton_powerflow":
+            tso.newton_powerflow(case)
+        else:
+            tso.vq_sensitivity(case, pf)
 
 
 def test_remove_branch_drops_exactly_one(cases):
