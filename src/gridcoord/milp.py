@@ -138,7 +138,9 @@ that pivots only on the rows the branch made primal infeasible.
   loaded from its stored basis instead of rebased: at the period, when
   an exchange finds no pivot above ``_REBASE_TOL``, and to retry a node
   whose warm solve (in place or rebased) ended without a verdict.  The
-  LU goes through LAPACK's ``dgetrf`` and ``dgetrs`` directly.
+  LU goes through LAPACK's ``dgetrf`` and ``dgetrs`` directly, and each
+  pivot's rank-1 update through BLAS's ``dger``: scipy's compiled
+  wrappers, which ``numkit`` loads without the ``scipy.linalg`` package.
 - **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
   tableau: its column of T when the slack is nonbasic, else the unit
   column of the row it is basic in.  The dual steepest-edge weights and
@@ -191,10 +193,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.blas import dger as _dger
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import TooLarge, UnknownVariable
+from .numkit import dger as _dger, dgetrf, dgetrs
 
 
 def _rank1_update(T, col, row):

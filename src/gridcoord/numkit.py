@@ -21,16 +21,62 @@ Two solves share one rule: a pivot whose magnitude falls below
   too moved those bits: the feeder13-highpv bench round then took 366
   LP pivots instead of 277, and a stage1-budget pass 385 ms instead of
   240 ms (one BLAS thread).
+
+The module is also the one place that knows where the compiled
+routines come from: ``dger`` (the simplex's rank-1 update), ``dgetrf``
+and ``dgetrs`` are scipy's f2py wrappers of BLAS and LAPACK, taken from
+the extension modules ``scipy/linalg/_fblas`` and ``_flapack``.  Those
+two files are loaded on their own, without ``scipy/linalg/__init__.py``:
+the package pulls in ``_cythonized_array_utils``, whose array-API layer
+imports ``numpy.f2py`` and ``numpy.testing``, and none of it is used.
+On a shared 2-core x86-64 host with no bytecode cache (``python -X
+importtime``, 5 runs), importing the package took 0.33-0.42 s of a
+0.50-0.60 s ``gridcoord.milp`` import, which peaked at 55.6 MB RSS;
+loading the two files instead makes ``numkit`` a 22-33 ms import and
+``gridcoord.milp`` a 0.15-0.20 s one at 32.6 MB.  The routines are
+scipy.linalg's own compiled functions, so every result is the same bit
+for bit.  When ``scipy.linalg`` is already imported, its modules are
+used; otherwise the loaded module leaves ``sys.modules`` again, so a
+later ``import scipy.linalg`` builds its package as usual.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+import scipy
 
 from .errors import SingularMatrix
 
 PIVOT_TOL = 1e-12
+
+
+def _linalg_extension(name):
+    """The compiled module ``scipy.linalg.<name>``, loaded from its file
+    without running the ``scipy.linalg`` package (see the module
+    docstring); ``ImportError`` when no file of that name is there."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, name + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(full, None)
+            return module
+    raise ImportError(f"no compiled {name} module in {folder}")
+
+
+dger = _linalg_extension("_fblas").dger
+_flapack = _linalg_extension("_flapack")
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
 
 
 def _system(a, b):

@@ -90,15 +90,28 @@ class TransmissionCase:
         if len(slacks) != 1:
             raise ValidationError(f"need exactly one slack bus, found {len(slacks)}")
         self.slack = self.index[slacks[0].bus_id]
+        if not (math.isfinite(self.s_base_mva) and self.s_base_mva > 0):
+            raise ValidationError(f"s_base_mva is {self.s_base_mva!r}, not finite and positive")
         gen_buses = {g.bus for g in self.gens}
         for b in self.buses:
             if b.btype not in (SLACK, PV, PQ):
                 raise ValidationError(f"bus {b.bus_id}: unknown type {b.btype}")
             if b.btype == PV and b.bus_id not in gen_buses:
                 raise ValidationError(f"PV bus {b.bus_id} has no generator")
+            if not all(map(math.isfinite, (b.p_mw, b.q_mvar, b.v_set))):
+                raise ValidationError(f"bus {b.bus_id}: non-finite p_mw, q_mvar or v_set")
+        for g in self.gens:
+            if g.bus not in self.index:
+                raise ValidationError(f"generator at unknown bus {g.bus}")
+            if not all(map(math.isfinite, (g.p_mw, g.v_pu))):
+                raise ValidationError(f"generator at bus {g.bus}: non-finite p_mw or v_pu")
         for br in self.branches:
             if br.from_bus not in self.index or br.to_bus not in self.index:
                 raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: unknown bus")
+            if not all(map(math.isfinite, (br.r, br.x, br.b))):
+                raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: non-finite r, x or b")
+            if br.r == 0 and br.x == 0:   # ybus divides by r + jx
+                raise ValidationError(f"branch {br.from_bus}-{br.to_bus}: zero impedance")
         for itf in self.interfaces:
             if itf.bus not in self.index:
                 raise ValidationError(f"interface at unknown bus {itf.bus}")

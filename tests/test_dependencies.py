@@ -1,5 +1,6 @@
 """Every third-party module the package imports is a declared dependency,
-and importing the package leaves out the test-only ``scipy.optimize``."""
+and importing the package leaves out the test-only ``scipy.optimize`` and
+the ``scipy.linalg`` package."""
 
 import ast
 import os
@@ -36,12 +37,18 @@ def test_third_party_imports_are_declared():
 
 
 def test_library_import_leaves_out_scipy_optimize():
-    """Importing the package, its command and the dispatch stages does not
-    load ``scipy.optimize``; only the HiGHS reference test uses it, and it
-    would add to every run's set-up."""
+    """Importing the package, its command and the dispatch stages and
+    running one round loads neither ``scipy.optimize`` nor the
+    ``scipy.linalg`` package: only the HiGHS reference test uses the
+    former, ``numkit`` loads just the two compiled modules of the latter,
+    and either would add to every run's set-up."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    code = ("import sys, gridcoord, gridcoord.cli, gridcoord.dso_dispatch; "
-            "assert 'scipy.optimize' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    code = ("import sys, gridcoord, gridcoord.cli, gridcoord.dso_dispatch, gridcoord.milp, "
+            "gridcoord.tso; "
+            "assert gridcoord.cli.main(['run', 'tiny-2bus']) == 0; "
+            "loaded = {'scipy.optimize', 'scipy.linalg'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                   stdout=subprocess.DEVNULL)

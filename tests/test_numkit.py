@@ -1,5 +1,13 @@
+import importlib.machinery
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
 from gridcoord import numkit
 from gridcoord.errors import SingularMatrix
@@ -87,3 +95,71 @@ def test_solves_agree():
     b = rng.normal(size=(8, 3))
     np.testing.assert_allclose(numkit.solve(a, b), numkit.solve_linear(a, b),
                                rtol=1e-12, atol=1e-12)
+
+
+# Runs numkit's compiled routines and scipy.linalg's on the same seeded
+# inputs and prints what differs; argv[1] names the module imported first.
+SAME_ROUTINES = """
+import sys
+import numpy as np
+first = sys.argv[1]
+if first == "scipy.linalg":
+    import scipy.linalg
+from gridcoord import numkit
+
+def calls(dger, dgetrf, dgetrs):
+    rng = np.random.default_rng(2024)
+    out = []
+    for m, n in ((1, 1), (7, 5), (40, 63), (130, 64)):
+        T = rng.normal(size=(m, n))   # C-contiguous, as the simplex keeps it
+        col, row = rng.normal(size=m), rng.normal(size=n)
+        a = T.T
+        # T -= outer(col, row) in place, as milp._rank1_update calls it
+        res = dger(-1.0, row, col, a=a, overwrite_a=1)
+        out += [T, np.shares_memory(res, T)]
+    for n in (1, 6, 50):
+        a = rng.normal(size=(n, n)) + (n % 3) * np.eye(n)
+        b = rng.normal(size=(n, 4))
+        lu, piv, info = dgetrf(a)
+        x, info_s = dgetrs(lu, piv, b)
+        lu_o, piv_o, _ = dgetrf(a.copy(), overwrite_a=1)
+        x_o = dgetrs(lu_o, piv_o, b[:, 0].copy(), overwrite_b=1)[0]
+        out += [lu, piv, info, x, info_s, lu_o, piv_o, x_o]
+    return out
+
+got = calls(numkit.dger, numkit.dgetrf, numkit.dgetrs)
+if first == "gridcoord":
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+from scipy.linalg import blas, lapack
+assert sys.modules["scipy.linalg._fblas"] is scipy.linalg._fblas
+assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+want = calls(blas.dger, lapack.dgetrf, lapack.dgetrs)
+for k, (g, w) in enumerate(zip(got, want)):
+    g, w = np.asarray(g), np.asarray(w)
+    if g.dtype != w.dtype or g.shape != w.shape or g.tobytes() != w.tobytes():
+        print("call output", k, "differs")
+"""
+
+
+@pytest.mark.parametrize("first", ["gridcoord", "scipy.linalg"])
+def test_compiled_routines_match_scipy_linalg(first):
+    """``dger``, ``dgetrf`` and ``dgetrs`` give scipy.linalg's results bit
+    for bit whichever is imported first, ``dger`` updates a C-contiguous
+    array in place through its transpose, and a later ``import
+    scipy.linalg`` builds its package with its compiled modules."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SAME_ROUTINES, first], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", proc.stdout
+
+
+def test_missing_compiled_module_names_its_folder(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    with pytest.raises(ImportError, match=re.escape(folder)):
+        numkit._linalg_extension("_fblas")

@@ -203,3 +203,38 @@ def test_load_transmission_mistyped_field_is_parse_error():
     doc["branches"][0]["r"] = "abc"
     with pytest.raises(ParseError, match="malformed"):
         tso.load_transmission(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("table, row, values, message", [
+    ("branches", 0, {"x": NAN}, "non-finite r, x or b"),
+    ("branches", 0, {"r": INF}, "non-finite r, x or b"),
+    ("branches", 3, {"b": "nan"}, "non-finite r, x or b"),
+    ("branches", 0, {"r": 0.0, "x": 0.0}, "zero impedance"),
+    ("buses", 4, {"p_mw": INF}, "non-finite p_mw, q_mvar or v_set"),
+    ("buses", 4, {"q_mvar": -INF}, "non-finite p_mw, q_mvar or v_set"),
+    ("buses", 0, {"v_set": NAN}, "non-finite p_mw, q_mvar or v_set"),
+    ("gens", 0, {"p_mw": NAN}, "non-finite p_mw or v_pu"),
+    ("gens", 1, {"v_pu": "inf"}, "non-finite p_mw or v_pu"),
+    (None, None, {"s_base_mva": 0.0}, "not finite and positive"),
+    (None, None, {"s_base_mva": -100.0}, "not finite and positive"),
+    (None, None, {"s_base_mva": NAN}, "not finite and positive"),
+    (None, None, {"s_base_mva": INF}, "not finite and positive"),
+])
+def test_load_transmission_unusable_value_is_validation_error(table, row, values, message):
+    """A value the power flow cannot use is refused at load, not met as
+    a NaN Newton run, a division by zero or an inverted envelope."""
+    doc = data._read_json(data.data_root(), "transmission/tx9.json")
+    (doc if table is None else doc[table][row]).update(values)
+    with pytest.raises(ValidationError, match=message):
+        tso.load_transmission(doc)
+
+
+def test_transmission_case_rejects_generator_at_unknown_bus(cases):
+    """The power flow would meet it as a bare ``KeyError``."""
+    base = cases["tx9"]
+    gens = [*base.gens, tso.TGen("99", 10.0, 1.0)]
+    with pytest.raises(ValidationError, match="generator at unknown bus 99"):
+        tso.TransmissionCase(base.buses, base.branches, gens, base.interfaces)
