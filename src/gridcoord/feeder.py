@@ -4,27 +4,28 @@ The linear model works in squared voltage magnitudes Y (pu^2) per
 bus-phase.  For an oriented radial feeder the voltage drop along each
 line couples phases through the rotation approximation
 ``V_phi / V_psi ~ exp(j(theta_phi - theta_psi))`` with phase angles
-(0, -120, +120) degrees for (a, b, c).  With 3x3 series impedance
-Z = R + jX and gamma the rotation matrix, the real drop matrices are
+(0, -120, +120) degrees for (a, b, c).  With Z = R + jX the line
+impedance (``FeederModel.z_line``: each node's upstream line, present
+phases only) and gamma the rotation matrix over node phases, the real
+drop matrices are
 
-    ZP = 2 * Re(gamma * conj(Z))        (per line, present phases only)
+    ZP = 2 * Re(gamma * conj(Z))
     ZQ = -2 * Im(gamma * conj(Z))
 
 so that Y_up - Y_down = ZP @ P_flow + ZQ @ Q_flow for lossless flows.
-ZIP loads are linearized in Y; their constant part moves to the right
-hand side and their Y-proportional part forms the load-coupling matrix
-K.  A backward/forward sweep on the full nonlinear equations (ZIP
-evaluated at actual |V|) provides the validation oracle and the field
-simulator plant.  It runs in matrix form, over three arrays that each
-``FeederModel`` builds once: the per-phase subtree matrix, the
-block-diagonal line impedance and each node's substation voltage (see
-``bfm_oracle``).  The oracle and ``lindist_voltages`` take one finite
-injection per node and raise ``ValidationError`` on anything else.
+Those flows are -D @ (net injections), D the per-phase subtree matrix
+(``FeederModel.subtree``), so Req, Xeq = D^T ZP D, D^T ZQ D.  ZIP loads
+are linearized in Y; their constant part moves to the right hand side
+and their Y-proportional part forms the load-coupling matrix K.  A
+backward/forward sweep on the full nonlinear equations (ZIP evaluated
+at actual |V|) provides the validation oracle and the field simulator
+plant; it reads the same D and Z (see ``bfm_oracle``).  The oracle and
+``lindist_voltages`` take one finite injection per node and raise
+``ValidationError`` on anything else.
 
-Solves: the blocks built once per feeder (``build_equivalents``,
-``build_K``, ``partition_blocks``, ``observable_matrices``) go through
-``numkit.solve_linear``, whose last bits the stage models keep; the
-dispatch-time ``lindist_voltages`` and ``line_flows`` go through
+Solves: ``partition_blocks`` and ``observable_matrices`` go through
+``numkit.solve_linear``, whose last bits the stage models keep;
+``build_blocks``' singular-K check and ``lindist_voltages`` go through
 LAPACK (``numkit.solve``).
 
 Bus-phases are flattened in file order with phases a, b, c inside each
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import numkit
 from .errors import (FIELD_ERRORS, InvalidPartition, NoConvergence, ParseError,
-                     SingularMatrix, ValidationError)
+                     ValidationError)
 
 PHASES = "abc"
 BFM_MAX_SWEEPS = 100   # backward/forward sweeps before bfm_oracle gives up
@@ -127,12 +128,16 @@ class FeederModel:
         self.bus_phases = {b.bus_id: "".join(p for p in PHASES if p in b.phases)
                            for b in self.buses}
         for b in self.buses:
-            if not b.phases or any(p not in PHASES for p in b.phases):
+            if not b.phases or len(set(b.phases) & set(PHASES)) != len(b.phases):
                 raise ValidationError(f"bus {b.bus_id}: bad phase set {b.phases!r}")
         sub = self.substation_bus
-        for p in self.bus_phases[sub]:
-            if p not in self.y0_sub:
-                raise ValidationError(f"substation phase {p} missing from y0")
+        if set(self.y0_sub) != set(self.bus_phases[sub]):
+            raise ValidationError(f"y0 gives phases {sorted(self.y0_sub)}, substation "
+                                  f"{sub} has {self.bus_phases[sub]!r}")
+        for name, value in [("base s_kva", self.s_base_kva), ("base v_kv", self.v_base_kv),
+                            *((f"y0 of phase {p}", y) for p, y in self.y0_sub.items())]:
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} is {value!r}, not finite and positive")
 
         if len(self.lines) != len(self.buses) - 1:
             raise ValidationError(
@@ -189,14 +194,6 @@ class FeederModel:
         self.node_index = {node: k for k, node in enumerate(self.nodes)}
         self.n_nodes = len(self.nodes)
 
-        # line-phase flattening (file order, downstream phases a,b,c)
-        self.linephases: list[tuple[int, str]] = []
-        for ol in self.oriented:
-            for p in ol.phases:
-                self.linephases.append((ol.index, p))
-        if len(self.linephases) != self.n_nodes:
-            raise ValidationError("line phases do not cover the bus-phase set")
-
         # per-node load model (pu) and substation reference
         self.p0 = np.zeros(self.n_nodes)
         self.q0 = np.zeros(self.n_nodes)
@@ -211,6 +208,9 @@ class FeederModel:
             if key in claimed:
                 raise ValidationError(f"multiple loads at {ld.bus}.{ld.phase}")
             claimed.add(key)
+            if not all(map(math.isfinite, (ld.p_kw, ld.q_kvar, ld.a0, ld.a1, ld.a2))):
+                raise ValidationError(f"load at {ld.bus}.{ld.phase}: non-finite p_kw, "
+                                      "q_kvar or ZIP fraction")
             if abs(ld.a0 + ld.a1 + ld.a2 - 1.0) > 1e-9:
                 raise ValidationError(
                     f"ZIP fractions at {ld.bus}.{ld.phase} sum to "
@@ -221,8 +221,6 @@ class FeederModel:
             self.a0v[k], self.a1v[k], self.a2v[k] = ld.a0, ld.a1, ld.a2
 
         self.y0_node = np.array([self.y0_sub[p] for _, p in self.nodes])
-        if np.any(self.y0_node <= 0):
-            raise ValidationError("substation squared voltages must be positive")
 
         self.der_nodes = []
         self.der_inverter_ids = []
@@ -291,7 +289,10 @@ def load_feeder(doc: dict, load_scale: float = 1.0) -> FeederModel:
         sub_bus = str(subst["bus"])
         sub_phases = next(b.phases for b in buses if b.bus_id == sub_bus)
         y0_list = [float(v) for v in subst["y0"]]
-        y0 = {p: y0_list[k] for k, p in enumerate(sub_phases)}
+        if len(y0_list) != len(sub_phases):
+            raise ValidationError(f"substation y0 has {len(y0_list)} entries for "
+                                  f"phases {sub_phases!r}")
+        y0 = dict(zip(sub_phases, y0_list))
         observable = [str(x) for x in doc.get("observable", [])]
         return FeederModel(float(base["s_kva"]), float(base["v_kv"]), sub_bus, y0,
                            buses, lines, loads, ders, observable)
@@ -329,7 +330,8 @@ def make_partition(model: FeederModel) -> ObservablePartition:
 
 @dataclass
 class SensitivityBlocks:
-    """Connectivity, equivalents, load coupling, and optional partition blocks.
+    """Equivalents (from ``FeederModel.subtree`` and ``z_line``), load
+    coupling, and optional partition blocks.
 
     Block names use the from/to superscript convention described in the
     module docstring: ``kou`` maps observable quantities to unobservable
@@ -338,7 +340,6 @@ class SensitivityBlocks:
     unobservable-column blocks enter it through ``k1`` and ``c2``.
     """
 
-    m: np.ndarray
     req: np.ndarray
     xeq: np.ndarray
     k: np.ndarray
@@ -362,77 +363,33 @@ class SensitivityBlocks:
         return self.k - np.eye(self.k.shape[0])
 
 
-def build_connectivity(model: FeederModel):
-    """Reduced incidence matrices (M0, M) over line-phases.
-
-    M is node x line-phase with +1 on the upstream bus-phase and -1 on
-    the downstream one; M0 is line-phase x substation-phase with +1
-    where the line leaves the substation.  M is invertible for a valid
-    radial feeder.
-    """
-    n = model.n_nodes
-    sub_phases = model.bus_phases[model.substation_bus]
-    M = np.zeros((n, n))
-    M0 = np.zeros((n, len(sub_phases)))
-    by_index = {ol.index: ol for ol in model.oriented}
-    for col, (lidx, p) in enumerate(model.linephases):
-        ol = by_index[lidx]
-        M[model.node_of(ol.down, p), col] = -1.0
-        if ol.up == model.substation_bus:
-            M0[col, sub_phases.index(p)] = 1.0
-        else:
-            M[model.node_of(ol.up, p), col] = 1.0
-    return M0, M
-
-
-def _gamma(phases: str) -> np.ndarray:
-    ang = np.array([_PHASE_ANGLE[p] for p in phases])
-    return np.exp(1j * (ang[:, None] - ang[None, :]))
-
-
-def build_equivalents(model: FeederModel, M):
-    """Equivalent drop matrices Req, Xeq = M^-T Z M^-1 on node indexing."""
-    n = model.n_nodes
-    ZP = np.zeros((n, n))
-    ZQ = np.zeros((n, n))
-    pos = 0
-    for ol in model.oriented:
-        k = len(ol.phases)
-        g = _gamma(ol.phases)
-        zp = 2.0 * np.real(g * np.conj(ol.z))
-        zq = -2.0 * np.imag(g * np.conj(ol.z))
-        ZP[pos:pos + k, pos:pos + k] = zp
-        ZQ[pos:pos + k, pos:pos + k] = zq
-        pos += k
-    minv = numkit.solve_linear(M, np.eye(n))
-    req = minv.T @ ZP @ minv
-    xeq = minv.T @ ZQ @ minv
+def build_equivalents(model: FeederModel):
+    """Equivalent drop matrices Req, Xeq = D^T ZP D, D^T ZQ D on node
+    indexing, D the subtree matrix (see the module docstring).  -D is the
+    inverse of the tree's incidence matrix, so no solve is needed."""
+    ang = np.array([_PHASE_ANGLE[p] for _, p in model.nodes])
+    gz = np.exp(1j * (ang[:, None] - ang[None, :])) * np.conj(model.z_line)
+    minv = -model.subtree
+    req = minv.T @ (2.0 * np.real(gz)) @ minv
+    xeq = minv.T @ (-2.0 * np.imag(gz)) @ minv
     return req, xeq
 
 
-def build_K(model: FeederModel, req, xeq):
-    """Load-coupling matrix K = I + Req D(p_coef) + Xeq D(q_coef)."""
-    y0 = model.y0_node
-    coef = model.a1v + model.a2v / (2.0 * np.sqrt(y0))
-    p_coef = model.p0 * coef
-    q_coef = model.q0 * coef
-    K = np.eye(model.n_nodes) + req @ np.diag(p_coef) + xeq @ np.diag(q_coef)
-    numkit.solve_linear(K, np.eye(model.n_nodes))  # raises SingularMatrix early
-    return K
-
-
 def build_blocks(model: FeederModel) -> SensitivityBlocks:
-    """Assemble the full set of linear-model matrices for a feeder."""
-    _, M = build_connectivity(model)
-    req, xeq = build_equivalents(model, M)
-    K = build_K(model, req, xeq)
+    """Assemble the linear-model matrices of a feeder.  A singular load
+    coupling K = I + Req diag(p_coef) + Xeq diag(q_coef) raises
+    ``SingularMatrix`` here, from one LAPACK solve whose result is not kept."""
+    req, xeq = build_equivalents(model)
     y0 = model.y0_node
     const = model.a0v + model.a2v * np.sqrt(y0) / 2.0
     coef = model.a1v + model.a2v / (2.0 * np.sqrt(y0))
+    p_coef, q_coef = model.p0 * coef, model.q0 * coef
+    k = np.eye(model.n_nodes) + req @ np.diag(p_coef) + xeq @ np.diag(q_coef)
+    numkit.solve(k, y0)
     return SensitivityBlocks(
-        m=M, req=req, xeq=xeq, k=K, y0=y0,
+        req=req, xeq=xeq, k=k, y0=y0,
         p_const=model.p0 * const, q_const=model.q0 * const,
-        p_coef=model.p0 * coef, q_coef=model.q0 * coef)
+        p_coef=p_coef, q_coef=q_coef)
 
 
 def _per_node(values, n, name):
@@ -470,14 +427,6 @@ def net_injections(blocks: SensitivityBlocks, y, p_g, q_g):
     p_net = np.asarray(p_g, float) - blocks.p_const - blocks.p_coef * y
     q_net = np.asarray(q_g, float) - blocks.q_const - blocks.q_coef * y
     return p_net, q_net
-
-
-def line_flows(blocks: SensitivityBlocks, y, p_g, q_g):
-    """Lossless line-phase flows: M P_tl = net injections."""
-    p_net, q_net = net_injections(blocks, y, p_g, q_g)
-    p_tl = numkit.solve(blocks.m, p_net)
-    q_tl = numkit.solve(blocks.m, q_net)
-    return p_tl, q_tl
 
 
 def substation_flow(blocks: SensitivityBlocks, y, p_g, q_g):

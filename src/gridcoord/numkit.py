@@ -9,18 +9,17 @@ Two solves share one rule: a pivot whose magnitude falls below
 ``PIVOT_TOL`` (an exact zero included) raises :class:`SingularMatrix`.
 
 - ``solve`` factors through LAPACK (``dgetrf``/``dgetrs``).  It serves
-  the solves made at dispatch time, whose results reach no stage model:
-  the TSO's Newton steps and V-Q sensitivities, and the feeder's
-  linearized voltages and line flows.
+  the solves whose results reach no stage model: the TSO's Newton steps
+  and V-Q sensitivities, the feeder's linearized voltages, and the check
+  in ``feeder.build_blocks`` that the load coupling K is not singular.
 - ``solve_linear`` is an LU with partial pivoting written as a Python
-  loop.  It serves every solve made while a dispatch context is built
-  (``feeder.build_equivalents``, ``build_K``, ``partition_blocks``,
-  ``observable_matrices`` and ``dso_dispatch.sensitivity_weights``),
-  because the stage models' coefficients come from it and the branch
-  and bound turns on their last bits.  Swapping those solves to LAPACK
-  too moved those bits: the feeder13-highpv bench round then took 366
-  LP pivots instead of 277, and a stage1-budget pass 385 ms instead of
-  240 ms (one BLAS thread).
+  loop.  It serves exactly the solves whose results reach a stage model
+  (``feeder.partition_blocks``' K1, ``observable_matrices`` and
+  ``dso_dispatch.sensitivity_weights``), because the branch and bound
+  turns on the last bits of the stage models' coefficients.  Swapping
+  those solves to LAPACK too moved those bits: the feeder13-highpv bench
+  round then took 366 LP pivots instead of 277, and a stage1-budget pass
+  385 ms instead of 240 ms (one BLAS thread).
 
 The module is also the one place that knows where the compiled
 routines come from: ``dger`` (the simplex's rank-1 update), ``dgetrf``

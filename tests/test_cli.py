@@ -1,10 +1,11 @@
 """The ``gridcoord run`` command: its JSON report and its exit codes."""
 
 import json
+import shutil
 
 import pytest
 
-from gridcoord import cli
+from gridcoord import cli, data
 from gridcoord.errors import (DegenerateSensitivity, InfeasibleStage, NoConvergence,
                               ParseError)
 
@@ -36,6 +37,22 @@ def test_run_tiny_2bus(capsys, enc):
 def test_run_unknown_scenario_exits_2(capsys):
     assert cli.main(["run", "nope"]) == 2
     assert "unknown scenario 'nope'" in capsys.readouterr().err
+
+
+def test_run_tampered_bundle_exits_2(monkeypatch, tmp_path, capsys):
+    """A bundle whose feeder file no longer matches its recorded digest
+    stops the run with ChecksumMismatch, an input error."""
+    root = tmp_path / "data"
+    shutil.copytree(data.data_root(), root, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    path = root / "feeders" / "tiny2.json"
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 1
+    path.write_bytes(bytes(blob))
+    monkeypatch.setattr(data, "_ROOT", root)
+    assert cli.main(["run", "tiny-2bus"]) == 2
+    captured = capsys.readouterr()
+    assert "ChecksumMismatch" in captured.err and "feeders/tiny2.json" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("error, code", [(ParseError, 2), (InfeasibleStage, 3),

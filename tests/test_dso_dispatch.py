@@ -1,7 +1,8 @@
 """DSO dispatch stages on tiny-2bus in both droop encodings (their droop
 and capability checks on feeder13-highpv too), the solver
 on the benchmark's feeder13-highpv stage models, the stage models a
-context keeps, and the stage-2b sensitivity weights.
+context keeps, the stage-2b sensitivity weights, and which solves go
+through numkit's loop LU.
 
 The tiny-2bus tests check invariants, not vertices: the dispatch of a
 stage with several optimal solutions may change with the solver's pivot
@@ -9,11 +10,12 @@ path.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from gridcoord import data, inverter, milp
+from gridcoord import data, inverter, milp, numkit
 from gridcoord import feeder as feeder_mod
 from gridcoord import dso_dispatch as dd
 from gridcoord.errors import GridcoordError
@@ -498,3 +500,29 @@ def test_sensitivity_weights_match_finite_difference(name):
     weights = dd.sensitivity_weights(blocks, der_nodes)
     np.testing.assert_allclose(weights, 1.0 - sens / np.sum(sens), rtol=0.0, atol=1e-9)
     assert np.sum(weights) == pytest.approx(len(der_nodes) - 1.0)
+
+
+@pytest.mark.parametrize("name, enc, expected", [
+    ("feeder13-highpv", "bigm", {"partition_blocks", "observable_matrices",
+                                 "sensitivity_weights"}),
+    # every tiny-2bus bus-phase is observable: no K1 to solve for
+    ("tiny-2bus", "sos1", {"observable_matrices", "sensitivity_weights"})],
+    ids=["feeder13-highpv-bigm", "tiny-2bus-sos1"])
+def test_loop_lu_serves_only_solves_that_reach_a_stage_model(monkeypatch, name, enc,
+                                                             expected):
+    """A context and one full round call ``numkit.solve_linear`` only from
+    the three solves whose bits the stage models keep; the equivalents
+    need no solve and the singular-K check goes through LAPACK."""
+    callers = set()
+    inner = numkit.solve_linear
+
+    def traced(a, b):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return inner(a, b)
+
+    monkeypatch.setattr(numkit, "solve_linear", traced)
+    ctx = dd.make_context(data.load_scenario(name), encoding=enc)
+    p_star, _ = dd.stage1_max_power(ctx)
+    (q_lo, q_hi), _, _ = dd.stage2a_aggregate(ctx, p_star)
+    dd.stage2b_disaggregate(ctx, p_star, 0.5 * (q_lo + q_hi))
+    assert callers == expected

@@ -12,6 +12,9 @@ from conftest import (three_bus_chain_dict, two_bus_dict,
                       unbalanced_four_bus_dict, z3)
 
 
+PHASE_ANGLE = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
+
+
 def four_bus_observing(ids):
     """The unbalanced four-bus feeder with ``ids`` as its observable list."""
     return feeder.load_feeder({**unbalanced_four_bus_dict(), "observable": list(ids)})
@@ -27,6 +30,50 @@ def hand_two_bus_vmag(z, s_load, v1=1.0):
     roots = np.roots([1.0, b, c])
     t = max(root.real for root in roots if abs(root.imag) < 1e-12)
     return np.sqrt(t)
+
+
+def incidence(model):
+    """The tree's reduced incidence matrices (M0, M) over line-phases: lines
+    in file order, each with its downstream bus's phases.  M is node x
+    line-phase, +1 on the upstream bus-phase and -1 on the downstream one;
+    M0 is line-phase x substation-phase, +1 where the line leaves the
+    substation."""
+    sub = model.substation_bus
+    cols = [(ol, p) for ol in model.oriented for p in ol.phases]
+    M = np.zeros((model.n_nodes, len(cols)))
+    M0 = np.zeros((len(cols), len(model.bus_phases[sub])))
+    for col, (ol, p) in enumerate(cols):
+        M[model.node_of(ol.down, p), col] = -1.0
+        if ol.up == sub:
+            M0[col, model.bus_phases[sub].index(p)] = 1.0
+        else:
+            M[model.node_of(ol.up, p), col] = 1.0
+    return M0, M
+
+
+def incidence_equivalents(model):
+    """The reference equivalents Req, Xeq = M^-T ZP M^-1, M^-T ZQ M^-1: M
+    from ``incidence``, inverted by ``numkit.solve_linear``, and ZP, ZQ
+    built line by line over its line-phases."""
+    _, M = incidence(model)
+    n = model.n_nodes
+    ZP = np.zeros((n, n))
+    ZQ = np.zeros((n, n))
+    pos = 0
+    for ol in model.oriented:
+        k = len(ol.phases)
+        ang = np.array([PHASE_ANGLE[p] for p in ol.phases])
+        g = np.exp(1j * (ang[:, None] - ang[None, :]))
+        ZP[pos:pos + k, pos:pos + k] = 2.0 * np.real(g * np.conj(ol.z))
+        ZQ[pos:pos + k, pos:pos + k] = -2.0 * np.imag(g * np.conj(ol.z))
+        pos += k
+    minv = numkit.solve_linear(M, np.eye(n))
+    return minv.T @ ZP @ minv, minv.T @ ZQ @ minv
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestLoadFeeder:
@@ -74,6 +121,14 @@ class TestLoadFeeder:
         with pytest.raises(ValidationError):
             feeder.load_feeder(doc)
 
+    def test_repeated_phase_rejected(self):
+        # unchecked, a substation "aa" took y0 [0.81, 1.21] as 1.21 alone
+        doc = two_bus_dict()
+        doc["buses"][0]["phases"] = "aa"
+        doc["substation"]["y0"] = [0.81, 1.21]
+        with pytest.raises(ValidationError, match="bad phase set 'aa'"):
+            feeder.load_feeder(doc)
+
     def test_parse_error_on_garbage(self):
         with pytest.raises(ParseError):
             feeder.load_feeder("{not json")
@@ -94,53 +149,89 @@ class TestLoadFeeder:
         m = feeder.load_feeder(two_bus_dict(), load_scale=0.5)
         assert m.p0[0] == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("y0", [1.0, math.nan, 1.0], "y0 of phase b"),
+        ("y0", [1.0, 1.0, math.inf], "y0 of phase c"),
+        ("y0", [1.0, 1.0, 1.0, 1.0], "y0 has 4 entries"),
+        ("p_kw", math.nan, "non-finite"),
+        ("p_kw", math.inf, "non-finite"),
+        ("q_kvar", math.nan, "non-finite"),
+        ("q_kvar", -math.inf, "non-finite"),
+        ("a1", math.nan, "non-finite"),
+        ("s_kva", 0.0, "s_kva"),
+        ("s_kva", math.nan, "s_kva"),
+        ("s_kva", -1000.0, "s_kva"),
+        ("v_kv", math.nan, "v_kv"),
+        ("v_kv", 0.0, "v_kv"),
+    ], ids=["y0-nan", "y0-inf", "y0-long", "p_kw-nan", "p_kw-inf", "q_kvar-nan",
+            "q_kvar-inf", "zip-nan", "s_kva-zero", "s_kva-nan", "s_kva-negative",
+            "v_kv-nan", "v_kv-zero"])
+    def test_unusable_value_rejected(self, field, value, match):
+        """Unchecked, a non-finite y0 or load gives a non-finite K, a NaN
+        ZIP fraction passes the sum check, s_kva = 0 raises a bare
+        ZeroDivisionError and extra y0 entries are dropped."""
+        doc = unbalanced_four_bus_dict()
+        part = {"y0": doc["substation"], "s_kva": doc["base"],
+                "v_kv": doc["base"]}.get(field, doc["loads"][0])
+        part[field] = value
+        with pytest.raises(ValidationError, match=match):
+            feeder.load_feeder(doc)
+
 
 class TestConnectivity:
+    """The subtree matrix D against the tree's incidence matrix M:
+    M^-1 = -D, so the equivalents need no solve."""
+
     def test_two_bus(self, two_bus_model):
-        M0, M = feeder.build_connectivity(two_bus_model)
-        np.testing.assert_allclose(M, [[-1.0]])
-        np.testing.assert_allclose(M0, [[1.0]])
+        M0, M = incidence(two_bus_model)
+        np.testing.assert_array_equal(M, [[-1.0]])
+        np.testing.assert_array_equal(M0, [[1.0]])
+        np.testing.assert_array_equal(two_bus_model.subtree, [[1.0]])
 
     def test_three_bus_chain_invertible(self):
         m = feeder.load_feeder(three_bus_chain_dict())
-        M0, M = feeder.build_connectivity(m)
-        assert abs(np.linalg.det(M)) > 1e-12
+        _, M = incidence(m)
         # chain: strictly one -1 per column on the downstream node
         assert np.all(np.diag(M) == -1.0)
+        np.testing.assert_array_equal(M @ -m.subtree, np.eye(m.n_nodes))
 
     def test_inverse_round_trip(self, four_bus_model):
-        M0, M = feeder.build_connectivity(four_bus_model)
-        minv = numkit.solve_linear(M, np.eye(four_bus_model.n_nodes))
-        np.testing.assert_allclose(M @ (-minv), -np.eye(four_bus_model.n_nodes),
-                                   atol=1e-12)
+        m = four_bus_model
+        _, M = incidence(m)
+        np.testing.assert_array_equal(M @ -m.subtree, np.eye(m.n_nodes))
+        np.testing.assert_array_equal(-m.subtree @ M, np.eye(m.n_nodes))
+
+    @pytest.mark.parametrize("scenario", data.list_scenarios())
+    def test_inverse_is_minus_subtree(self, scenario):
+        """On every bundled feeder, the loop LU's inverse of M is -D to the
+        bit, signed zeros included."""
+        m = data.load_scenario(scenario).feeder
+        _, M = incidence(m)
+        assert_same_bits(numkit.solve_linear(M, np.eye(m.n_nodes)), -m.subtree)
 
     def test_radial_substation_identity(self, four_bus_model):
-        # -M^-T M0 Y0 equals the per-node substation reference vector
+        # -M^-T M0 Y0 = D^T M0 Y0 equals the per-node substation reference
         m = four_bus_model
-        M0, M = feeder.build_connectivity(m)
+        M0, _ = incidence(m)
         y0_sub = np.array([m.y0_sub[p] for p in m.bus_phases[m.substation_bus]])
-        lhs = -numkit.solve_linear(M.T, M0 @ y0_sub)
-        np.testing.assert_allclose(lhs, m.y0_node, atol=1e-12)
+        np.testing.assert_array_equal(m.subtree.T @ (M0 @ y0_sub), m.y0_node)
 
 
 class TestEquivalents:
     def test_single_line_single_phase(self):
         m = feeder.load_feeder(two_bus_dict(z=0.013 + 0.027j))
-        _, M = feeder.build_connectivity(m)
-        req, xeq = feeder.build_equivalents(m, M)
+        req, xeq = feeder.build_equivalents(m)
         np.testing.assert_allclose(req, [[2 * 0.013]], atol=1e-15)
         np.testing.assert_allclose(xeq, [[2 * 0.027]], atol=1e-15)
 
     def test_zero_impedance_line(self):
         m = feeder.load_feeder(two_bus_dict(z=0.0))
-        _, M = feeder.build_connectivity(m)
-        req, xeq = feeder.build_equivalents(m, M)
+        req, xeq = feeder.build_equivalents(m)
         np.testing.assert_allclose(req, 0.0)
         np.testing.assert_allclose(xeq, 0.0)
 
     def test_nonnegative_diagonals(self, four_bus_model):
-        _, M = feeder.build_connectivity(four_bus_model)
-        req, xeq = feeder.build_equivalents(four_bus_model, M)
+        req, xeq = feeder.build_equivalents(four_bus_model)
         assert np.all(np.diag(req) >= 0)
         assert np.all(np.diag(xeq) >= 0)
 
@@ -151,12 +242,33 @@ class TestEquivalents:
             z = np.array([[complex(*e) for e in row] for row in ln["z"]])
             ln["z"] = z3(full=np.diag(np.diag(z)))
         m = feeder.load_feeder(doc)
-        _, M = feeder.build_connectivity(m)
-        req, xeq = feeder.build_equivalents(m, M)
+        req, xeq = feeder.build_equivalents(m)
         np.testing.assert_allclose(req, req.T, atol=1e-12)
         np.testing.assert_allclose(xeq, xeq.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(req) >= -1e-12)
         assert np.all(np.linalg.eigvalsh(xeq) >= -1e-12)
+
+    @pytest.mark.parametrize("scenario", data.list_scenarios())
+    def test_incidence_form_bit_for_bit(self, scenario):
+        """Every bundled feeder lists its lines in bus order, so the
+        line-phase and node orders agree and D^T ZP D sums what
+        M^-T ZP M^-1 summed, in the same order."""
+        m = data.load_scenario(scenario).feeder
+        for got, ref in zip(feeder.build_equivalents(m), incidence_equivalents(m)):
+            assert_same_bits(got, ref)
+
+    def test_incidence_form_lines_out_of_bus_order(self):
+        """Lines listed out of bus order, one of them from its downstream
+        end: the same matrices up to summation order."""
+        doc = unbalanced_four_bus_dict()
+        doc["lines"] = doc["lines"][::-1]
+        ln = doc["lines"][0]
+        ln["from"], ln["to"] = ln["to"], ln["from"]
+        m = feeder.load_feeder(doc)
+        assert [ol.down for ol in m.oriented] == ["lat", "t2", "t1"]
+        for got, ref in zip(feeder.build_equivalents(m), incidence_equivalents(m)):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(ref)) > 0.01
 
     def test_leaf_injection_raises_leaf_voltage_by_diagonal(self):
         doc = unbalanced_four_bus_dict()
@@ -222,13 +334,16 @@ class TestLindistVoltages:
 
 
 class TestLineFlows:
+    """Lossless line flows through the subtree matrix: -D @ (net
+    injections) on each node's upstream line, which solves M P = net."""
+
     def test_zero_case(self):
         m = feeder.load_feeder(two_bus_dict(p_kw=0.0, q_kvar=0.0))
         blocks = feeder.build_blocks(m)
         y = feeder.lindist_voltages(blocks, np.zeros(1), np.zeros(1))
-        p_tl, q_tl = feeder.line_flows(blocks, y, np.zeros(1), np.zeros(1))
-        np.testing.assert_allclose(p_tl, 0.0)
-        np.testing.assert_allclose(q_tl, 0.0)
+        p_net, q_net = feeder.net_injections(blocks, y, np.zeros(1), np.zeros(1))
+        np.testing.assert_allclose(-(m.subtree @ p_net), 0.0)
+        np.testing.assert_allclose(-(m.subtree @ q_net), 0.0)
 
     def test_substation_conservation_sign(self):
         m = feeder.load_feeder(two_bus_dict(p_kw=1000.0, q_kvar=500.0))
@@ -242,16 +357,18 @@ class TestLineFlows:
         rng = np.random.default_rng(4)
         m = four_bus_model
         blocks = feeder.build_blocks(m)
+        _, M = incidence(m)
         for _ in range(10):
             p_g = rng.uniform(-0.2, 0.2, m.n_nodes)
             q_g = rng.uniform(-0.1, 0.1, m.n_nodes)
             y = feeder.lindist_voltages(blocks, p_g, q_g)
-            p_tl, q_tl = feeder.line_flows(blocks, y, p_g, q_g)
             p_net, q_net = feeder.net_injections(blocks, y, p_g, q_g)
-            root_cols = [k for k, (lidx, _) in enumerate(m.linephases)
-                         if m.oriented[lidx].up == m.substation_bus]
-            assert np.sum(p_tl[root_cols]) == pytest.approx(-np.sum(p_net), abs=1e-9)
-            assert np.sum(q_tl[root_cols]) == pytest.approx(-np.sum(q_net), abs=1e-9)
+            p_tl, q_tl = -(m.subtree @ p_net), -(m.subtree @ q_net)
+            np.testing.assert_allclose(M @ p_tl, p_net, atol=1e-12)
+            np.testing.assert_allclose(M @ q_tl, q_net, atol=1e-12)
+            # the lines leaving the substation carry the feeder's net draw
+            assert np.sum(p_tl[m.sub_fed]) == pytest.approx(-np.sum(p_net), abs=1e-9)
+            assert np.sum(q_tl[m.sub_fed]) == pytest.approx(-np.sum(q_net), abs=1e-9)
 
 
 class TestBfmOracle:
@@ -301,8 +418,7 @@ def loop_bfm(model, p_g, q_g, tol=1e-8):
     """The backward/forward sweep written bus by bus, as ``bfm_oracle``
     ran it before its matrix form: (v, s_sub, sweeps)."""
     sub = model.substation_bus
-    angle = {"a": 0.0, "b": -2.0 * math.pi / 3.0, "c": 2.0 * math.pi / 3.0}
-    vs = {p: math.sqrt(model.y0_sub[p]) * np.exp(1j * angle[p])
+    vs = {p: math.sqrt(model.y0_sub[p]) * np.exp(1j * PHASE_ANGLE[p])
           for p in model.bus_phases[sub]}
     v = np.array([vs[p] for _, p in model.nodes], dtype=complex)
     s0 = model.p0 + 1j * model.q0
