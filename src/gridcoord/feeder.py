@@ -94,7 +94,6 @@ class DerPlacement:
 
 @dataclass(frozen=True)
 class OrientedLine:
-    index: int          # position in the file order
     up: str
     down: str
     phases: str         # phases carried (= phases of the downstream bus)
@@ -181,7 +180,7 @@ class FeederModel:
             zsub = np.asarray(ln.z, dtype=complex)[np.ix_(sel, sel)]
             if not np.all(np.isfinite(zsub.view(float))):
                 raise ValidationError(f"line {up}-{down}: non-finite impedance")
-            self.oriented.append(OrientedLine(idx, up, down, down_ph, zsub))
+            self.oriented.append(OrientedLine(up, down, down_ph, zsub))
 
         # flattened bus-phase index (file order, phases a,b,c, substation excluded)
         self.nodes: list[tuple[str, str]] = []
@@ -256,10 +255,6 @@ class FeederModel:
                                for _, p in self.nodes], dtype=complex)
         self.sub_fed = np.array([parent[bus][0] == sub for bus, _ in self.nodes], dtype=bool)
 
-    # -- convenience ----------------------------------------------------------
-
-    def node_of(self, bus, phase) -> int:
-        return self.node_index[(bus, phase)]
 
 def load_feeder(doc: dict, load_scale: float = 1.0) -> FeederModel:
     """Parse and validate a feeder from its JSON document, already decoded."""
@@ -536,19 +531,3 @@ def observable_matrices(blocks: SensitivityBlocks):
     ar = inv @ (blocks.roo - k1 @ blocks.rou)
     ax = inv @ (blocks.xoo - k1 @ blocks.xou)
     return ar, ax, inv @ c2
-
-
-def observable_voltages(blocks: SensitivityBlocks, p_o, q_o):
-    """Reduced-model observable squared voltages for net injections (P_o, Q_o)."""
-    ar, ax, c = observable_matrices(blocks)
-    return ar @ np.asarray(p_o, float) + ax @ np.asarray(q_o, float) + c
-
-
-def observable_net_injections(blocks: SensitivityBlocks, p_g, q_g):
-    """Constant-part net injections restricted to the observable set."""
-    if blocks.partition is None:
-        raise InvalidPartition("blocks have not been partitioned")
-    o = blocks.partition.observable
-    p = np.asarray(p_g, float)[o] - blocks.p_const[o]
-    q = np.asarray(q_g, float)[o] - blocks.q_const[o]
-    return p, q

@@ -64,6 +64,11 @@ class InverterSpec:
             raise ValidationError(f"{self.inverter_id}: s_rated must be positive")
         if not self.p_min <= self.p_max <= self.s_rated:
             raise ValidationError(f"{self.inverter_id}: need p_min <= p_max <= s_rated")
+        # the curves divide by p_max, and the stage models bound q by [q_min, q_max]
+        if self.p_max <= 0:
+            raise ValidationError(f"{self.inverter_id}: p_max must be positive")
+        if self.q_min > self.q_max:
+            raise ValidationError(f"{self.inverter_id}: need q_min <= q_max")
         if abs(self.q_min) > self.s_rated or abs(self.q_max) > self.s_rated:
             raise ValidationError(f"{self.inverter_id}: |q| limits exceed s_rated")
 

@@ -105,19 +105,22 @@ that pivots only on the rows the branch made primal infeasible.
 - **What a node stores.**  Its bounds, plus its parent's optimal basis
   (int32, one entry per row) and variable statuses (int8, one per
   structural or slack).  Siblings share those two arrays.  No node stores a tableau.
-- **One working tableau.**  A node whose parent was the last node
-  solved re-optimizes in that tableau in place.  Any other node is
-  rebased: Jordan exchanges that move no value pivot the working
-  tableau onto its stored basis, a few rank-1 updates where a refactor
-  would rebuild every column.  A node whose stored basis meets no
-  tableau, or a cold one (a root with a start basis, or a node after a
-  cold solve that did not branch), gets a new tableau built from that
-  basis.  A cold solve's tableau becomes the working one.  Every stored
-  basis indexes structurals and slacks only: a basic artificial gives
-  way to its row's slack, which spans the same unit column.  That
-  narrowing reads the basis and leaves the tableau alone, so a cold
-  root that closes returns its ``root_basis`` with no refactor.  Only a
-  cold node that branches has its tableau replaced by one built at the
+- **One working tableau.**  A node reaches its stored basis in one of
+  two ways.  It is rebased when the working tableau is within
+  ``_REFACTOR_PERIOD`` pivots of its last refactor and comes out of a
+  warm solve or holds the node's parent: Jordan exchanges that move no
+  value pivot the tableau onto the stored basis, a few rank-1 updates
+  where a refactor would rebuild every column, and none for a child of
+  the node the tableau holds, which re-optimizes in place.  Any other
+  node (a root with a start basis, a node after a cold solve that did
+  not branch, one at the period or whose stored basis meets no tableau)
+  gets a new tableau built at its stored basis, as does a node whose
+  rebase fails.  A cold solve's tableau becomes the working one.  Every
+  stored basis indexes structurals and slacks only: a basic artificial
+  gives way to its row's slack, which spans the same unit column.  That
+  narrowing reads the basis and leaves the tableau alone, so a cold root
+  that closes returns its ``root_basis`` with no refactor.  Only a cold
+  node that branches has its tableau replaced by one built at the
   narrowed basis, which its first child then re-optimizes in place.
 - **Refactor.**  Slack and artificial columns are signed unit columns,
   so B^-1 needs only an LU of the block of basic structural columns on
@@ -133,14 +136,13 @@ that pivots only on the rows the branch made primal infeasible.
   ``dgetrs`` and the product with the unit rows are the gathers', bit
   for bit, in values, shape and layout.  It runs after every
   ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike,
-  when a tableau is built from a stored basis (a start, a node that
-  meets no warm tableau, a cold node that branches), and when a node is
-  loaded from its stored basis instead of rebased: at the period, when
-  an exchange finds no pivot above ``_REBASE_TOL``, and to retry a node
-  whose warm solve (in place or rebased) ended without a verdict.  The
-  LU goes through LAPACK's ``dgetrf`` and ``dgetrs`` directly, and each
-  pivot's rank-1 update through BLAS's ``dger``: scipy's compiled
-  wrappers, which ``numkit`` loads without the ``scipy.linalg`` package.
+  and whenever a tableau is built at a stored basis: a start, a cold
+  node that branches, and a node that is not rebased, whose rebase finds
+  no pivot above ``_REBASE_TOL``, or whose rebased solve ended without a
+  verdict.  The LU goes through LAPACK's ``dgetrf`` and ``dgetrs``
+  directly, and each pivot's rank-1 update through BLAS's ``dger``:
+  scipy's compiled wrappers, which ``numkit`` loads without the
+  ``scipy.linalg`` package.
 - **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
   tableau: its column of T when the slack is nonbasic, else the unit
   column of the row it is basic in.  The dual steepest-edge weights and
@@ -154,10 +156,10 @@ that pivots only on the rows the branch made primal infeasible.
   as infeasible only when a Farkas check recomputed from the original
   rows (row r of B^-1 applied to A and b) proves the bounds infeasible.
   An unconfirmed verdict or a dual stall (more than max(64, rows)
-  pivots) after an in-place change or a rebase retries once from the
-  refactored stored basis; one after that retry or on a tableau built
-  from the stored basis, or a singular refactor, falls back to a cold
-  solve of that node.
+  pivots) after a rebase retries once on a tableau built at the stored
+  basis; one on such a tableau, or a singular refactor, falls back to a
+  cold solve of that node.  The pivots spent before a retry count
+  toward the node's iteration cap and its ``simplex_iterations``.
 - **Memory.**  The search holds one tableau, never a copy per node:
   m x n_struct, or m x (n_struct + n_art) after a cold solve.  Each
   new tableau, cold or built from a basis, is made only after the old
@@ -714,12 +716,12 @@ class _Simplex:
         self.art_rows, self.art_signs = np.empty(0, dtype=np.intp), np.empty(0)
         self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         self.fixed = self.hi - self.lo <= 0.0
-        self.basis = np.empty(m, dtype=np.intp)
-        self.status = np.empty(n_tot, dtype=np.int8)
+        self.basis = np.array(stored[0], dtype=np.intp)
+        self.status = np.array(stored[1], dtype=np.int8)
         self.xval = np.zeros(n_tot)
+        self._place_nonbasic((self.status != _BASIC).nonzero()[0])
         self.T, self.xB = np.empty((m, n)), np.empty(m)
         self.nb, self.pos = np.empty(n, dtype=np.intp), np.full(n_tot, -1)
-        self._adopt(*stored)
 
     def _slack_start(self, lo, hi):
         """The slack basis, each nonbasic column at a finite bound (free
@@ -902,51 +904,6 @@ class _Simplex:
         self.xval[cols] = new
         return delta
 
-    def _shift_basic(self, cols, delta):
-        """x_B follows nonbasic columns ``cols`` (ascending ids) moved by
-        ``delta``."""
-        moved = delta != 0.0
-        if moved.any():
-            self.xB -= self.T[:, self.pos[cols[moved]]] @ delta[moved]
-
-    def _set_struct_bounds(self, lo_s, hi_s):
-        n = self.n_tot - self.m
-        self.lo[:n], self.hi[:n] = lo_s, hi_s
-        self.fixed = self.hi - self.lo <= 0.0
-
-    def _place_all(self, lo_s, hi_s):
-        """New structural bounds with every nonbasic column placed anew;
-        x_B follows the ones that moved."""
-        self._set_struct_bounds(lo_s, hi_s)
-        cols = (self.status != _BASIC).nonzero()[0]
-        self._shift_basic(cols, self._place_nonbasic(cols))
-
-    def set_bounds(self, lo_s, hi_s):
-        """New structural bounds on the same basis; x_B follows the moved
-        nonbasic columns.  Only the columns whose bounds changed are
-        placed: every other nonbasic column already sits where its status
-        puts it."""
-        n = self.n_tot - self.m
-        changed = ((lo_s != self.lo[:n]) | (hi_s != self.hi[:n])).nonzero()[0]
-        self._set_struct_bounds(lo_s, hi_s)
-        cols = changed[self.status[changed] != _BASIC]
-        self._shift_basic(cols, self._place_nonbasic(cols))
-
-    def _adopt(self, basis, status):
-        """Take a stored basis and statuses, each nonbasic column placed
-        at the bound its status names; T and x_B are left to a refactor."""
-        self.basis[:] = basis
-        self.status[:] = status
-        self._place_nonbasic((self.status != _BASIC).nonzero()[0])
-
-    def load(self, basis, status, lo_s, hi_s):
-        """Adopt a stored basis under new structural bounds in a tableau
-        with no artificials; refactors.  False when the basis is
-        singular."""
-        self._set_struct_bounds(lo_s, hi_s)
-        self._adopt(basis, status)
-        return self.refactor() is not None
-
     def rebase(self, basis, status, lo_s, hi_s):
         """Adopt a stored basis under new structural bounds by Jordan
         exchanges from the current one, with no artificials present.
@@ -957,9 +914,12 @@ class _Simplex:
         moves: the leaving variable keeps its basic value until the
         stored statuses are applied, and x_B then follows every nonbasic
         column placed at its stored bound.  The basic variables are then
-        the stored ones, though not necessarily on the same rows.  Returns
-        False, leaving the tableau for ``load``, when an exchange finds no
-        pivot above ``_REBASE_TOL``.
+        the stored ones, though not necessarily on the same rows.  On the
+        tableau's own basis, as for a child of the node it holds, no
+        exchange is made: only the columns whose bounds changed move, and
+        x_B follows them.  Returns False, leaving a tableau that must be
+        built again at the stored basis, when an exchange finds no pivot
+        above ``_REBASE_TOL``.
         """
         in_stored = np.zeros(self.N, dtype=bool)
         in_stored[basis] = True
@@ -976,7 +936,14 @@ class _Simplex:
             self.xval[leave] = value
             leaving[r] = False
         self.status[:] = status
-        self._place_all(lo_s, hi_s)
+        n = self.n_tot - self.m
+        self.lo[:n], self.hi[:n] = lo_s, hi_s
+        self.fixed = self.hi - self.lo <= 0.0
+        cols = (self.status != _BASIC).nonzero()[0]
+        delta = self._place_nonbasic(cols)
+        moved = delta != 0.0
+        if moved.any():
+            self.xB -= self.T[:, self.pos[cols[moved]]] @ delta[moved]
         return True
 
     def solution_x(self):
@@ -1275,10 +1242,10 @@ class _Simplex:
         return self._optimal()
 
     def reoptimize(self):
-        """Warm solve after ``set_bounds``, ``rebase`` or ``load``: dual
-        simplex, then a primal pass that confirms optimality.  None asks
-        for another start.  ``iters`` keeps counting from where the
-        caller left it."""
+        """Warm solve after ``rebase``, or on a tableau built at a stored
+        basis: dual simplex, then a primal pass that confirms optimality.
+        None asks for another start.  ``iters`` keeps counting from where
+        the caller left it."""
         st = self.run_dual()
         if st == INFEASIBLE:
             return _SimplexResult(INFEASIBLE, None, None, self.iters)
@@ -1323,18 +1290,17 @@ class _Node:
 class _NodeLp:
     """Node LP solves of one search around its single working tableau.
 
-    A node starts from its parent's optimal basis: by ``set_bounds`` when
-    the tableau holds its parent, else by ``rebase`` when the tableau
-    comes out of a warm solve, else by ``load`` (a refactor).  Rebasing
-    and the in-place change need the tableau within ``_REFACTOR_PERIOD``
-    pivots of its last refactor.  An in-place or rebased solve that ends
-    without a verdict is retried once from ``load``; a node still
-    without one, or whose basis the refactor finds singular, is solved
-    cold.  A node whose stored basis meets no tableau, or a cold one
-    (the root's start, or any node after a cold solve that did not
-    branch), gets a new tableau built at that basis: no cold tableau is
-    filled for it.  The root is solved cold unless it stores a start
-    basis.
+    A node is rebased onto its stored basis (its parent's optimal one,
+    or the root's start) when the tableau has no artificial columns, is
+    within ``_REFACTOR_PERIOD`` pivots of its last refactor, and comes
+    out of a warm solve or holds the node's parent, which takes no
+    exchange.  A cold solve's tableau serves only its own node's
+    children: rebasing it for others changes the search's pivots.  Any
+    other node, and one whose rebase fails or whose rebased solve ends
+    without a verdict, gets a tableau built at the stored basis that
+    counts on from the pivots already spent on the node.  A node still
+    without a verdict, or with a singular basis, is solved cold, as is
+    a root without a start.
     """
 
     def __init__(self, arrs: _Arrays):
@@ -1346,26 +1312,22 @@ class _NodeLp:
     def solve(self, node, nid):
         res, spent = None, 0
         if node.basis is not None:
-            stored = (node.basis, node.status, node.lo, node.hi)
-            if self.lp is None or self.lp.n_art:
-                self.lp = None   # release a cold tableau before building another
-                self.lp = self.arrs.simplex(node.lo, node.hi, stored[:2])
-                if self.lp is not None:
-                    res = self.lp.reoptimize()
-            else:
-                lp = self.lp
+            lp = self.lp
+            if (lp is not None and not lp.n_art and lp.since_refactor < _REFACTOR_PERIOD
+                    and (self.warm or node.parent == self.holds)):
                 lp.iters = 0
-                fresh = lp.since_refactor < _REFACTOR_PERIOD
-                if node.parent == self.holds and fresh:
-                    lp.set_bounds(node.lo, node.hi)
+                if lp.rebase(node.basis, node.status, node.lo, node.hi):
                     res = lp.reoptimize()
-                elif self.warm and fresh and lp.rebase(*stored):
-                    res = lp.reoptimize()
-                # a failed rebase, or a warm solve that ended without a
-                # verdict, starts again from the refactored stored basis
-                if res is None and lp.load(*stored):
-                    res = lp.reoptimize()
-            spent = 0 if self.lp is None else self.lp.iters
+                spent = lp.iters
+            # any other node, a failed rebase, or a warm solve that ended
+            # without a verdict starts from a tableau built at its stored basis
+            if res is None:
+                lp = self.lp = None   # release the working tableau before building another
+                self.lp = self.arrs.simplex(node.lo, node.hi, (node.basis, node.status))
+                if self.lp is not None:
+                    self.lp.iters = spent   # the pivots already spent on this node
+                    res = self.lp.reoptimize()
+                    spent = self.lp.iters
         self.warm = res is not None
         if res is None:
             res = self._cold(node)
@@ -1419,18 +1381,19 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     rows are prefixes of its own; see the module docstring) gives it a
     stored basis.  Every node with a stored basis, the root's start or
     its parent's optimal basis, re-optimizes from it with the dual
-    simplex: in place when its parent was the last node solved,
-    otherwise after Jordan exchanges onto that basis, or a refactor from
-    it where the exchanges cannot be used (see the module docstring for
+    simplex: in the working tableau after Jordan exchanges onto that basis
+    (none when its parent was the last node solved), or in a tableau built
+    at it where the exchanges cannot be used (see the module docstring for
     the node storage, refactor policy, infeasibility confirmation and
-    memory rule).  A node whose in-place or rebased warm solve cannot
-    reach a confirmed verdict is retried once from a refactor; a node
-    still without one is solved cold.  A solution from a start may be
-    another optimal vertex than the cold solve's, with the same
-    objective within ``GAP``.  The model's LP form is built by the
-    first solve and kept for the next (see ``MilpModel``).
+    memory rule).  A node whose rebased warm solve cannot reach a confirmed
+    verdict is retried once on a tableau built at its basis; a node still
+    without one is solved cold.  A solution from a start may be another
+    optimal vertex than the cold solve's, with the same objective within
+    ``GAP``.  The model's LP form is built by the first solve and kept for
+    the next (see ``MilpModel``).
     ``simplex_iterations`` counts every primal and dual pivot and every
-    exchange of a rebase, and those of a start that fell back to cold.
+    exchange of a rebase, those of a warm solve that was retried, and
+    those of a start that fell back to cold.
 
     Deterministic for fixed inputs and options.  Open nodes are keyed on
     ``floor(bound / GAP)``, their relaxation bound rounded down to the

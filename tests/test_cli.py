@@ -1,5 +1,6 @@
 """The ``gridcoord run`` command: its JSON report and its exit codes."""
 
+import hashlib
 import json
 import shutil
 
@@ -52,6 +53,28 @@ def test_run_tampered_bundle_exits_2(monkeypatch, tmp_path, capsys):
     assert cli.main(["run", "tiny-2bus"]) == 2
     captured = capsys.readouterr()
     assert "ChecksumMismatch" in captured.err and "feeders/tiny2.json" in captured.err
+    assert captured.out == ""
+
+
+def test_run_negative_q_rating_exits_2(monkeypatch, tmp_path, capsys):
+    """An inverter file, checksummed anew, whose q_max is negative (so the
+    default q_min = -q_max lies above it) stops the run with
+    ValidationError, an input error, before any stage model is built."""
+    root = tmp_path / "data"
+    shutil.copytree(data.data_root(), root, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    rel = "inverters/default.json"
+    doc = json.loads((root / rel).read_text())
+    doc["inverters"][0]["q_max_kvar"] = -145.2
+    blob = json.dumps(doc).encode()
+    (root / rel).write_bytes(blob)
+    sums = (root / "CHECKSUMS").read_text().splitlines()
+    sums = [f"{hashlib.sha256(blob).hexdigest()}  {rel}" if line.endswith(f"  {rel}") else line
+            for line in sums]
+    (root / "CHECKSUMS").write_text("\n".join(sums) + "\n")
+    monkeypatch.setattr(data, "_ROOT", root)
+    assert cli.main(["run", "tiny-2bus"]) == 2
+    captured = capsys.readouterr()
+    assert "ValidationError" in captured.err and "q_min <= q_max" in captured.err
     assert captured.out == ""
 
 

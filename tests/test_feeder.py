@@ -43,11 +43,11 @@ def incidence(model):
     M = np.zeros((model.n_nodes, len(cols)))
     M0 = np.zeros((len(cols), len(model.bus_phases[sub])))
     for col, (ol, p) in enumerate(cols):
-        M[model.node_of(ol.down, p), col] = -1.0
+        M[model.node_index[(ol.down, p)], col] = -1.0
         if ol.up == sub:
             M0[col, model.bus_phases[sub].index(p)] = 1.0
         else:
-            M[model.node_of(ol.up, p), col] = 1.0
+            M[model.node_index[(ol.up, p)], col] = 1.0
     return M0, M
 
 
@@ -275,7 +275,7 @@ class TestEquivalents:
         doc["loads"] = [dict(l, a0=1.0, a1=0.0, a2=0.0) for l in doc["loads"]]
         m = feeder.load_feeder(doc)
         blocks = feeder.build_blocks(m)
-        leaf = m.node_of("t2", "a")
+        leaf = m.node_index[("t2", "a")]
         p_g = np.zeros(m.n_nodes)
         y_base = feeder.lindist_voltages(blocks, p_g, np.zeros(m.n_nodes))
         p_g[leaf] = 1.0
@@ -423,11 +423,9 @@ def loop_bfm(model, p_g, q_g, tol=1e-8):
     v = np.array([vs[p] for _, p in model.nodes], dtype=complex)
     s0 = model.p0 + 1j * model.q0
     children = {b.bus_id: [] for b in model.buses}
-    parent_line = {}
     for ol in model.oriented:
         children[ol.up].append(ol)
-        parent_line[ol.down] = ol
-    node_slice = {b.bus_id: np.array([model.node_of(b.bus_id, p)
+    node_slice = {b.bus_id: np.array([model.node_index[(b.bus_id, p)]
                                       for p in model.bus_phases[b.bus_id]], dtype=int)
                   for b in model.buses if b.bus_id != sub}
     line_current = {}
@@ -442,8 +440,8 @@ def loop_bfm(model, p_g, q_g, tol=1e-8):
             ph = model.bus_phases[bus]
             for child in children[bus]:
                 for k, p in enumerate(child.phases):
-                    cur[ph.index(p)] += line_current[child.index][k]
-            line_current[parent_line[bus].index] = cur
+                    cur[ph.index(p)] += line_current[child.down][k]
+            line_current[bus] = cur
         max_dv = 0.0
         for ol in model.oriented:
             if ol.up == sub:
@@ -451,12 +449,12 @@ def loop_bfm(model, p_g, q_g, tol=1e-8):
             else:
                 up_ph = model.bus_phases[ol.up]
                 v_up = np.array([v[node_slice[ol.up][up_ph.index(p)]] for p in ol.phases])
-            v_new = v_up - ol.z @ line_current[ol.index]
+            v_new = v_up - ol.z @ line_current[ol.down]
             nodes = node_slice[ol.down]
             max_dv = max(max_dv, float(np.max(np.abs(v_new - v[nodes]))))
             v[nodes] = v_new
         if max_dv < tol:
-            s_sub = sum(vs[p] * np.conj(line_current[ol.index][k])
+            s_sub = sum(vs[p] * np.conj(line_current[ol.down][k])
                         for ol in model.oriented if ol.up == sub
                         for k, p in enumerate(ol.phases))
             return v, complex(s_sub), sweep
@@ -595,6 +593,15 @@ class TestPartition:
             feeder.partition_blocks(blocks, part)
 
 
+def observable_voltages(blocks, p_g, q_g):
+    """The reduced model's observable squared voltages, ar @ p_o + ax @ q_o
+    + c from ``observable_matrices``, for per-node injections (p_g, q_g):
+    (p_o, q_o) are their observable entries less the constant loads."""
+    o = blocks.partition.observable
+    ar, ax, c = feeder.observable_matrices(blocks)
+    return ar @ (p_g[o] - blocks.p_const[o]) + ax @ (q_g[o] - blocks.q_const[o]) + c
+
+
 class TestObservableVoltages:
     def test_full_observability_matches_lindist(self, four_bus_model):
         m = four_bus_observing(four_bus_model.node_ids)
@@ -603,8 +610,7 @@ class TestObservableVoltages:
         rng = np.random.default_rng(3)
         p_g = rng.uniform(-0.2, 0.3, m.n_nodes)
         q_g = rng.uniform(-0.2, 0.2, m.n_nodes)
-        p_o, q_o = feeder.observable_net_injections(pb, p_g, q_g)
-        y_o = feeder.observable_voltages(pb, p_o, q_o)
+        y_o = observable_voltages(pb, p_g, q_g)
         y = feeder.lindist_voltages(blocks, p_g, q_g)
         np.testing.assert_allclose(y_o, y, atol=1e-9)
 
@@ -619,8 +625,7 @@ class TestObservableVoltages:
             for node in m.der_nodes:
                 p_g[node] = rng.uniform(0.0, 0.3)
                 q_g[node] = rng.uniform(-0.15, 0.15)
-            p_o, q_o = feeder.observable_net_injections(pb, p_g, q_g)
-            y_o = feeder.observable_voltages(pb, p_o, q_o)
+            y_o = observable_voltages(pb, p_g, q_g)
             y_full = feeder.lindist_voltages(blocks, p_g, q_g)
             np.testing.assert_allclose(y_o, y_full[pb.partition.observable],
                                        atol=1e-9)
@@ -632,8 +637,9 @@ class TestObservableVoltages:
         n_o = pb.partition.n_o
         c2 = m.y0_node[pb.partition.observable]
         isolated = dataclasses.replace(pb, k1=np.zeros_like(pb.k1), c2=c2)
+        ar, ax, c = feeder.observable_matrices(isolated)
         p_o = np.zeros(n_o)
         q_o = np.zeros(n_o)
-        y_o = feeder.observable_voltages(isolated, p_o, q_o)
+        y_o = ar @ p_o + ax @ q_o + c
         expect = numkit.solve_linear(np.eye(n_o) + pb.koo, c2)
         np.testing.assert_allclose(y_o, expect, atol=1e-12)

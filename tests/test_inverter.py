@@ -63,6 +63,19 @@ class TestInverterSpec:
         with pytest.raises(ValidationError):
             inverter.InverterSpec("bad", s_rated=-1.0, p_max=0.0, q_max=0.0)
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"p_max": 0.0}, "p_max must be positive"),
+        ({"p_max": -5.0, "p_min": -10.0}, "p_max must be positive"),
+        ({"q_min": 20.0, "q_max": 10.0}, "q_min <= q_max"),
+        ({"q_max": -40.0}, "q_min <= q_max"),   # the default q_min = -q_max
+    ], ids=["p_max-zero", "p_max-negative", "q_min-above-q_max", "q_max-negative"])
+    def test_unusable_ratings_rejected(self, fields, match):
+        """Ratings the curves (which divide by p_max) and the stage
+        models (q in [q_min, q_max]) cannot use."""
+        args = {"s_rated": 100.0, "p_max": 50.0, "q_max": 40.0, **fields}
+        with pytest.raises(ValidationError, match=match):
+            inverter.InverterSpec("x", **args)
+
     @pytest.mark.parametrize("fields", [
         {"q_max": np.nan}, {"q_min": np.nan}, {"s_rated": np.inf},
         {"m_pq": np.nan}, {"b_pq": np.inf}, {"p_min": -np.inf},

@@ -724,8 +724,9 @@ class TestWarmSearch:
         """nb, pos and basis partition the variables, T is B^-1 [A | I | art]
         on the nonbasic columns and the B^-1 rows that the dual pricing and
         the Farkas check read are the explicit inverse's: after a cold
-        solve, after a bound change and its warm solve, after a rebase
-        back onto the first basis and after a load."""
+        solve, after a bound change (a rebase with no exchange) and its
+        warm solve, after a rebase back onto the first basis and after a
+        refactor at that basis in the same tableau (``load``)."""
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
@@ -742,14 +743,14 @@ class TestWarmSearch:
         j = int(np.argmax(np.isfinite(lo)))
         if np.isfinite(lo[j]):
             hi[j] = lo[j]
-            lp.set_bounds(lo, hi)
+            set_bounds_by_rebase(lp, lo, hi)
             check_condensed(lp)
             lp.reoptimize()
             check_condensed(lp)
         if lp.rebase(basis, status, arrs.lo[:n], arrs.hi[:n]):
             assert np.array_equal(np.sort(lp.basis), np.sort(basis))
             check_condensed(lp)
-        if lp.load(basis, status, arrs.lo[:n], arrs.hi[:n]):
+        if load(lp, basis, status, arrs.lo[:n], arrs.hi[:n]):
             check_condensed(lp)
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -757,7 +758,8 @@ class TestWarmSearch:
     def test_binv_row_norms_cached_exactly(self, model, data):
         """The B^-1 row norms kept across pivots are bit for bit the ones
         a fresh computation gives, after a cold solve and after each of
-        a few bound changes, its warm solve and a rebase."""
+        a few bound changes (a rebase with no exchange), its warm solve
+        and a rebase."""
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
@@ -782,7 +784,7 @@ class TestWarmSearch:
                 lo[j] = hi[j]
             else:
                 hi[j] = lo[j]
-            lp.set_bounds(lo, hi)
+            set_bounds_by_rebase(lp, lo, hi)
             lp._binv_row_norms(rows)
             lp.reoptimize()
             check_norms_exact(lp)
@@ -793,12 +795,15 @@ class TestWarmSearch:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(oracle_milps(), st.data())
     def test_set_bounds_matches_full_placement(self, model, data):
-        """``set_bounds`` places only the columns whose bounds changed.
-        After a cold solve (narrowed to structurals and slacks, as before
-        any warm node) and each of a few structural bound changes and the
-        warm solve that may follow, its statuses, values and x_B are bit
-        for bit those of placing every nonbasic column, as ``rebase``
-        does."""
+        """A rebase onto the tableau's own basis, as a child of the node
+        it holds takes, makes no exchange and places every nonbasic
+        column.  After a cold solve (narrowed to structurals and slacks,
+        as before any warm node) and each of a few structural bound
+        changes and the warm solve that may follow, its statuses and x_B
+        are bit for bit those of placing only the columns whose bounds
+        changed (``set_bounds``), and so are its values up to the sign of
+        a zero: a bound that goes from 0.0 to -0.0 is no change to
+        ``set_bounds``, while the rebase writes it."""
         arrs = milp._Arrays(model)
         if arrs.trivially_infeasible or arrs.m == 0:
             return
@@ -813,11 +818,14 @@ class TestWarmSearch:
         for _ in range(data.draw(st.integers(1, 4))):
             for j in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
                 lo[j], hi[j] = sorted((-data.draw(bound), data.draw(bound)))
-            full = copy.deepcopy(lp)
-            full._place_all(lo, hi)
-            lp.set_bounds(lo, hi)
-            for name in ("status", "xval", "xB"):
-                assert np.array_equal(getattr(lp, name), getattr(full, name)), name
+            changed_only = copy.deepcopy(lp)
+            set_bounds(changed_only, lo, hi)
+            iters = lp.iters
+            set_bounds_by_rebase(lp, lo, hi)
+            assert lp.iters == iters
+            for name in ("status", "xB"):
+                assert identical_arrays(getattr(lp, name), getattr(changed_only, name)), name
+            assert np.array_equal(lp.xval, changed_only.xval)
             if data.draw(st.booleans()):
                 lp.reoptimize()
 
@@ -967,6 +975,104 @@ class TestWarmSearch:
         assert warm[0] > 0 and cold_pivots[0] > 0
         assert out.simplex_iterations == warm[0] + cold_pivots[0]
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(oracle_milps())
+    def test_every_pivot_is_counted_once(self, model):
+        """``simplex_iterations`` is the sum of the pivots each primal
+        pass, dual pass and rebase makes, wherever the node's solve
+        goes next."""
+        sol, counted = count_pivots(lambda: milp.solve_milp(model))
+        assert sol.simplex_iterations == counted
+
+    def test_every_pivot_is_counted_once_on_a_budgeted_stage(self):
+        """The same on feeder13-lowpv's Big-M stage 1 at 60 nodes, whose
+        search makes rebases with exchanges and retries a rebased solve
+        that ended without a verdict on a tableau built at the node's
+        basis, which counts on from the pivots spent before it."""
+        ctx = dd.make_context(load_scenario("feeder13-lowpv"), encoding="bigm")
+        mm, handles = dd.build_stage_model(ctx, "stage1")
+        mm.set_objective(milp.MAX, {p: ctx.specs[i].s_rated for i, p in enumerate(handles.p)})
+        exchanges, verdicts = [], []
+        rebase, reoptimize = milp._Simplex.rebase, milp._Simplex.reoptimize
+
+        def logged_rebase(self, *args):
+            before = self.iters
+            ok = rebase(self, *args)
+            exchanges.append(self.iters - before if ok else None)
+            return ok
+
+        def logged_reoptimize(self):
+            res = reoptimize(self)
+            verdicts.append(res is not None)
+            return res
+
+        with mock.patch.object(milp._Simplex, "rebase", logged_rebase), \
+                mock.patch.object(milp._Simplex, "reoptimize", logged_reoptimize):
+            sol, counted = count_pivots(
+                lambda: milp.solve_milp(mm, milp.MilpOptions(node_limit=60)))
+        assert sol.status == milp.NODE_LIMIT and sol.node_count == 60
+        assert any(exchanges)
+        assert not all(verdicts)
+        assert sol.simplex_iterations == counted
+
+
+def count_pivots(solve):
+    """Run ``solve()`` and count the pivots where they are made: the
+    rise of ``iters`` across every ``run_phase``, ``run_dual`` and
+    ``rebase`` call.  Returns (what ``solve`` returned, pivots)."""
+    counted = []
+
+    def counting(method):
+        def wrapped(self, *args, **kwargs):
+            before = self.iters
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                counted.append(self.iters - before)
+        return wrapped
+
+    simplex = milp._Simplex
+    with mock.patch.multiple(simplex, run_phase=counting(simplex.run_phase),
+                             run_dual=counting(simplex.run_dual),
+                             rebase=counting(simplex.rebase)):
+        out = solve()
+    return out, sum(counted)
+
+
+def set_bounds_by_rebase(lp, lo, hi):
+    """New structural bounds on ``lp``'s own basis: a rebase that makes
+    no exchange."""
+    assert lp.rebase(lp.basis.copy(), lp.status.copy(), lo, hi)
+
+
+def set_bounds(lp, lo_s, hi_s):
+    """New structural bounds on the same basis, placing only the
+    nonbasic columns whose bounds changed; x_B follows the ones that
+    moved.  The in-place step a child of the tableau's node once took."""
+    n = lp.n_tot - lp.m
+    changed = ((lo_s != lp.lo[:n]) | (hi_s != lp.hi[:n])).nonzero()[0]
+    lp.lo[:n], lp.hi[:n] = lo_s, hi_s
+    lp.fixed = lp.hi - lp.lo <= 0.0
+    cols = changed[lp.status[changed] != milp._BASIC]
+    delta = lp._place_nonbasic(cols)
+    moved = delta != 0.0
+    if moved.any():
+        lp.xB -= lp.T[:, lp.pos[cols[moved]]] @ delta[moved]
+
+
+def load(lp, basis, status, lo_s, hi_s):
+    """A stored basis under new structural bounds in ``lp``'s own
+    tableau, which has no artificials: set the bounds, adopt the basis
+    with each nonbasic column at the bound its status names, refactor.
+    False when the basis is singular."""
+    n = lp.n_tot - lp.m
+    lp.lo[:n], lp.hi[:n] = lo_s, hi_s
+    lp.fixed = lp.hi - lp.lo <= 0.0
+    lp.basis[:] = basis
+    lp.status[:] = status
+    lp._place_nonbasic((lp.status != milp._BASIC).nonzero()[0])
+    return lp.refactor() is not None
+
 
 def cold_then_load(arrs, lo, hi, basis, status):
     """A start's tableau made the way a start used to make it: a cold
@@ -979,7 +1085,7 @@ def cold_then_load(arrs, lo, hi, basis, status):
     lp.T = lp.T.reshape(-1)[:m * n].reshape(m, n)
     lp.nb, lp.pos = np.empty(n, dtype=np.intp), np.full(n_tot, -1)
     lp.N, lp.n_art, lp.art_rows, lp.art_signs = n_tot, 0, lp.art_rows[:0], lp.art_signs[:0]
-    return lp if lp.load(basis, status, lo, hi) else None
+    return lp if load(lp, basis, status, lo, hi) else None
 
 
 def narrowed(arrs, lp):
