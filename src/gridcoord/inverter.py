@@ -38,6 +38,7 @@ DEFAULT_PROFILE = {
     "wv": {"p2_frac": 0.5, "p3_frac": 1.0, "q_frac": -0.44,
            "set_min": 0.2, "set_max": 0.8},
 }
+_PROFILE_KEYS = {VOLT_VAR: "vv", VOLT_WATT: "vw", WATT_VAR: "wv"}   # each mode's profile entry
 
 
 @dataclass(frozen=True)
@@ -141,18 +142,43 @@ def _check_monotone(points, what):
         raise InvalidProfile(f"{what} breakpoints must be strictly increasing: {points}")
 
 
+def _profile_params(profile, key):
+    """Entry ``key`` of ``profile`` over ``DEFAULT_PROFILE``'s, once the
+    whole profile is checked: a dict of ``DEFAULT_PROFILE``'s mode keys
+    to dicts of that mode's parameter names to finite numbers, with
+    ``set_min <= set_max`` over the defaults; else ``InvalidProfile``."""
+    if not isinstance(profile, dict) or not set(profile) <= set(DEFAULT_PROFILE):
+        raise InvalidProfile(f"profile must map some of {sorted(DEFAULT_PROFILE)}: {profile!r}")
+    for mode_key, defaults in DEFAULT_PROFILE.items():
+        entry = profile.get(mode_key, {})
+        if not isinstance(entry, dict) or not set(entry) <= set(defaults):
+            raise InvalidProfile(f"profile {mode_key!r} must map some of {sorted(defaults)}: "
+                                 f"{entry!r}")
+        for name, value in entry.items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and np.isfinite(value)):
+                raise InvalidProfile(f"{mode_key} {name} must be a finite number, not {value!r}")
+        p = {**defaults, **entry}
+        if p["set_min"] > p["set_max"]:
+            raise InvalidProfile(f"{mode_key} set_min {p['set_min']} above set_max {p['set_max']}")
+    return {**DEFAULT_PROFILE[key], **profile.get(key, {})}
+
+
 def make_default_curve(mode: str, spec: InverterSpec, profile: dict | None = None) -> DroopCurve:
     """Build the mode's curve from a standard profile.
 
     The profile supplies numeric breakpoints and extremes; they are
-    configuration defaults, not normative values.  Offsets and domain
-    breakpoints are stored as affine functions of the setting variable
-    (deadband half-width for volt-var, curtailment knee for volt-watt,
-    deadband edge for watt-var).
+    configuration defaults, not normative values.  An entry or parameter
+    it leaves out takes ``DEFAULT_PROFILE``'s, and a profile that is not
+    usable raises ``InvalidProfile`` (see ``_profile_params``).  Offsets
+    and domain breakpoints are stored as affine functions of the setting
+    variable (deadband half-width for volt-var, curtailment knee for
+    volt-watt, deadband edge for watt-var).
     """
-    prof = profile or DEFAULT_PROFILE
+    if mode not in _PROFILE_KEYS:
+        raise ValueError(f"unknown mode {mode!r}")
+    p = _profile_params(DEFAULT_PROFILE if profile is None else profile, _PROFILE_KEYS[mode])
     if mode == VOLT_VAR:
-        p = {**DEFAULT_PROFILE["vv"], **prof.get("vv", {})}
         _check_monotone([p["v1"], p["v2"], p["v3"], p["v4"]], "volt-var")
         v_ref = p["v_ref"]
         q_ext = p["q_frac"]
@@ -173,7 +199,6 @@ def make_default_curve(mode: str, spec: InverterSpec, profile: dict | None = Non
         return DroopCurve(mode, segs, p["v3"] - v_ref, p["set_min"], p["set_max"])
 
     if mode == VOLT_WATT:
-        p = {**DEFAULT_PROFILE["vw"], **prof.get("vw", {})}
         _check_monotone([p["v1"], p["v2"]], "volt-watt")
         width = p["v2"] - p["v1"]
         p_top = spec.p_max_pu
@@ -186,24 +211,21 @@ def make_default_curve(mode: str, spec: InverterSpec, profile: dict | None = Non
         )
         return DroopCurve(mode, segs, p["v1"], p["set_min"], p["set_max"])
 
-    if mode == WATT_VAR:
-        p = {**DEFAULT_PROFILE["wv"], **prof.get("wv", {})}
-        _check_monotone([p["p2_frac"], p["p3_frac"]], "watt-var")
-        r = spec.p_max_pu
-        gap = (p["p3_frac"] - p["p2_frac"]) * r
-        q3 = p["q_frac"]
-        m = q3 / gap
-        dom = 1.5
-        segs = (
-            Segment(Affine(-dom), Affine(-gap, -r), 0.0, Affine(-q3)),
-            Segment(Affine(-gap, -r), Affine(0.0, -r), m, Affine(0.0, m * r)),
-            Segment(Affine(0.0, -r), Affine(0.0, r), 0.0, Affine(0.0)),
-            Segment(Affine(0.0, r), Affine(gap, r), m, Affine(0.0, -m * r)),
-            Segment(Affine(gap, r), Affine(dom), 0.0, Affine(q3)),
-        )
-        return DroopCurve(mode, segs, p["p2_frac"], p["set_min"], p["set_max"])
-
-    raise ValueError(f"unknown mode {mode!r}")
+    # watt-var
+    _check_monotone([p["p2_frac"], p["p3_frac"]], "watt-var")
+    r = spec.p_max_pu
+    gap = (p["p3_frac"] - p["p2_frac"]) * r
+    q3 = p["q_frac"]
+    m = q3 / gap
+    dom = 1.5
+    segs = (
+        Segment(Affine(-dom), Affine(-gap, -r), 0.0, Affine(-q3)),
+        Segment(Affine(-gap, -r), Affine(0.0, -r), m, Affine(0.0, m * r)),
+        Segment(Affine(0.0, -r), Affine(0.0, r), 0.0, Affine(0.0)),
+        Segment(Affine(0.0, r), Affine(gap, r), m, Affine(0.0, -m * r)),
+        Segment(Affine(gap, r), Affine(dom), 0.0, Affine(q3)),
+    )
+    return DroopCurve(mode, segs, p["p2_frac"], p["set_min"], p["set_max"])
 
 
 def make_curve_set(spec: InverterSpec, profile: dict | None = None) -> dict:

@@ -104,24 +104,23 @@ that pivots only on the rows the branch made primal infeasible.
   ``gap`` read each node's exact bound.
 - **What a node stores.**  Its bounds, plus its parent's optimal basis
   (int32, one entry per row) and variable statuses (int8, one per
-  structural or slack).  Siblings share those two arrays.  No node stores a tableau.
-- **One working tableau.**  A node reaches its stored basis in one of
-  two ways.  It is rebased when the working tableau is within
-  ``_REFACTOR_PERIOD`` pivots of its last refactor and comes out of a
-  warm solve or holds the node's parent: Jordan exchanges that move no
-  value pivot the tableau onto the stored basis, a few rank-1 updates
-  where a refactor would rebuild every column, and none for a child of
-  the node the tableau holds, which re-optimizes in place.  Any other
-  node (a root with a start basis, a node after a cold solve that did
-  not branch, one at the period or whose stored basis meets no tableau)
-  gets a new tableau built at its stored basis, as does a node whose
-  rebase fails.  A cold solve's tableau becomes the working one.  Every
-  stored basis indexes structurals and slacks only: a basic artificial
-  gives way to its row's slack, which spans the same unit column.  That
-  narrowing reads the basis and leaves the tableau alone, so a cold root
-  that closes returns its ``root_basis`` with no refactor.  Only a cold
-  node that branches has its tableau replaced by one built at the
-  narrowed basis, which its first child then re-optimizes in place.
+  structural or slack).  Siblings share those two arrays.  No node
+  stores a tableau or names its parent.
+- **One working tableau.**  It is all the state the node solves keep,
+  and a node's route is read off it alone.  A node is rebased when the
+  tableau has no artificial columns and is within ``_REFACTOR_PERIOD``
+  pivots of its last refactor: Jordan exchanges that move no value
+  pivot it onto the stored basis, a few rank-1 updates where a refactor
+  would rebuild every column, and none for a child of the node it
+  holds.  Any other node, and one whose rebase fails, gets a new
+  tableau built at its stored basis.  A cold solve's tableau becomes
+  the working one, artificial columns and all, until the next node
+  replaces it.  Every stored basis indexes structurals and slacks only:
+  a basic artificial gives way to its row's slack, which spans the same
+  unit column.  That narrowing reads the basis and leaves the tableau
+  alone, so a cold root that closes returns its ``root_basis`` with no
+  refactor, and a cold node with artificials that branches is
+  refactored only in its first child's solve.
 - **Refactor.**  Slack and artificial columns are signed unit columns,
   so B^-1 needs only an LU of the block of basic structural columns on
   the rows no basic unit column covers (at most n_struct square).  The
@@ -136,21 +135,20 @@ that pivots only on the rows the branch made primal infeasible.
   ``dgetrs`` and the product with the unit rows are the gathers', bit
   for bit, in values, shape and layout.  It runs after every
   ``_REFACTOR_PERIOD`` pivots, in the primal and the dual simplex alike,
-  and whenever a tableau is built at a stored basis: a start, a cold
-  node that branches, and a node that is not rebased, whose rebase finds
-  no pivot above ``_REBASE_TOL``, or whose rebased solve ended without a
-  verdict.  The LU goes through LAPACK's ``dgetrf`` and ``dgetrs``
-  directly, and each pivot's rank-1 update through BLAS's ``dger``:
+  and whenever a tableau is built at a stored basis: a start, and a
+  node that is not rebased, whose rebase finds no pivot above
+  ``_REBASE_TOL``, or whose rebased solve ended without a verdict.  The
+  LU goes through LAPACK's ``dgetrf`` and ``dgetrs`` directly, and each
+  pivot's rank-1 update through BLAS's ``dger``:
   scipy's compiled wrappers, which ``numkit`` loads without the
   ``scipy.linalg`` package.
 - **B^-1 rows.**  Column i of B^-1 is slack i's column of the full
   tableau: its column of T when the slack is nonbasic, else the unit
   column of the row it is basic in.  The dual steepest-edge weights and
   the Farkas check rebuild the rows they need from that.  The squared
-  norm of each row is kept across pivots.  A pivot marks stale only
-  the pivot row and the rows with a nonzero in the entering column: a
-  row with a zero there is unchanged bit for bit.  A refactor marks
-  every row stale.
+  norms the dual pricing asks for are computed when asked, a block of
+  ``_REFACTOR_BLOCK`` rows at a time, and nothing about them is kept
+  across pivots.
 - **Verdicts.**  A node is optimal only after a primal pricing pass on
   the dual simplex's end point finds nothing to improve.  It is pruned
   as infeasible only when a Farkas check recomputed from the original
@@ -279,9 +277,12 @@ class MilpModel:
 
     Variables and constraints are identified by the integer ids returned
     from the ``add_*`` methods.  Binary variables always carry [0, 1]
-    bounds; SOS1 sets are ordered lists of variable ids (duplicates are
-    dropped, keeping first occurrence).  Bounds may be infinite but not
-    NaN; coefficients and right-hand sides must be finite.
+    bounds and are fixed only at 0 or 1; SOS1 sets are ordered lists of
+    variable ids (duplicates are dropped, keeping first occurrence).
+    Bounds may be infinite but not NaN, and must hold a finite value; a
+    fixed value, coefficients and right-hand sides must be finite.  Any
+    other input, or a kind but ``continuous`` or ``binary``, raises
+    ``ValueError``.
 
     The entries of ``variables`` and ``constraints`` are frozen: a model
     changes only through its methods.  A solve keeps the model's
@@ -301,11 +302,13 @@ class MilpModel:
         self._form: _LpForm | None = None
 
     def add_variable(self, lo=0.0, hi=np.inf, kind=CONTINUOUS, name=None) -> int:
+        if kind not in (CONTINUOUS, BINARY):
+            raise ValueError(f"unknown variable kind {kind!r}")
         if kind == BINARY:
             lo, hi = 0.0, 1.0
         lo, hi = _bound(lo), _bound(hi)
-        if lo > hi:
-            raise ValueError(f"variable lower bound {lo} above upper bound {hi}")
+        if not lo <= hi or lo == np.inf or hi == -np.inf:
+            raise ValueError(f"variable bounds [{lo}, {hi}] admit no finite value")
         vid = len(self.variables)
         self.variables.append(_Variable(name or f"x{vid}", lo, hi, kind))
         self._form = None
@@ -370,7 +373,9 @@ class MilpModel:
 
     def fix_variable(self, vid, value):
         self._check_var(vid)
-        value = _bound(value)
+        value = _finite(value, "fixed value")
+        if self.variables[vid].kind == BINARY and value not in (0.0, 1.0):
+            raise ValueError(f"binary variable fixed at {value}, not 0 or 1")
         self.variables[vid] = replace(self.variables[vid], lo=value, hi=value)
         self._form = None
 
@@ -705,9 +710,6 @@ class _Simplex:
         self.iter_cap = iter_cap
         self.iters = 0
         self.since_refactor = 0
-        # |row i of B^-1|^2, valid where norm_stale is False
-        self.row_norm = np.empty(self.m)
-        self.norm_stale = np.ones(self.m, dtype=bool)
         if stored is None:
             self._slack_start(lo, hi)
             return
@@ -798,7 +800,6 @@ class _Simplex:
         A[R, S] is singular.
         """
         self.since_refactor = 0
-        self.norm_stale[:] = True
         m, n = self.m, self.n_tot - self.m
         basis = self.basis
         pos_s = np.flatnonzero(basis < n)
@@ -987,10 +988,6 @@ class _Simplex:
         T[:, k] = 0.0
         T[r] = Trow
         _rank1_update(T, colv, Trow)
-        # a row with colv == 0 keeps its B^-1 row bit for bit (up to the sign
-        # of a zero), and with it its norm
-        self.norm_stale[colv != 0.0] = True
-        self.norm_stale[r] = True
         self.xB[r] = enter_val
         self.iters += 1
         self.since_refactor += 1
@@ -1012,16 +1009,13 @@ class _Simplex:
         return out
 
     def _binv_row_norms(self, rows):
-        """|row i of B^-1|^2 for each given row.  Kept across pivots:
-        only the rows a pivot or refactor touched since their last use
-        are recomputed, a few rows at a time."""
-        stale = rows[self.norm_stale[rows]]
-        for c0 in range(0, stale.size, _REFACTOR_BLOCK):
-            part = stale[c0:c0 + _REFACTOR_BLOCK]
-            b_inv = self._binv_rows(part)
-            self.row_norm[part] = np.einsum("ij,ij->i", b_inv, b_inv)
-        self.norm_stale[stale] = False
-        return self.row_norm[rows]
+        """|row i of B^-1|^2 for each given row, computed when asked,
+        ``_REFACTOR_BLOCK`` full-width rows at a time."""
+        norms = np.empty(rows.size)
+        for c0 in range(0, rows.size, _REFACTOR_BLOCK):
+            b_inv = self._binv_rows(rows[c0:c0 + _REFACTOR_BLOCK])
+            norms[c0:c0 + _REFACTOR_BLOCK] = np.einsum("ij,ij->i", b_inv, b_inv)
+        return norms
 
     def _farkas(self, r):
         """Whether row r of B^-1, applied to the original A and b, proves
@@ -1281,21 +1275,19 @@ class _Node:
     bound: float = field(compare=False)
     lo: np.ndarray = field(compare=False)
     hi: np.ndarray = field(compare=False)
-    parent: int = field(default=-1, compare=False)
     # the parent's optimal basis (at the root, the start's), int32
     basis: np.ndarray | None = field(default=None, compare=False)
     status: np.ndarray | None = field(default=None, compare=False)   # parent's, int8
 
 
 class _NodeLp:
-    """Node LP solves of one search around its single working tableau.
+    """Node LP solves of one search around its single working tableau,
+    the only state they keep (see "One working tableau" in the module
+    docstring).
 
     A node is rebased onto its stored basis (its parent's optimal one,
-    or the root's start) when the tableau has no artificial columns, is
-    within ``_REFACTOR_PERIOD`` pivots of its last refactor, and comes
-    out of a warm solve or holds the node's parent, which takes no
-    exchange.  A cold solve's tableau serves only its own node's
-    children: rebasing it for others changes the search's pivots.  Any
+    or the root's start) when the tableau has no artificial columns and
+    is within ``_REFACTOR_PERIOD`` pivots of its last refactor.  Any
     other node, and one whose rebase fails or whose rebased solve ends
     without a verdict, gets a tableau built at the stored basis that
     counts on from the pivots already spent on the node.  A node still
@@ -1306,15 +1298,12 @@ class _NodeLp:
     def __init__(self, arrs: _Arrays):
         self.arrs = arrs
         self.lp = None       # _Simplex, cold or over structural and slack columns
-        self.holds = None    # id of the node whose optimal basis lp holds
-        self.warm = False    # lp comes out of a warm solve, not a cold one
 
-    def solve(self, node, nid):
+    def solve(self, node):
         res, spent = None, 0
         if node.basis is not None:
             lp = self.lp
-            if (lp is not None and not lp.n_art and lp.since_refactor < _REFACTOR_PERIOD
-                    and (self.warm or node.parent == self.holds)):
+            if lp is not None and not lp.n_art and lp.since_refactor < _REFACTOR_PERIOD:
                 lp.iters = 0
                 if lp.rebase(node.basis, node.status, node.lo, node.hi):
                     res = lp.reoptimize()
@@ -1328,36 +1317,15 @@ class _NodeLp:
                     self.lp.iters = spent   # the pivots already spent on this node
                     res = self.lp.reoptimize()
                     spent = self.lp.iters
-        self.warm = res is not None
         if res is None:
             res = self._cold(node)
             res.iterations += spent
-        self.holds = nid if res.status == OPTIMAL else None
         return res
 
     def _cold(self, node):
-        arrs = self.arrs
         self.lp = None   # release the working tableau before building another
-        # its artificials stay until a child needs this basis (basis_of_last)
-        self.lp = arrs.simplex(node.lo, node.hi)
+        self.lp = self.arrs.simplex(node.lo, node.hi)
         return self.lp.solve()
-
-    def basis_of_last(self):
-        """The working tableau's basis and statuses over structurals and
-        slacks, to store in children.  A cold tableau gives way to one
-        built at that basis and refactored, which the first child then
-        re-optimizes in place; (None, None) when the refactor finds the
-        basis singular."""
-        basis, status = self.lp.narrowed()
-        if self.lp.n_art:
-            n = self.arrs.n_struct
-            lo, hi = self.lp.lo[:n], self.lp.hi[:n]
-            self.lp = None   # release the cold tableau before building another
-            self.lp = self.arrs.simplex(lo, hi, (basis, status))
-            if self.lp is None:
-                self.holds = None
-                return None, None
-        return basis, status
 
 
 def solve_milp(model: MilpModel, options: MilpOptions | None = None,
@@ -1380,17 +1348,18 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
     solve's ``root_basis``, from this model or one whose structurals and
     rows are prefixes of its own; see the module docstring) gives it a
     stored basis.  Every node with a stored basis, the root's start or
-    its parent's optimal basis, re-optimizes from it with the dual
-    simplex: in the working tableau after Jordan exchanges onto that basis
-    (none when its parent was the last node solved), or in a tableau built
-    at it where the exchanges cannot be used (see the module docstring for
-    the node storage, refactor policy, infeasibility confirmation and
-    memory rule).  A node whose rebased warm solve cannot reach a confirmed
-    verdict is retried once on a tableau built at its basis; a node still
-    without one is solved cold.  A solution from a start may be another
-    optimal vertex than the cold solve's, with the same objective within
-    ``GAP``.  The model's LP form is built by the first solve and kept for
-    the next (see ``MilpModel``).
+    its parent's optimal basis (``narrowed`` from the parent's tableau),
+    re-optimizes from it with the dual simplex: in the working tableau
+    after Jordan exchanges onto that basis (none when its parent was the
+    last node solved), or in a tableau built at it where the working
+    tableau has artificial columns or is due a refactor (see the module
+    docstring for the node storage, refactor policy, infeasibility
+    confirmation and memory rule).  A node whose rebased warm solve
+    cannot reach a confirmed verdict is retried once on a tableau built
+    at its basis; a node still without one is solved cold.  A solution
+    from a start may be another optimal vertex than the cold solve's,
+    with the same objective within ``GAP``.  The model's LP form is
+    built by the first solve and kept for the next (see ``MilpModel``).
     ``simplex_iterations`` counts every primal and dual pivot and every
     exchange of a rebase, those of a warm solve that was retried, and
     those of a start that fell back to cold.
@@ -1449,9 +1418,8 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
             heapq.heappush(heap, node)
             stopped = True
             break
-        nid = -node.neg_nid
         node_count += 1
-        res = node_lp.solve(node, nid)
+        res = node_lp.solve(node)
         total_iters += res.iterations
         if res.status == ITER_LIMIT:
             dropped_bound = min(dropped_bound, node.bound)
@@ -1461,7 +1429,7 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
                                  fixed=root_fixed)
         if res.status != OPTIMAL:
             continue
-        if nid == 0:
+        if node.neg_nid == 0:
             root_basis = node_lp.lp.narrowed()
             point = None if root_point is None else root_point(res.x[:n].copy())
             if point is not None and arrs.admits(point, root_lo, root_hi, bin_ids, sos_sets):
@@ -1505,11 +1473,10 @@ def solve_milp(model: MilpModel, options: MilpOptions | None = None,
                 lo_c[zero_ids] = 0.0
                 hi_c[zero_ids] = 0.0
                 bounds.append((lo_c, hi_c))
-        basis, status = node_lp.basis_of_last() if node_lp.holds == nid else (None, None)
+        basis, status = node_lp.lp.narrowed()
         key = np.floor(res.objective / GAP)
         for lo_c, hi_c in bounds:
-            heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, nid, basis,
-                                       status))
+            heapq.heappush(heap, _Node(key, -next_id, res.objective, lo_c, hi_c, basis, status))
             next_id += 1
 
     bound = min([incumbent_obj, dropped_bound] + [nd.bound for nd in heap])

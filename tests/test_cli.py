@@ -56,15 +56,13 @@ def test_run_tampered_bundle_exits_2(monkeypatch, tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_run_negative_q_rating_exits_2(monkeypatch, tmp_path, capsys):
-    """An inverter file, checksummed anew, whose q_max is negative (so the
-    default q_min = -q_max lies above it) stops the run with
-    ValidationError, an input error, before any stage model is built."""
+def use_edited_bundle(monkeypatch, tmp_path, rel, edit):
+    """Point ``data`` at a copy of the bundle whose JSON file ``rel`` is
+    changed by ``edit(doc)`` in place and checksummed anew."""
     root = tmp_path / "data"
     shutil.copytree(data.data_root(), root, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
-    rel = "inverters/default.json"
     doc = json.loads((root / rel).read_text())
-    doc["inverters"][0]["q_max_kvar"] = -145.2
+    edit(doc)
     blob = json.dumps(doc).encode()
     (root / rel).write_bytes(blob)
     sums = (root / "CHECKSUMS").read_text().splitlines()
@@ -72,9 +70,29 @@ def test_run_negative_q_rating_exits_2(monkeypatch, tmp_path, capsys):
             for line in sums]
     (root / "CHECKSUMS").write_text("\n".join(sums) + "\n")
     monkeypatch.setattr(data, "_ROOT", root)
+
+
+def test_run_negative_q_rating_exits_2(monkeypatch, tmp_path, capsys):
+    """An inverter file, checksummed anew, whose q_max is negative (so the
+    default q_min = -q_max lies above it) stops the run with
+    ValidationError, an input error, before any stage model is built."""
+    use_edited_bundle(monkeypatch, tmp_path, "inverters/default.json",
+                      lambda doc: doc["inverters"][0].update(q_max_kvar=-145.2))
     assert cli.main(["run", "tiny-2bus"]) == 2
     captured = capsys.readouterr()
     assert "ValidationError" in captured.err and "q_min <= q_max" in captured.err
+    assert captured.out == ""
+
+
+def test_run_unusable_profile_exits_2(monkeypatch, tmp_path, capsys):
+    """An inverter file, checksummed anew, whose volt-var profile has
+    set_min above set_max stops the run with InvalidProfile, an input
+    error, before any stage model is built."""
+    use_edited_bundle(monkeypatch, tmp_path, "inverters/default.json",
+                      lambda doc: doc["profile"]["vv"].update(set_min=0.06))
+    assert cli.main(["run", "tiny-2bus"]) == 2
+    captured = capsys.readouterr()
+    assert "InvalidProfile" in captured.err and "set_min 0.06 above set_max 0.05" in captured.err
     assert captured.out == ""
 
 

@@ -255,7 +255,7 @@ def test_stage2a_roots_start_from_earlier_bases(monkeypatch):
     cold = milp._NodeLp._cold
 
     def logged_cold(self, node):
-        colds.append(node.parent < 0)
+        colds.append(node.neg_nid == 0)
         return cold(self, node)
 
     monkeypatch.setattr(milp._NodeLp, "_cold", logged_cold)
@@ -283,7 +283,7 @@ def test_stage2b_root_starts_from_a_stage2a_basis(monkeypatch):
     cold = milp._NodeLp._cold
 
     def logged_cold(self, node):
-        colds.append(node.parent < 0)
+        colds.append(node.neg_nid == 0)
         return cold(self, node)
 
     monkeypatch.setattr(milp._NodeLp, "_cold", logged_cold)
@@ -312,7 +312,7 @@ def test_implied_rows_stay_out_of_the_lp(monkeypatch):
     cold = milp._NodeLp._cold
 
     def logged_cold(self, node):
-        colds.append(node.parent < 0)
+        colds.append(node.neg_nid == 0)
         return cold(self, node)
 
     monkeypatch.setattr(milp._NodeLp, "_cold", logged_cold)

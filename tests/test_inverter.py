@@ -177,6 +177,47 @@ class TestCurves:
                 inverter.VOLT_VAR, SPEC,
                 {"vv": {"v1": 0.99, "v2": 0.98, "v3": 1.02, "v4": 1.08}})
 
+    @pytest.mark.parametrize("profile", [
+        [],
+        [("vv", {})],
+        "vv",
+        {"vv": [0.92, 0.98]},
+        {"vv": None},
+        {"va": {}},
+        {"vv": {"v0": 0.9}},
+        {"wv": {"v1": 0.9}},
+        {"vv": {"v1": "x"}},
+        {"vv": {"q_frac": float("nan")}},
+        {"vw": {"v2": float("inf")}},
+        {"wv": {"q_frac": None}},
+        {"vw": {"v1": True}},
+        {"vv": {"set_min": 0.06}},
+        {"wv": {"set_min": 0.8, "set_max": 0.2}},
+    ], ids=["list", "pairs", "string", "entry-list", "entry-null", "unknown-mode",
+            "unknown-parameter", "other-modes-parameter", "string-value", "nan-value",
+            "inf-value", "null-value", "bool-value", "set-min-above-default-max",
+            "set-min-above-set-max"])
+    @pytest.mark.parametrize("mode", inverter.MODES)
+    def test_unusable_profile_rejected(self, profile, mode):
+        """A profile that is not a mapping of known modes to mappings of
+        that mode's known parameters, each a finite number, with set_min
+        <= set_max, raises ``InvalidProfile`` whichever mode is built.
+        Unchecked, a set_min above set_max and a NaN reached the stage
+        model as bare ``ValueError``s, a string value failed in float
+        conversion and a list profile raised ``AttributeError``."""
+        with pytest.raises(InvalidProfile):
+            inverter.make_default_curve(mode, SPEC, profile)
+
+    def test_partial_profile_takes_the_defaults(self):
+        """A profile entry, or a whole mode, left out takes
+        ``DEFAULT_PROFILE``'s values."""
+        for mode in inverter.MODES:
+            default = inverter.make_default_curve(mode, SPEC)
+            assert inverter.make_default_curve(mode, SPEC, {}) == default
+            assert inverter.make_default_curve(mode, SPEC, {"vv": {}}) == default
+        curve = inverter.make_default_curve(inverter.VOLT_VAR, SPEC, {"vv": {"set_max": 0.04}})
+        assert (curve.setting_min, curve.setting_max) == (0.01, 0.04)
+
     def test_setting_range_enforced(self):
         c = inverter.make_default_curve(inverter.VOLT_VAR, SPEC)
         with pytest.raises(ValueError):

@@ -203,22 +203,38 @@ class TestBuilders:
         lambda m, x: m.set_rhs(0, np.nan),
         lambda m, x: m.set_rhs(0, np.inf),
         lambda m, x: m.set_rhs(1, 1.0),
+        lambda m, x: m.fix_variable(2, 0.5),
+        lambda m, x: m.fix_variable(2, -1.0),
+        lambda m, x: m.fix_variable(x, np.inf),
+        lambda m, x: m.fix_variable(x, -np.inf),
+        lambda m, x: m.add_variable(np.inf, np.inf),
+        lambda m, x: m.add_variable(-np.inf, -np.inf),
+        lambda m, x: m.add_variable(0.0, 1.0, kind="integer"),
     ], ids=["var-lo-nan", "var-hi-nan", "row-coef-nan", "row-coef-inf", "rhs-nan",
             "rhs-inf", "obj-nan", "obj-inf", "fix-nan", "set-rhs-nan", "set-rhs-inf",
-            "set-rhs-unknown-row"])
+            "set-rhs-unknown-row", "fix-binary-half", "fix-binary-minus-one", "fix-inf",
+            "fix-minus-inf", "var-lo-inf", "var-hi-minus-inf", "kind-integer"])
     def test_nan_and_non_finite_inputs_rejected(self, call):
-        """A NaN bound, a non-finite coefficient or right-hand side, and an
-        unknown row raise and leave the model as it was.  Unchecked, a NaN
-        objective coefficient, row coefficient or right-hand side solved
-        to ``Optimal`` with objective nan, and a NaN lower bound passed
-        the lo > hi test.  Infinite bounds stay legal."""
+        """A NaN bound, a non-finite coefficient, right-hand side or fixed
+        value, an unknown row, a binary fixed off 0 and 1, bounds that
+        hold no finite value and an unknown kind raise and leave the model
+        as it was.  Unchecked, a NaN objective coefficient, row
+        coefficient or right-hand side solved to ``Optimal`` with
+        objective nan, and a NaN lower bound passed the lo > hi test; a
+        binary fixed at 0.5 ran the search to its node limit where
+        ``brute_force`` proves the model infeasible, x fixed at +inf under
+        x <= 5 solved as an LP to x = 5, and ``integer`` was kept as a
+        continuous variable.  Infinite bounds stay legal."""
         m = milp.MilpModel()
         x = m.add_variable(0.0, 1.0)
         y = m.add_variable(-np.inf, np.inf)
+        m.add_variable(kind=milp.BINARY)
         m.add_constraint({x: 1.0, y: 1.0}, milp.EQ, 1.0)
         m.set_objective(milp.MAX, {x: 2.0, y: 1.0})
+        before = list(m.variables)
         with pytest.raises(ValueError):
             call(m, x)
+        assert m.variables == before
         m.fix_variable(y, 0.0)
         sol = milp.solve_milp(m)
         assert (sol.status, sol.objective) == (milp.OPTIMAL, 2.0)
@@ -753,45 +769,6 @@ class TestWarmSearch:
         if load(lp, basis, status, arrs.lo[:n], arrs.hi[:n]):
             check_condensed(lp)
 
-    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-    @given(oracle_milps(), st.data())
-    def test_binv_row_norms_cached_exactly(self, model, data):
-        """The B^-1 row norms kept across pivots are bit for bit the ones
-        a fresh computation gives, after a cold solve and after each of
-        a few bound changes (a rebase with no exchange), its warm solve
-        and a rebase."""
-        arrs = milp._Arrays(model)
-        if arrs.trivially_infeasible or arrs.m == 0:
-            return
-        lp = milp._Simplex(arrs.A, arrs.by_col, arrs.b, arrs.lo, arrs.hi, arrs.c, 10 ** 4)
-        rows = np.arange(arrs.m)
-        lp._binv_row_norms(rows)   # every row cached before the first pivot
-        lp.solve()
-        check_norms_exact(lp)
-        lp = narrowed(arrs, lp)
-        if lp is None:
-            return
-        check_norms_exact(lp)
-        basis, status = lp.basis.copy(), lp.status.copy()
-        n = arrs.n_struct
-        lo, hi = arrs.lo[:n].copy(), arrs.hi[:n].copy()
-        for _ in range(data.draw(st.integers(1, 3))):
-            boxed = np.flatnonzero(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
-            if boxed.size == 0:
-                break
-            j = data.draw(st.sampled_from(boxed.tolist()))
-            if data.draw(st.booleans()):
-                lo[j] = hi[j]
-            else:
-                hi[j] = lo[j]
-            set_bounds_by_rebase(lp, lo, hi)
-            lp._binv_row_norms(rows)
-            lp.reoptimize()
-            check_norms_exact(lp)
-            if not lp.rebase(basis, status, arrs.lo[:n], arrs.hi[:n]):
-                break
-            check_norms_exact(lp)
-
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(oracle_milps(), st.data())
     def test_set_bounds_matches_full_placement(self, model, data):
@@ -1089,9 +1066,9 @@ def cold_then_load(arrs, lo, hi, basis, status):
 
 
 def narrowed(arrs, lp):
-    """The tableau a cold ``lp`` gives way to when its node branches
-    (``_NodeLp.basis_of_last``): built at its basis over structurals and
-    slacks and refactored; None when that basis is singular."""
+    """A tableau built at a cold ``lp``'s basis narrowed to structurals
+    and slacks (the basis its node's children store), under ``lp``'s
+    bounds, and refactored; None when that basis is singular."""
     n = arrs.n_struct
     return arrs.simplex(lp.lo[:n], lp.hi[:n], lp.narrowed())
 
@@ -1103,7 +1080,7 @@ def check_start(model, start):
     cold = milp._NodeLp._cold
 
     def logged_cold(self, node):
-        roots.append(node.parent < 0)
+        roots.append(node.neg_nid == 0)
         return cold(self, node)
 
     with mock.patch.object(milp._NodeLp, "_cold", logged_cold):
@@ -1189,12 +1166,6 @@ def rebuilt(model):
         out.add_sos1(members)
     out.set_objective(model.objective_sense, model.objective, model.objective_const)
     return out
-
-
-def check_norms_exact(lp):
-    rows = np.arange(lp.m)
-    b_inv = lp._binv_rows(rows)
-    assert np.array_equal(lp._binv_row_norms(rows), np.einsum("ij,ij->i", b_inv, b_inv))
 
 
 def check_condensed(lp):
@@ -1452,12 +1423,13 @@ class TestRootPoint:
     @given(oracle_milps())
     def test_cold_root_refactors_only_to_branch(self, model):
         """With a root point at ``brute_force``'s optimum, a cold root
-        that closes never refactors, and one that branches refactors once,
-        before its first child, when its tableau has artificial columns
-        to drop (else its children re-optimize in it as it is).  Either
-        way ``root_basis`` is the cold root's basis narrowed to
-        structurals and slacks: each basic artificial gives way to its
-        row's slack."""
+        makes no refactor, whether it closes or branches.  Its tableau
+        keeps its artificial columns, so when it has some, the first
+        child's solve builds a tableau at the root's basis and refactors
+        once there; without them the child is rebased onto the root's
+        tableau as it is.  Either way ``root_basis`` is the cold root's
+        basis narrowed to structurals and slacks: each basic artificial
+        gives way to its row's slack."""
         bf = milp.brute_force(model)
         if bf.status != milp.OPTIMAL:
             return
@@ -1468,9 +1440,9 @@ class TestRootPoint:
             events.append("refactor")
             return refactor(self)
 
-        def logged_solve(self, node, nid):
-            events.append(nid)
-            return solve(self, node, nid)
+        def logged_solve(self, node):
+            events.append("root" if node.neg_nid == 0 else "node")
+            return solve(self, node)
 
         with mock.patch.object(milp._Simplex, "refactor", logged_refactor), \
                 mock.patch.object(milp._NodeLp, "solve", logged_solve):
@@ -1479,10 +1451,12 @@ class TestRootPoint:
         lo, hi, _ = arrs.root_box(np.array(model.binary_ids, dtype=int))
         cold = arrs.simplex(lo, hi)
         assert cold.solve().status == milp.OPTIMAL
-        solves = [i for i, e in enumerate(events) if e != "refactor"]
-        root_refactors = (solves[1] if len(solves) > 1 else len(events)) - 1
-        assert events[0] == 0
-        assert root_refactors == (sol.node_count > 1 and cold.n_art > 0)
+        solves = [i for i, e in enumerate(events) if e != "refactor"] + [len(events)]
+        # the refactors made in each node's solve, in solve order
+        refactors = [b - a - 1 for a, b in zip(solves, solves[1:])]
+        assert events[0] == "root" and refactors[0] == 0
+        if sol.node_count > 1 and cold.n_art:
+            assert events[solves[1]] == "node" and refactors[1] == 1
         basis = cold.basis.copy()
         art = basis >= cold.n_tot
         basis[art] = arrs.n_struct + cold.art_rows[basis[art] - cold.n_tot]
@@ -1532,7 +1506,10 @@ class TestKeptForm:
         elif mutator == "add_sos1":
             model.add_sos1(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)))
         elif mutator == "fix_variable":
-            model.fix_variable(data.draw(st.integers(0, n - 1)), value / 2.0)
+            j = data.draw(st.integers(0, n - 1))
+            # a binary is fixed only at 0 or 1
+            binary = model.variables[j].kind == milp.BINARY
+            model.fix_variable(j, float(data.draw(st.integers(0, 1))) if binary else value / 2.0)
         elif mutator == "set_objective":
             model.set_objective(data.draw(st.sampled_from([milp.MIN, milp.MAX])),
                                 {j: float(data.draw(small_int)) for j in range(n)})
